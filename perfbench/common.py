@@ -3,6 +3,7 @@ percentiles and per-layer accounting over captured obs traces."""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -245,3 +246,32 @@ def timed(fn):
     started = perf_counter()
     out = fn()
     return out, perf_counter() - started
+
+
+# ------------------------------------------------------------- host speed
+# The benchmark shares a few cores with other tenants of its host, whose
+# load changes the speed of this process by 15-30% over seconds to
+# minutes; every timing follows it.  A fixed pure-Python loop that runs no
+# Jedule code, timed in short slices between in-process renders, follows
+# the same swings.  A render time scaled to a host on which one slice
+# takes REF_SLICE_S moves with the program's speed and not with the
+# neighbours' load.  Slices run only while no Jedule code does, so the
+# program's own load never enters them.
+REF_SLICE_S = 0.6e-3
+_REF_LOOPS = 5000
+
+
+def reference_slice() -> float:
+    """Seconds one run of the reference loop took."""
+    # with the collector on, a slice could pay for a collection of the
+    # program's heap
+    collecting = gc.isenabled()
+    gc.disable()
+    started = perf_counter()
+    acc: dict[int, int] = {}
+    for i in range(_REF_LOOPS):
+        acc[i % 97] = acc.get(i % 97, 0) + i
+    took = perf_counter() - started
+    if collecting:
+        gc.enable()
+    return took

@@ -27,8 +27,6 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK = ROOT / ".perfbench-work"
 WORKLOADS = ("trace_100k", "figure_set", "serve_mix")
-#: generated input sets kept per workload; the oldest beyond this go
-KEEP_INPUTS = 12
 MEASURE_TIMEOUT_S = 175
 
 
@@ -37,7 +35,6 @@ def ensure_inputs(workload: str, seed: int, scale: str) -> Path:
     root = WORK / "inputs"
     target = root / f"{workload}-{scale}-{seed}"
     if (target / "inputs.json").is_file():
-        os.utime(target)
         return target
     tmp = root / f".tmp-{target.name}-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -50,10 +47,6 @@ def ensure_inputs(workload: str, seed: int, scale: str) -> Path:
         raise
     shutil.rmtree(target, ignore_errors=True)
     os.replace(tmp, target)
-    sets = sorted((p for p in root.glob(f"{workload}-*") if p != target),
-                  key=lambda p: p.stat().st_mtime)
-    for old in sets[:max(0, len(sets) + 1 - KEEP_INPUTS)]:
-        shutil.rmtree(old, ignore_errors=True)
     return target
 
 

@@ -27,12 +27,24 @@ DETAIL = {
     "trace_100k": {"open_png_s": "s", "open_html_s": "s", "zoom_p50_s": "s",
                    "zoom_p90_s": "s"},
     "figure_set": {"figure_p50_s": "s", "figure_p90_s": "s",
-                   "batch_cold_s": "s", "batch_warm_s": "s"},
+                   "figure_png_s": "s", "figure_svg_s": "s",
+                   "figure_png_norm_s": "s", "figure_svg_norm_s": "s",
+                   "batch_cold_s": "s", "batch_warm_s": "s",
+                   "host_slice_ms": "ms"},
     "serve_mix": {"serve_hit_p50_s": "s", "serve_hit_p90_s": "s",
-                  "serve_miss_p50_s": "s", "serve_miss_p90_s": "s"},
+                  "serve_miss_p50_s": "s", "serve_miss_p90_s": "s",
+                  "serve_hit_mean_s": "s", "serve_miss_mean_s": "s"},
 }
 COMMON = {"setup_s": "s", "output_bytes": "bytes", "peak_rss_mb": "MB",
           "error_rate": "ratio"}
+#: the detail metric each gated timing slot carries, per workload
+SLOTS = {
+    "trace_100k": {"time_a_s": "open_png_s", "time_b_s": "open_html_s"},
+    "figure_set": {"time_a_s": "figure_png_norm_s",
+                   "time_b_s": "figure_svg_norm_s"},
+    "serve_mix": {"time_a_s": "serve_miss_mean_s",
+                  "time_b_s": "serve_hit_p50_s"},
+}
 
 #: per-layer metrics each workload must drive above 0
 REACHED = {
@@ -96,6 +108,10 @@ def test_untraced_run_emits_every_metric(workload):
     assert emitted == {**DETAIL[workload], **COMMON}
     assert all(v["n"] >= 1 for v in detail["metrics"].values())
     assert detail["metrics"]["error_rate"]["value"] == 0
+    slots = {**SLOTS[workload], "setup_s": "setup_s"}
+    for slot, name in slots.items():
+        assert result["metrics"][slot]["value"] == \
+            detail["metrics"][name]["value"], slot
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])

@@ -29,7 +29,7 @@ from common import (
 #: the render stack whose import is this workload's set-up
 STACK = ("repro.io.registry", "repro.render.api", "repro.render.backends",
          "repro.core.viewport")
-SETUP_REPEATS = 7
+SETUP_REPEATS = 11
 #: 10 dives x (4 zoom-ins, 3 pans, 3 clamped zoom-outs) from the full view
 DIVES = {"full": 10, "tiny": 2}
 #: zoom factor of one step; with four steps a dive ends 16x in
