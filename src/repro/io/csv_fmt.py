@@ -188,4 +188,8 @@ def dump(schedule: Schedule, path: str | Path) -> None:
 
 def load(path: str | Path) -> Schedule:
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", source=str(path)) from exc
+    return loads(text, source=str(path))

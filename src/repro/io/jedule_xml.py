@@ -32,6 +32,11 @@ A ``<node_statistics>`` may carry several ``<configuration>`` elements (e.g.
 a communication between clusters), matching the paper's note that "a node
 can have multiple configurations".  Per-task meta entries are stored as
 extra ``<node_property>`` entries with names outside the reserved set.
+
+:func:`loads` reads a document in one :mod:`xml.parsers.expat` pass and keeps
+ElementTree's selection rules: only direct children count, the first
+``<jedule_meta>``, ``<platform>`` and ``<node_infos>`` win, and everything
+else is ignored.  :func:`dumps` writes through ElementTree.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ from __future__ import annotations
 import io as _io
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.parsers import expat
 
 from repro.core.model import Cluster, Configuration, HostRange, Schedule, Task
-from repro.errors import ParseError
+from repro.errors import ParseError, ScheduleError
 from repro.obs import core as _obs
 
 __all__ = ["loads", "load", "dumps", "dump", "JEDULE_VERSION"]
@@ -51,116 +57,198 @@ JEDULE_VERSION = "1.0"
 _RESERVED_NODE_PROPS = {"id", "type", "start_time", "end_time"}
 
 
-def _properties(elem: ET.Element, tag: str, *, source: str) -> dict[str, str]:
-    """Collect ``<tag name=".." value=".."/>`` children into a dict."""
-    props: dict[str, str] = {}
-    for child in elem.findall(tag):
-        name = child.get("name")
-        value = child.get("value")
-        if name is None or value is None:
-            raise ParseError(f"<{tag}> needs name= and value=", source=source)
-        props[name] = value
-    return props
+# Reader states: the role of each open element, kept on a stack.  Every
+# element the format does not define, and everything below it, is _SKIP.
+_SKIP, _NODE, _CONF, _HOST_LISTS, _INFOS, _PLATFORM, _META, _ROOT, _DOC = range(9)
 
+#: Sections under the root; only the first of each counts.
+_SECTIONS = {"jedule_meta": _META, "platform": _PLATFORM, "node_infos": _INFOS}
 
-def _parse_configuration(elem: ET.Element, *, source: str) -> Configuration:
-    props = _properties(elem, "conf_property", source=source)
-    cluster_id = props.get("cluster_id")
-    if cluster_id is None:
-        raise ParseError("<configuration> lacks conf_property cluster_id", source=source)
-    ranges: list[HostRange] = []
-    for hl in elem.findall("host_lists"):
-        for hosts in hl.findall("hosts"):
-            try:
-                ranges.append(HostRange(int(hosts.get("start", "")), int(hosts.get("nb", ""))))
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"<hosts> needs integer start=/nb=, got start={hosts.get('start')!r} "
-                    f"nb={hosts.get('nb')!r}", source=source) from None
-    if not ranges:
-        raise ParseError("<configuration> has no <hosts> ranges", source=source)
-    conf = Configuration(cluster_id, ranges)
-    declared = props.get("host_nb")
-    if declared is not None:
-        try:
-            declared_nb = int(declared)
-        except ValueError:
-            raise ParseError(
-                f"configuration host_nb must be an integer, got {declared!r}",
-                source=source) from None
-        if declared_nb != conf.num_hosts:
-            raise ParseError(
-                f"configuration declares host_nb={declared} but host lists cover "
-                f"{conf.num_hosts} hosts", source=source)
-    return conf
-
-
-def _parse_task(elem: ET.Element, *, source: str) -> Task:
-    props = _properties(elem, "node_property", source=source)
-    for required in ("id", "type", "start_time", "end_time"):
-        if required not in props:
-            raise ParseError(f"<node_statistics> lacks node_property {required!r}",
-                             source=source)
-    confs = [_parse_configuration(c, source=source) for c in elem.findall("configuration")]
-    if not confs:
-        raise ParseError(f"task {props['id']!r} has no <configuration>", source=source)
-    try:
-        start = float(props["start_time"])
-        end = float(props["end_time"])
-    except ValueError:
-        raise ParseError(
-            f"task {props['id']!r} has non-numeric times "
-            f"({props['start_time']!r}, {props['end_time']!r})", source=source) from None
-    meta = {k: v for k, v in props.items() if k not in _RESERVED_NODE_PROPS}
-    return Task(props["id"], props["type"], start, end, confs, meta)
+_UNKNOWN_ENCODING = expat.errors.codes[expat.errors.XML_ERROR_UNKNOWN_ENCODING]
 
 
 @_obs.span("parse.jedule_xml")
-def loads(text: str, *, source: str = "<string>") -> Schedule:
-    """Parse a Jedule XML document into a :class:`Schedule`."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ParseError(f"malformed XML: {exc}", source=source) from exc
-    if root.tag != "jedule":
-        raise ParseError(f"root element is <{root.tag}>, expected <jedule>", source=source)
+def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
+    """Parse a Jedule XML document into a :class:`Schedule`.
 
+    One streaming pass: no element tree is built, each task is made as its
+    ``<node_statistics>`` closes.  ``bytes`` are decoded as the document's
+    XML declaration says (UTF-8 when it says nothing); a ``str`` is taken
+    as already decoded.  The tasks join the schedule when the document
+    ends, so ``<platform>`` may come after ``<node_infos>``.
+    """
     schedule = Schedule()
-    meta_elem = root.find("jedule_meta")
-    if meta_elem is not None:
-        schedule.meta.update(_properties(meta_elem, "meta", source=source))
+    tasks: list[Task] = []
+    stack = [_DOC]
+    push, pop = stack.append, stack.pop
+    opened: set[str] = set()
+    props: dict[str, str] = {}  # node_property of the open task
+    confs: list[Configuration] = []
+    conf_props: dict[str, str] = {}  # conf_property of the open configuration
+    ranges: list[HostRange] = []
 
-    platform = root.find("platform")
-    if platform is None:
-        raise ParseError("missing <platform> (at least one cluster is required)",
-                         source=source)
-    for cl in platform.findall("cluster"):
-        cid = cl.get("id")
-        hosts = cl.get("hosts")
-        if cid is None or hosts is None:
-            raise ParseError("<cluster> needs id= and hosts=", source=source)
-        try:
-            schedule.add_cluster(Cluster(cid, int(hosts), cl.get("name")))
-        except ValueError:
-            raise ParseError(f"<cluster id={cid!r}> has non-integer hosts={hosts!r}",
-                             source=source) from None
-    if not schedule.clusters:
-        raise ParseError("<platform> defines no clusters", source=source)
+    def start(name: str, attrs: dict[str, str]) -> None:
+        state = stack[-1]
+        if state == _NODE:
+            if name == "node_property":
+                key, value = attrs.get("name"), attrs.get("value")
+                if key is None or value is None:
+                    raise ParseError("<node_property> needs name= and value=",
+                                     source=source)
+                props[key] = value
+            elif name == "configuration":
+                conf_props.clear()
+                ranges.clear()
+                push(_CONF)
+                return
+        elif state == _CONF:
+            if name == "conf_property":
+                key, value = attrs.get("name"), attrs.get("value")
+                if key is None or value is None:
+                    raise ParseError("<conf_property> needs name= and value=",
+                                     source=source)
+                conf_props[key] = value
+            elif name == "host_lists":
+                push(_HOST_LISTS)
+                return
+        elif state == _HOST_LISTS:
+            if name == "hosts":
+                try:
+                    ranges.append(HostRange(int(attrs.get("start", "")),
+                                            int(attrs.get("nb", ""))))
+                except (TypeError, ValueError):
+                    raise ParseError(
+                        f"<hosts> needs integer start=/nb=, got "
+                        f"start={attrs.get('start')!r} nb={attrs.get('nb')!r}",
+                        source=source) from None
+        elif state == _INFOS:
+            if name == "node_statistics":
+                props.clear()
+                confs.clear()
+                push(_NODE)
+                return
+        elif state == _ROOT:
+            section = _SECTIONS.get(name)
+            if section is not None and name not in opened:
+                opened.add(name)
+                push(section)
+                return
+        elif state == _PLATFORM:
+            if name == "cluster":
+                cid, hosts = attrs.get("id"), attrs.get("hosts")
+                if cid is None or hosts is None:
+                    raise ParseError("<cluster> needs id= and hosts=", source=source)
+                try:
+                    num_hosts = int(hosts)
+                except ValueError:
+                    raise ParseError(f"<cluster id={cid!r}> has non-integer hosts={hosts!r}",
+                                     source=source) from None
+                schedule.add_cluster(Cluster(cid, num_hosts, attrs.get("name")))
+        elif state == _META:
+            if name == "meta":
+                key, value = attrs.get("name"), attrs.get("value")
+                if key is None or value is None:
+                    raise ParseError("<meta> needs name= and value=", source=source)
+                schedule.meta[key] = value
+        elif state == _DOC:
+            if name != "jedule":
+                # ElementTree spells a namespaced tag "{uri}local"
+                tag = "{" + name if "}" in name else name
+                raise ParseError(f"root element is <{tag}>, expected <jedule>",
+                                 source=source)
+            push(_ROOT)
+            return
+        push(_SKIP)
 
-    infos = root.find("node_infos")
-    if infos is not None:
-        records = 0
-        for node in infos.findall("node_statistics"):
-            schedule.add_task(_parse_task(node, source=source))
-            records += 1
-        _obs.add("io.records", records)
+    def end(name: str) -> None:
+        state = pop()
+        if state == _NODE:
+            for required in ("id", "type", "start_time", "end_time"):
+                if required not in props:
+                    raise ParseError(f"<node_statistics> lacks node_property {required!r}",
+                                     source=source)
+            if not confs:
+                raise ParseError(f"task {props['id']!r} has no <configuration>",
+                                 source=source)
+            try:
+                start_time = float(props["start_time"])
+                end_time = float(props["end_time"])
+            except ValueError:
+                raise ParseError(
+                    f"task {props['id']!r} has non-numeric times "
+                    f"({props['start_time']!r}, {props['end_time']!r})",
+                    source=source) from None
+            meta = {k: v for k, v in props.items() if k not in _RESERVED_NODE_PROPS}
+            tasks.append(Task(props["id"], props["type"], start_time, end_time, confs, meta))
+        elif state == _CONF:
+            cluster_id = conf_props.get("cluster_id")
+            if cluster_id is None:
+                raise ParseError("<configuration> lacks conf_property cluster_id",
+                                 source=source)
+            if not ranges:
+                raise ParseError("<configuration> has no <hosts> ranges", source=source)
+            conf = Configuration(cluster_id, ranges)
+            declared = conf_props.get("host_nb")
+            if declared is not None:
+                try:
+                    declared_nb = int(declared)
+                except ValueError:
+                    raise ParseError(
+                        f"configuration host_nb must be an integer, got {declared!r}",
+                        source=source) from None
+                if declared_nb != conf.num_hosts:
+                    raise ParseError(
+                        f"configuration declares host_nb={declared} but host lists "
+                        f"cover {conf.num_hosts} hosts", source=source)
+            confs.append(conf)
+
+    # namespace processing on, as ElementTree's parser has it
+    parser = expat.ParserCreate(None, "}")
+
+    def skipped_entity(entity: str, is_parameter_entity: bool) -> None:
+        # expat passes over an undeclared entity when the DTD has an external
+        # part; ElementTree rejects one in content, and so does this reader
+        if not is_parameter_entity:
+            raise ParseError(
+                f"malformed XML: undefined entity &{entity};: line "
+                f"{parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}",
+                source=source)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    try:
+        parser.Parse(data, True)
+        if "platform" not in opened:
+            raise ParseError("missing <platform> (at least one cluster is required)",
+                             source=source)
+        if not schedule.clusters:
+            raise ParseError("<platform> defines no clusters", source=source)
+        for task in tasks:
+            schedule.add_task(task)
+    except expat.ExpatError as exc:
+        raise ParseError(f"malformed XML: {exc}", source=source) from exc
+    except ScheduleError as exc:
+        raise ParseError(str(exc), source=source) from exc
+    except (LookupError, ValueError) as exc:
+        # expat's hook for encodings it lacks raises these, e.g. for
+        # encoding="klingon"; from anywhere else they are bugs
+        if parser.ErrorCode != _UNKNOWN_ENCODING:
+            raise
+        raise ParseError(f"unsupported encoding: {exc}", source=source) from exc
+    finally:
+        # skipped_entity holds the parser: break that cycle so the parser and
+        # its copy of the document are freed on return, not at the next GC
+        parser.SkippedEntityHandler = None
+    if "node_infos" in opened:
+        _obs.add("io.records", len(tasks))
     return schedule
 
 
 def load(path: str | Path) -> Schedule:
     """Read a Jedule XML file."""
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=str(path))
+    return loads(path.read_bytes(), source=str(path))
 
 
 def _prop(parent: ET.Element, tag: str, name: str, value: str) -> None:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+import xml.etree.ElementTree as ET
+
 import pytest
 
+from repro import obs
 from repro.core.model import Configuration, Schedule
 from repro.errors import ParseError
 from repro.io import jedule_xml
@@ -189,3 +194,118 @@ def test_dumps_cluster_without_name():
     assert "name=" not in platform_part
     back = jedule_xml.loads(text)
     assert back.cluster("c0").num_hosts == 4
+
+
+def test_parse_span_and_record_count():
+    with obs.capture() as trace:
+        jedule_xml.loads(FIGURE1_DOC)
+    assert trace.find("parse.jedule_xml") is not None
+    assert trace.counters["io.records"] == 1
+
+
+def test_loads_accepts_str_and_bytes():
+    from_str = jedule_xml.loads(FIGURE1_DOC)
+    from_bytes = jedule_xml.loads(FIGURE1_DOC.encode("utf-8"))
+    assert from_str.tasks == from_bytes.tasks
+    assert from_str.clusters == from_bytes.clusters
+
+
+LATIN1_DOC = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+              + FIGURE1_DOC.replace('value="computation"', 'value="calcul é"')
+                           .replace('hosts="8"', 'hosts="8" name="Zürich"'))
+
+
+def test_declared_encoding_is_honoured(tmp_path):
+    path = tmp_path / "latin1.jed"
+    path.write_bytes(LATIN1_DOC.encode("latin-1"))
+    s = jedule_xml.load(path)
+    assert s.task("1").type == "calcul é"
+    assert s.cluster("0").name == "Zürich"
+    # a str is already decoded text: its declaration no longer applies
+    assert jedule_xml.loads(LATIN1_DOC).task("1").type == "calcul é"
+
+
+@pytest.mark.parametrize("declaration,payload,pattern", [
+    ("", "caf\xe9", "not well-formed"),  # latin-1 byte in a UTF-8 document
+    ('<?xml version="1.0" encoding="UTF-8"?>', "\xff", "not well-formed"),
+    ('<?xml version="1.0" encoding="klingon"?>', "x", "unknown encoding"),
+    ('<?xml version="1.0" encoding="shift_jis"?>', "x", "multi-byte"),
+], ids=["latin1-byte-in-utf8", "invalid-utf8", "unknown-encoding", "multibyte-encoding"])
+def test_undecodable_bytes_name_the_file(tmp_path, declaration, payload, pattern):
+    path = tmp_path / "bad.jed"
+    doc = declaration + FIGURE1_DOC.replace('value="computation"', f'value="{payload}"')
+    path.write_bytes(doc.encode("latin-1"))
+    with pytest.raises(ParseError, match=pattern) as ei:
+        jedule_xml.load(path)
+    assert ei.value.source == str(path)
+
+
+_TASK_BLOCK = FIGURE1_DOC[FIGURE1_DOC.index("    <node_statistics>"):
+                          FIGURE1_DOC.index("  </node_infos>")]
+
+
+@pytest.mark.parametrize("old,new,pattern", [
+    (_TASK_BLOCK, _TASK_BLOCK * 2, "duplicate task id '1'"),
+    ('<cluster id="0" hosts="8"/>', '<cluster id="0" hosts="8"/><cluster id="0" hosts="4"/>',
+     "duplicate cluster id '0'"),
+    ('<cluster id="0" hosts="8"/>', '<cluster id="0" hosts="0"/>', "must have >= 1 host"),
+    ('name="cluster_id" value="0"', 'name="cluster_id" value="9"', "unknown cluster '9'"),
+    ('<hosts start="0" nb="8"/>', '<hosts start="4" nb="8"/>', "binds host 11"),
+    ('<hosts start="0" nb="8"/>', '<hosts start="-1" nb="8"/>', "start must be >= 0"),
+    ('<hosts start="0" nb="8"/>', '<hosts start="0" nb="0"/>', "length must be >= 1"),
+    ('name="start_time" value="0.000"', 'name="start_time" value="1.0"',
+     "precedes start_time"),
+    ('name="end_time" value="0.310"', 'name="end_time" value="nan"', "non-finite"),
+], ids=["dup-task", "dup-cluster", "zero-hosts", "unknown-cluster", "host-beyond",
+        "negative-start", "zero-nb", "end-before-start", "nan-time"])
+def test_model_violations_name_the_file(tmp_path, old, new, pattern):
+    assert old in FIGURE1_DOC
+    path = tmp_path / "fault.jed"
+    path.write_text(FIGURE1_DOC.replace(old, new, 1))
+    with pytest.raises(ParseError, match=pattern) as ei:
+        jedule_xml.load(path)
+    assert ei.value.source == str(path)
+
+
+@pytest.mark.parametrize("doc", [
+    "",
+    "<jedule>",
+    "<jedule><a></b></jedule>",
+    "<jedule/><jedule/>",
+    "<x:jedule/>",
+    "<jedule a='1' a='2'/>",
+    "<jedule>&undeclared;</jedule>",
+    '<!DOCTYPE jedule SYSTEM "j.dtd">\n<jedule>\n  &undeclared;</jedule>',
+    "<?xml version='1.0'?>\n<jedule>\n<platform>\x01</platform></jedule>",
+], ids=["empty", "unclosed", "mismatched-tag", "two-roots", "unbound-prefix",
+        "duplicate-attribute", "undefined-entity", "skipped-entity", "control-char"])
+def test_malformed_xml_reports_what_elementtree_reports(doc):
+    with pytest.raises(ET.ParseError) as expected:
+        ET.fromstring(doc)
+    with pytest.raises(ParseError) as ei:
+        jedule_xml.loads(doc)
+    assert str(ei.value) == f"malformed XML: {expected.value} in <string>"
+
+
+def test_parse_memory_stays_near_the_schedule_size():
+    """The reader holds no element tree: its peak traced allocation stays
+    within a small multiple of the schedule it returns (an ElementTree
+    build peaks near 10x)."""
+    rng = random.Random(7)
+    s = Schedule()
+    s.new_cluster("c0", 256)
+    for i in range(2000):
+        start = rng.uniform(0.0, 1e4)
+        s.new_task(f"t{i}", rng.choice(["comp", "xfer"]), start,
+                   start + rng.uniform(1.0, 100.0), cluster="c0",
+                   host_start=rng.randrange(248), host_nb=rng.randint(1, 8))
+    doc = jedule_xml.dumps(s)
+    jedule_xml.loads(doc)  # warm up imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        back = jedule_xml.loads(doc)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 2000
+    assert peak < 4 * retained, (peak, retained)

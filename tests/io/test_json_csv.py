@@ -191,3 +191,15 @@ class TestCsvErrorContext:
         with pytest.raises(ParseError, match=r"in s\.csv at line 3"):
             csv_fmt.loads(self.HEADER + "1,computation,0.0,1.0,0\n",
                           source="s.csv")
+
+
+@pytest.mark.parametrize("module,name,payload", [
+    (json_fmt, "latin1.json", b'{"meta": {"site": "Z\xfcrich"}, "clusters": [], "tasks": []}'),
+    (csv_fmt, "latin1.csv", b"# cluster,0,8,Z\xfcrich\n"),
+], ids=["json", "csv"])
+def test_non_utf8_file_is_parse_error(tmp_path, module, name, payload):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    with pytest.raises(ParseError, match="not UTF-8") as ei:
+        module.load(path)
+    assert ei.value.source == str(path)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.model import Cluster, Configuration, Schedule, Task
+from repro.errors import ParseError
 from repro.io import csv_fmt, jedule_xml, json_fmt, swf
 from repro.io.swf import SWFJob, SWFTrace
 from repro.render.png_codec import decode_png, encode_png
@@ -60,6 +64,121 @@ def test_jedule_xml_roundtrip(schedule):
     back = jedule_xml.loads(jedule_xml.dumps(schedule))
     _same_schedule(schedule, back)
     assert back.meta == schedule.meta
+
+
+# Rewrites of a dumped document that must not change what the reader
+# returns: ElementTree's selection rules, which the reader keeps.
+_START_TAG = re.compile(r'<(\w+)((?:\s+\w+="[^"]*")*)\s*>')
+_EMPTY_TAG = re.compile(r'<(\w+)((?:\s+\w+="[^"]*")*)\s*/>')
+_NAME_ATTR = re.compile(r'\sname="[^"]*"')
+_PLAIN_VALUE = re.compile(r'="([^"&]*)"')
+_UNKNOWN = ('<unknown><node_statistics/><cluster id="decoy" hosts="1"/>'
+            '<hosts start="1" nb="1"/><meta name="decoy" value="1"/></unknown>')
+_SECOND_SECTIONS = (
+    '<platform><cluster id="decoy" hosts="3"/></platform>'
+    '<node_infos><node_statistics>'
+    '<node_property name="id" value="decoy"/><node_property name="type" value="x"/>'
+    '<node_property name="start_time" value="0"/><node_property name="end_time" value="1"/>'
+    '<configuration><conf_property name="cluster_id" value="decoy"/>'
+    '<host_lists><hosts start="0" nb="1"/></host_lists></configuration>'
+    '</node_statistics></node_infos>')
+
+
+def _platform_last(doc: str) -> str:
+    platform = re.search(r"\s*<platform>.*?</platform>", doc, re.S).group(0)
+    doc = doc.replace(platform, "", 1)
+    end = re.search(r"<node_infos\s*/>|</node_infos>", doc).end()
+    return doc[:end] + platform + doc[end:]
+
+
+def _second_sections(doc: str) -> str:
+    extra = _SECOND_SECTIONS
+    if "<jedule_meta>" in doc:  # otherwise the added one would be the first
+        extra += '<jedule_meta><meta name="decoy" value="1"/></jedule_meta>'
+    head, _, tail = doc.rpartition("</jedule>")
+    return head + extra + "</jedule>" + tail
+
+
+def _doctype_entity(doc: str) -> str:
+    m = re.search(r'<cluster id="[^"]*" hosts="(\d+)"', doc)
+    doc = doc[:m.start(1)] + "&hosts0;" + doc[m.end(1):]
+    decl_end = doc.index("?>") + 2
+    return (doc[:decl_end] + f'\n<!DOCTYPE jedule [<!ENTITY hosts0 "{m.group(1)}">]>'
+            + doc[decl_end:])
+
+
+def _char_refs(doc: str) -> str:
+    def encode(m: re.Match) -> str:
+        return '="' + "".join(f"&#x{ord(c):x};" if i % 2 else f"&#{ord(c)};"
+                              for i, c in enumerate(m.group(1))) + '"'
+    return _PLAIN_VALUE.sub(encode, doc)
+
+
+def _unknown_elements(doc: str) -> str:
+    # nest a copy of its own kind in each empty element, which only counts
+    # if the reader wrongly reads below direct children
+    def nest(m: re.Match) -> str:
+        name = _NAME_ATTR.search(m.group(2))
+        decoy = ((name.group(0) if name else "")
+                 + ' value="7" id="decoy" hosts="1" start="1" nb="1"')
+        return f"<{m.group(1)}{m.group(2)}><{m.group(1)}{decoy}/></{m.group(1)}>"
+    doc = _EMPTY_TAG.sub(nest, doc)
+    return _START_TAG.sub(lambda m: m.group(0) + _UNKNOWN, doc)
+
+
+def _comments_and_pis(doc: str) -> str:
+    return doc.replace(">\n", '>\n<!-- <platform><cluster id="c" hosts="1"/></platform> -->'
+                               "<?jedule-hint <node_infos/>?>\n")
+
+
+def _whitespace(doc: str) -> str:
+    doc = re.sub(r'(\w+)="', '\\1 =\n\t"', doc)
+    doc = re.sub(r'"(\s*/?>)', '"\n \\1', doc)
+    return doc.replace(">\n", ">\n \t\r\n  \n")
+
+
+_REWRITES = {
+    "platform last": _platform_last,
+    "second sections": _second_sections,
+    "doctype entity": _doctype_entity,
+    "char refs": _char_refs,
+    "unknown elements": _unknown_elements,
+    "comments and PIs": _comments_and_pis,
+    "whitespace": _whitespace,
+}
+
+
+@given(rich_schedules(), st.sets(st.sampled_from(list(_REWRITES)), min_size=1))
+@settings(max_examples=60, deadline=None)
+def test_jedule_xml_reader_selection_rules(schedule, chosen):
+    plain = jedule_xml.dumps(schedule)
+    doc = plain
+    for name, rewrite in _REWRITES.items():
+        if name in chosen:
+            doc = rewrite(doc)
+    expected = json_fmt.to_dict(jedule_xml.loads(plain))
+    assert json_fmt.to_dict(jedule_xml.loads(doc)) == expected
+    assert json_fmt.to_dict(jedule_xml.loads(doc.encode("utf-8"))) == expected
+
+
+def _tiny_doc() -> str:
+    s = Schedule()
+    s.new_cluster("0", 2)
+    s.new_task("1", "x", 0.0, 1.0, cluster="0", host_start=0, host_nb=2)
+    return jedule_xml.dumps(s)
+
+
+def test_jedule_xml_default_namespace_rejected():
+    doc = _tiny_doc().replace("<jedule ", '<jedule xmlns="urn:jedule" ')
+    with pytest.raises(ParseError,
+                       match=r"root element is <\{urn:jedule\}jedule>, expected <jedule>"):
+        jedule_xml.loads(doc)
+
+
+def test_jedule_xml_foreign_root_rejected():
+    doc = _tiny_doc().replace("<jedule ", "<notjedule ").replace("</jedule>", "</notjedule>")
+    with pytest.raises(ParseError, match="root element is <notjedule>, expected <jedule>"):
+        jedule_xml.loads(doc)
 
 
 @given(rich_schedules())
