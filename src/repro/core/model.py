@@ -26,6 +26,8 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ScheduleError
 
 __all__ = [
@@ -285,6 +287,28 @@ class Cluster:
         return range(self.num_hosts)
 
 
+@dataclass(frozen=True, slots=True)
+class TaskColumns:
+    """Read-only numpy columns of a schedule's task geometry.
+
+    One row per host range of every task configuration, in registration
+    order (task, then configuration, then host range).  ``task`` indexes
+    :attr:`Schedule.tasks`, ``type`` indexes :meth:`Schedule.task_types`,
+    ``cluster`` indexes :attr:`Schedule.clusters`; ``row0``/``row1`` are
+    the global (flattened) host rows ``[row0, row1)`` the range covers.
+    Built by :attr:`Schedule.columns`; every plane query (LOD grids,
+    viewport culling, hit-testing) reads these instead of walking tasks.
+    """
+
+    task: np.ndarray
+    type: np.ndarray
+    cluster: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    row0: np.ndarray
+    row1: np.ndarray
+
+
 class Schedule:
     """A complete schedule: ordered clusters, tasks, and meta information.
 
@@ -300,6 +324,7 @@ class Schedule:
     ):
         self._clusters: dict[str, Cluster] = {}
         self._tasks: dict[str, Task] = {}
+        self._columns: TaskColumns | None = None
         self.meta: dict[str, str] = dict(meta or {})
         for c in clusters:
             self.add_cluster(c)
@@ -312,6 +337,7 @@ class Schedule:
         if cluster.id in self._clusters:
             raise ScheduleError(f"duplicate cluster id {cluster.id!r}")
         self._clusters[cluster.id] = cluster
+        self._columns = None
         return cluster
 
     def new_cluster(self, id: str | int, num_hosts: int, name: str | None = None) -> Cluster:
@@ -335,6 +361,7 @@ class Schedule:
                     f"{conf.cluster_id!r} only has hosts 0..{cluster.num_hosts - 1}"
                 )
         self._tasks[task.id] = task
+        self._columns = None
         return task
 
     def new_task(
@@ -371,9 +398,11 @@ class Schedule:
     def remove_task(self, task_id: str) -> Task:
         """Remove and return a task by id."""
         try:
-            return self._tasks.pop(str(task_id))
+            task = self._tasks.pop(str(task_id))
         except KeyError:
             raise ScheduleError(f"no task with id {task_id!r}") from None
+        self._columns = None
+        return task
 
     # ------------------------------------------------------------------ access
     @property
@@ -434,6 +463,39 @@ class Schedule:
         for t in self._tasks.values():
             seen.setdefault(t.type, None)
         return tuple(seen)
+
+    @property
+    def columns(self) -> TaskColumns:
+        """Task geometry as read-only :class:`TaskColumns`, built on first use.
+
+        The view is cached until the next :meth:`add_cluster`,
+        :meth:`add_task` or :meth:`remove_task`.
+        """
+        if self._columns is None:
+            self._columns = self._build_columns()
+        return self._columns
+
+    def _build_columns(self) -> TaskColumns:
+        placement: dict[str, tuple[int, int]] = {}
+        offset = 0
+        for index, c in enumerate(self._clusters.values()):
+            placement[c.id] = (index, offset)
+            offset += c.num_hosts
+        type_ids: dict[str, int] = {}
+        rows = [(ti, type_ids.setdefault(t.type, len(type_ids)), ci,
+                 t.start_time, t.end_time, off + r.start, off + r.stop)
+                for ti, t in enumerate(self._tasks.values())
+                for conf in t.configurations
+                for ci, off in (placement[conf.cluster_id],)
+                for r in conf.host_ranges]
+        dtypes = (np.intp, np.intp, np.intp, np.float64, np.float64,
+                  np.intp, np.intp)
+        arrays = []
+        for col, dtype in zip(zip(*rows) if rows else ((),) * 7, dtypes):
+            a = np.array(col, dtype=dtype)
+            a.flags.writeable = False
+            arrays.append(a)
+        return TaskColumns(*arrays)
 
     @property
     def start_time(self) -> float:

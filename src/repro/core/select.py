@@ -16,22 +16,31 @@ points.  The embedded JavaScript of the HTML export
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.model import Schedule, Task
 
-__all__ = ["TaskInfo", "hit_test", "tasks_in_region", "describe_task", "Selection"]
+__all__ = ["TaskInfo", "hit_test", "tasks_in_region", "rows_in_region",
+           "describe_task", "Selection"]
 
 
-def _task_rows(schedule: Schedule, task: Task) -> list[tuple[int, int]]:
-    """Global row intervals ``[lo, hi)`` covered by a task's rectangles."""
-    rows: list[tuple[int, int]] = []
-    for conf in task.configurations:
-        off = schedule.cluster_offset(conf.cluster_id)
-        for r in conf.host_ranges:
-            rows.append((off + r.start, off + r.stop))
-    return rows
+def rows_in_region(
+    schedule: Schedule, t0: float, t1: float, row0: float, row1: float
+) -> np.ndarray:
+    """Mask over :attr:`Schedule.columns` of the host ranges intersecting
+    the plane region ``[t0, t1) x [row0, row1)``.
+
+    A task rectangle ``[start, end) x [lo, hi)`` intersects the region when
+    ``start < t1 and t0 < end`` and ``lo < row1 and row0 < hi``; a
+    zero-duration task therefore shows only strictly inside ``(t0, t1)``.
+    """
+    cols = schedule.columns
+    return ((cols.start < t1) & (t0 < cols.end)
+            & (cols.row0 < row1) & (row0 < cols.row1))
 
 
 def hit_test(schedule: Schedule, t: float, row: float) -> Task | None:
@@ -41,15 +50,13 @@ def hit_test(schedule: Schedule, t: float, row: float) -> Task | None:
     tasks (e.g. composites) paint over earlier ones.  Returns ``None`` when
     the point lies on idle background.
     """
-    hit: Task | None = None
-    for task in schedule:
-        if not (task.start_time <= t < task.end_time):
-            continue
-        for lo, hi in _task_rows(schedule, task):
-            if lo <= row < hi:
-                hit = task
-                break
-    return hit
+    # The point is the region [t, t+) x [row, row+), where x+ is the next
+    # float above x: ``start < t+`` holds exactly when ``start <= t``.
+    hits = np.flatnonzero(rows_in_region(
+        schedule, t, np.nextafter(t, math.inf), row, np.nextafter(row, math.inf)))
+    if not hits.size:
+        return None
+    return schedule.tasks[schedule.columns.task[hits[-1]]]
 
 
 def tasks_in_region(
@@ -60,13 +67,9 @@ def tasks_in_region(
         t0, t1 = t1, t0
     if row1 < row0:
         row0, row1 = row1, row0
-    found = []
-    for task in schedule:
-        if not (task.start_time < t1 and t0 < task.end_time):
-            continue
-        if any(lo < row1 and row0 < hi for lo, hi in _task_rows(schedule, task)):
-            found.append(task)
-    return tuple(found)
+    hits = schedule.columns.task[rows_in_region(schedule, t0, t1, row0, row1)]
+    tasks = schedule.tasks
+    return tuple(tasks[i] for i in np.unique(hits))
 
 
 @dataclass(frozen=True, slots=True)

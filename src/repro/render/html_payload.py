@@ -108,7 +108,6 @@ def build_tiers(schedule: Schedule, *, tiers: int = DEFAULT_HTML_TIERS,
     truncating silently.
     """
     frame = _payload_frame(schedule)
-    type_index = {t: i for i, t in enumerate(schedule.task_types())}
     out: list[dict] = []
     spent = 0
     last_nx = 0
@@ -121,13 +120,9 @@ def build_tiers(schedule: Schedule, *, tiers: int = DEFAULT_HTML_TIERS,
         tier_runs = 0
         for ci, cluster in enumerate(schedule.clusters):
             ny = min(cluster.num_hosts, _BASE_NY * (2 ** level))
-            types, cells = band_cell_grid(schedule, cluster.id, frame,
-                                          cluster.num_hosts, nx, ny)
-            if not types:
-                continue
-            remap = [type_index[t] for t in types]
-            runs = [[iy, x0, x1, remap[ti]]
-                    for iy, x0, x1, ti in cell_runs(cells)]
+            _, cells = band_cell_grid(schedule, cluster.id, frame,
+                                      cluster.num_hosts, nx, ny)
+            runs = [list(run) for run in cell_runs(cells)]
             if not runs:
                 continue
             tier_runs += len(runs)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.core.colormap import Color, ColorMap, default_colormap
 from repro.core.model import Schedule, Task
+from repro.core.select import tasks_in_region
 from repro.core.slices import is_continuation, is_preempted, job_of
 from repro.core.timeframe import TimeFrame, ViewMode, cluster_frame, global_frame
 from repro.core.viewport import Viewport
@@ -358,27 +359,6 @@ def _layout_full(schedule: Schedule, cmap: ColorMap, style: Style,
     return drawing
 
 
-def _visible_tasks(schedule: Schedule, viewport: Viewport,
-                   offsets: dict[str, int]) -> list[Task]:
-    """Viewport culling: tasks intersecting the window in time AND rows.
-
-    Off-screen tasks are dropped here so they never produce primitives (nor
-    style lookups) — the interactive zoom cost scales with what is visible,
-    not with the schedule size.
-    """
-    visible: list[Task] = []
-    for task in schedule:
-        if not viewport.intersects_time(task.start_time, task.end_time):
-            continue
-        for conf in task.configurations:
-            base = offsets[conf.cluster_id]
-            if any(base + r.start < viewport.r1 and viewport.r0 < base + r.stop
-                   for r in conf.host_ranges):
-                visible.append(task)
-                break
-    return visible
-
-
 def _layout_windowed(schedule: Schedule, cmap: ColorMap, style: Style,
                      options: LayoutOptions, viewport: Viewport,
                      lod_opts: LodOptions) -> Drawing:
@@ -407,10 +387,13 @@ def _layout_windowed(schedule: Schedule, cmap: ColorMap, style: Style,
     drawing.add(Rect(x, y, w, h, fill=None, stroke=style.axis_color))
 
     offsets = {c.id: schedule.cluster_offset(c.id) for c in schedule.clusters}
-    visible = _visible_tasks(schedule, viewport, offsets)
+    # Viewport culling: off-screen tasks never produce primitives (nor style
+    # lookups), so the zoom cost scales with what is visible.
+    visible = tasks_in_region(schedule, viewport.t0, viewport.t1,
+                              viewport.r0, viewport.r1)
     if lod_active(lod_opts, len(visible), w, h):
         with _obs.span("render.lod", visible=len(visible)):
-            cells = aggregate_window(schedule, visible, viewport,
+            cells = aggregate_window(schedule, viewport,
                                      x, y, w, h, cmap, lod_opts)
             drawing.extend(cells)
             _obs.add("render.lod_cells", len(cells))

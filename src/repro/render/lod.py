@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.colormap import ColorMap
-from repro.core.model import Schedule, Task
+from repro.core.model import Schedule
+from repro.core.select import rows_in_region
 from repro.core.timeframe import TimeFrame
 from repro.core.viewport import Viewport
 from repro.errors import RenderError
@@ -47,6 +48,7 @@ __all__ = [
     "LodOptions",
     "resolve_lod",
     "lod_active",
+    "cell_grid",
     "band_cell_grid",
     "cell_runs",
     "aggregate_band",
@@ -113,72 +115,6 @@ def lod_active(options: LodOptions, n_tasks: int, plot_w: float, plot_h: float) 
     return (plot_w * plot_h) / n_tasks < options.min_pixels_per_task
 
 
-def _dominant_cells(
-    n_types: int,
-    ti: np.ndarray,
-    bx0: np.ndarray,
-    bx1: np.ndarray,
-    by0: np.ndarray,
-    by1: np.ndarray,
-    wt: np.ndarray,
-    nx: int,
-    ny: int,
-) -> np.ndarray:
-    """Resolve difference-array deposits into a dominant-type cell grid.
-
-    Each deposit is the half-open cell rectangle ``[bx0, bx1) x [by0, by1)``
-    carrying ``wt`` area for type index ``ti``; the four corner updates plus
-    a double cumulative sum make the per-deposit cost O(1) no matter how
-    many cells the rectangle spans.  Returns ``cells[iy, ix]`` holding the
-    winning type index, -1 where nothing deposited.
-    """
-    diff = np.zeros((n_types, ny + 1, nx + 1))
-    np.add.at(diff, (ti, by0, bx0), wt)
-    np.add.at(diff, (ti, by0, bx1), -wt)
-    np.add.at(diff, (ti, by1, bx0), -wt)
-    np.add.at(diff, (ti, by1, bx1), wt)
-    stacked = diff.cumsum(axis=1).cumsum(axis=2)[:, :ny, :nx]
-    cells = np.argmax(stacked, axis=0)
-    cells[stacked.sum(axis=0) <= 0] = -1
-    return cells
-
-
-class _TypeGrids:
-    """Per-task-type area accumulation over an (ny, nx) cell grid."""
-
-    def __init__(self, nx: int, ny: int):
-        self.nx = nx
-        self.ny = ny
-        self._type_ids: dict[str, int] = {}
-        self._ti: list[int] = []
-        self._bx0: list[int] = []
-        self._bx1: list[int] = []
-        self._by0: list[int] = []
-        self._by1: list[int] = []
-        self._wt: list[float] = []
-
-    def add(self, task_type: str, bx0: int, bx1: int, by0: int, by1: int,
-            weight: float) -> None:
-        ids = self._type_ids
-        self._ti.append(ids.setdefault(task_type, len(ids)))
-        self._bx0.append(bx0)
-        self._bx1.append(bx1)
-        self._by0.append(by0)
-        self._by1.append(by1)
-        self._wt.append(weight)
-
-    def dominant(self) -> tuple[list[str], np.ndarray]:
-        """(types, cells) where ``cells[iy, ix]`` indexes ``types`` (-1: empty)."""
-        types = list(self._type_ids)
-        if not types:
-            return [], np.full((self.ny, self.nx), -1, dtype=np.intp)
-        cells = _dominant_cells(
-            len(types), np.asarray(self._ti), np.asarray(self._bx0),
-            np.asarray(self._bx1), np.asarray(self._by0), np.asarray(self._by1),
-            np.asarray(self._wt), self.nx, self.ny)
-        return types, cells
-
-
 def cell_runs(cells: np.ndarray) -> Iterable[tuple[int, int, int, int]]:
     """Yield ``(iy, x0, x1, type_index)`` runs of equally-typed cells.
 
@@ -219,39 +155,31 @@ def _grid_shape(options: LodOptions, w: float, h: float, rows: int) -> tuple[int
     return nx, ny
 
 
-def band_cell_grid(
+def cell_grid(
     schedule: Schedule,
-    cluster_id: str,
+    rows: np.ndarray,
     frame: TimeFrame,
-    rows: int,
+    row0: float,
+    row1: float,
     nx: int,
     ny: int,
-) -> tuple[list[str], np.ndarray]:
-    """Dominant-type cell grid of one cluster band: ``(types, cells)``.
+) -> np.ndarray:
+    """Dominant-type cell grid of one window of the schedule plane.
 
-    ``cells[iy, ix]`` indexes ``types`` (-1 where nothing deposited); the
-    grid covers ``frame`` horizontally and the cluster-local host rows
-    ``[0, rows)`` vertically.  Shared by the raster LOD path
-    (:func:`aggregate_band`) and the HTML tier exporter
-    (:mod:`repro.render.html_payload`).
+    ``rows`` selects the :attr:`~repro.core.model.Schedule.columns` rows
+    (task host ranges) that deposit; the grid covers ``frame``
+    horizontally and the global host rows ``[row0, row1)`` vertically.
+    ``cells[iy, ix]`` indexes :meth:`~repro.core.model.Schedule.task_types`
+    (-1 where nothing deposited).  The one grid behind cluster bands
+    (:func:`band_cell_grid`), viewports (:func:`aggregate_window`) and the
+    HTML tiers (:mod:`repro.render.html_payload`).
     """
+    cols = schedule.columns
     span = frame.span or 1.0
     f0, f1 = frame.start, frame.end
-    wanted = str(cluster_id)
-    # Hot path at 100k+ tasks: one comprehension extracts the numeric columns,
-    # everything after is vectorized numpy.
-    type_ids: dict[str, int] = {}
-    deposits = [
-        (type_ids.setdefault(t.type, len(type_ids)),
-         t.start_time, t.end_time, r.start, r.stop)
-        for t in schedule
-        if (conf := t.configuration_for(wanted)) is not None
-        for r in conf.host_ranges
-    ]
-    empty = np.full((ny, nx), -1, dtype=np.intp)
-    if not deposits:
-        return [], empty
-    ti, st, en, r0, r1 = (np.asarray(col) for col in zip(*deposits))
+    ti, st, en, r0, r1 = (a[rows] for a in (
+        cols.type, cols.start, cols.end, cols.row0, cols.row1))
+    cells = np.full((ny, nx), -1, dtype=np.intp)
     cst = np.maximum(st, f0)
     cen = np.minimum(en, f1)
     # Keep tasks with positive in-frame overlap, plus zero-duration tasks
@@ -263,16 +191,16 @@ def band_cell_grid(
     if not keep.all():
         ti, st, en, r0, r1, cst, cen = (
             a[keep] for a in (ti, st, en, r0, r1, cst, cen))
-        if not ti.size:
-            return list(type_ids), empty
+    if not ti.size:
+        return cells
     gx0 = (cst - f0) * (nx / span)
     gx1 = (cen - f0) * (nx / span)
     bx0 = np.minimum(gx0.astype(np.intp), nx - 1)
     # Zero-duration tasks have gx1 == gx0, so bx1 collapses to bx0 + 1:
     # exactly one cell, carrying the epsilon weight term below.
     bx1 = np.maximum(np.minimum(np.ceil(gx1).astype(np.intp), nx), bx0 + 1)
-    gy0 = r0 * (ny / rows)
-    gy1 = r1 * (ny / rows)
+    gy0 = (np.maximum(r0, row0) - row0) * (ny / (row1 - row0))
+    gy1 = (np.minimum(r1, row1) - row0) * (ny / (row1 - row0))
     by0 = np.minimum(gy0.astype(np.intp), ny - 1)
     by1 = np.maximum(np.minimum(np.ceil(gy1).astype(np.intp), ny), by0 + 1)
     # Approximate per-cell covered area: exact for interior cells, an
@@ -281,8 +209,42 @@ def band_cell_grid(
     cell_r = 1.0 / ny
     wt = ((np.minimum((gx1 - gx0) * cell_t, cell_t) + 1e-12)
           * (np.minimum((gy1 - gy0) * cell_r, cell_r) + 1e-12))
-    cells = _dominant_cells(len(type_ids), ti, bx0, bx1, by0, by1, wt, nx, ny)
-    return list(type_ids), cells
+    # Per-type difference arrays over the types present: the four corner
+    # updates plus a double cumulative sum make the cost per deposit O(1)
+    # no matter how many cells the rectangle spans.
+    present, ti = np.unique(ti, return_inverse=True)
+    diff = np.zeros((present.size, ny + 1, nx + 1))
+    np.add.at(diff, (ti, by0, bx0), wt)
+    np.add.at(diff, (ti, by0, bx1), -wt)
+    np.add.at(diff, (ti, by1, bx0), -wt)
+    np.add.at(diff, (ti, by1, bx1), wt)
+    stacked = diff.cumsum(axis=1).cumsum(axis=2)[:, :ny, :nx]
+    cells = present[np.argmax(stacked, axis=0)]
+    cells[stacked.sum(axis=0) <= 0] = -1
+    return cells
+
+
+def band_cell_grid(
+    schedule: Schedule,
+    cluster_id: str,
+    frame: TimeFrame,
+    rows: int,
+    nx: int,
+    ny: int,
+) -> tuple[list[str], np.ndarray]:
+    """Dominant-type cell grid of one cluster band: ``(types, cells)``.
+
+    ``cells[iy, ix]`` indexes ``types``, the schedule's task types (-1
+    where nothing deposited); the grid covers ``frame`` horizontally and
+    the cluster-local host rows ``[0, rows)`` vertically.  Shared by the
+    raster LOD path (:func:`aggregate_band`) and the HTML tier exporter
+    (:mod:`repro.render.html_payload`).
+    """
+    offset = schedule.cluster_offset(cluster_id)
+    index = [c.id for c in schedule.clusters].index(str(cluster_id))
+    cells = cell_grid(schedule, schedule.columns.cluster == index, frame,
+                      offset, offset + rows, nx, ny)
+    return list(schedule.task_types()), cells
 
 
 def aggregate_band(
@@ -313,7 +275,6 @@ def aggregate_band(
 
 def aggregate_window(
     schedule: Schedule,
-    tasks: Iterable[Task],
     viewport: Viewport,
     x: float,
     y: float,
@@ -324,32 +285,14 @@ def aggregate_window(
 ) -> list[Rect]:
     """Aggregated rectangles for the interactive (viewport) layout.
 
-    ``tasks`` is the pre-culled visible task set; rows are global (flattened)
-    resource indices as in the windowed layout.
+    Deposits exactly the host ranges the viewport shows
+    (:func:`repro.core.select.rows_in_region`); rows are global
+    (flattened) resource indices as in the windowed layout.
     """
-    rspan = viewport.resource_span
-    nx, ny = _grid_shape(options, w, h, max(1, math.ceil(rspan)))
-    grids = _TypeGrids(nx, ny)
-    frame = viewport.time_frame
-    span = frame.span or 1.0
-    f0 = frame.start
-    offsets = {c.id: schedule.cluster_offset(c.id) for c in schedule.clusters}
-    for task in tasks:
-        fx0 = (frame.clamp(task.start_time) - f0) / span
-        fx1 = (frame.clamp(task.end_time) - f0) / span
-        bx0 = min(int(fx0 * nx), nx - 1)
-        bx1 = max(min(math.ceil(fx1 * nx), nx), bx0 + 1)
-        wt_time = min(max(fx1 - fx0, 0.0), 1.0 / nx) + 1e-12
-        for conf in task.configurations:
-            base = offsets[conf.cluster_id]
-            for r in conf.host_ranges:
-                lo = max(float(base + r.start), viewport.r0)
-                hi = min(float(base + r.stop), viewport.r1)
-                if hi <= lo:
-                    continue
-                by0 = min(int((lo - viewport.r0) / rspan * ny), ny - 1)
-                by1 = max(min(math.ceil((hi - viewport.r0) / rspan * ny), ny), by0 + 1)
-                wt = wt_time * (min((hi - lo) / rspan, 1.0 / ny) + 1e-12)
-                grids.add(task.type, bx0, bx1, by0, by1, wt)
-    types, cells = grids.dominant()
-    return _cells_to_rects(types, cells, x, y, w, h, cmap, f"{LOD_REF_PREFIX}viewport")
+    nx, ny = _grid_shape(options, w, h, max(1, math.ceil(viewport.resource_span)))
+    visible = rows_in_region(schedule, viewport.t0, viewport.t1,
+                             viewport.r0, viewport.r1)
+    cells = cell_grid(schedule, visible, viewport.time_frame,
+                      viewport.r0, viewport.r1, nx, ny)
+    return _cells_to_rects(list(schedule.task_types()), cells, x, y, w, h,
+                           cmap, f"{LOD_REF_PREFIX}viewport")
