@@ -220,7 +220,14 @@ def cell_grid(
     np.add.at(diff, (ti, by1, bx1), wt)
     stacked = diff.cumsum(axis=1).cumsum(axis=2)[:, :ny, :nx]
     cells = present[np.argmax(stacked, axis=0)]
-    cells[stacked.sum(axis=0) <= 0] = -1
+    # Emptiness by an exact deposit count from the same corner updates: the
+    # float sums leave cancellation residue in cells no deposit covers.
+    count = np.zeros((ny + 1, nx + 1), dtype=np.int64)
+    np.add.at(count, (by0, bx0), 1)
+    np.add.at(count, (by0, bx1), -1)
+    np.add.at(count, (by1, bx0), -1)
+    np.add.at(count, (by1, bx1), 1)
+    cells[count.cumsum(axis=0).cumsum(axis=1)[:ny, :nx] == 0] = -1
     return cells
 
 

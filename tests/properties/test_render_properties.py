@@ -106,3 +106,116 @@ def test_svg_well_formed(schedule):
     drawing = layout_schedule(schedule,
                               options=LayoutOptions(width=400, height=250))
     ET.fromstring(render_svg(drawing))
+
+
+# ---------------------------------------------------------------------------
+# LOD conservation: a grid cell is filled exactly when some deposit touches
+# it.  Integer times and rows with power-of-two spans and grid sizes keep
+# the grid arithmetic exact, so the reference can decide "touched" with
+# Fractions and no tolerance.
+
+_POW2 = st.sampled_from([1, 2, 4, 8, 16])
+
+
+@st.composite
+def lod_schedules(draw) -> Schedule:
+    """Up to two clusters of power-of-two size; integer times, including
+    zero-duration tasks and tasks reaching past any frame."""
+    s = Schedule()
+    for c in range(draw(st.integers(1, 2))):
+        s.add_cluster(Cluster(str(c), draw(_POW2)))
+    for i in range(draw(st.integers(1, 12))):
+        configs = []
+        for c in draw(st.sets(st.sampled_from([c.id for c in s.clusters]),
+                              min_size=1)):
+            size = s.cluster(c).num_hosts
+            hosts = draw(st.sets(st.integers(0, size - 1), min_size=1,
+                                 max_size=size))
+            configs.append(Configuration.from_hosts(c, hosts))
+        start = draw(st.integers(-4, 36))
+        dur = draw(st.sampled_from([0, 0, 1, 2, 3, 5, 8, 17, 40]))
+        s.add_task(Task(str(i), draw(st.sampled_from("abc")), start,
+                        start + dur, configs))
+    return s
+
+
+def _touched(deposits, t0, t1, r0, r1, nx, ny, *, closed):
+    """Brute-force filled cells of a grid over ``[t0, t1) x [r0, r1)``.
+
+    ``deposits`` are ``(start, end, lo, hi)`` host-range rectangles already
+    selected for the grid.  A positive-duration one touches every cell it
+    overlaps with positive area; a zero-duration one touches the cells of
+    the column holding its start, in the frame ``[t0, t1]`` when
+    ``closed`` (the band rule) and ``(t0, t1)`` otherwise (the selection
+    already enforced that).
+    """
+    from fractions import Fraction
+
+    cw, ch = Fraction(t1 - t0, nx), Fraction(r1 - r0, ny)
+    cells = set()
+    for start, end, lo, hi in deposits:
+        for iy in range(ny):
+            y0, y1 = r0 + iy * ch, r0 + (iy + 1) * ch
+            if not max(lo, y0) < min(hi, y1):
+                continue
+            for ix in range(nx):
+                x0, x1 = t0 + ix * cw, t0 + (ix + 1) * cw
+                if start < end:
+                    hit = max(start, x0) < min(end, x1)
+                else:
+                    inside = t0 <= start <= t1 if closed else t0 < start < t1
+                    hit = inside and ix == min(int((start - t0) / cw), nx - 1)
+                if hit:
+                    cells.add((iy, ix))
+    return cells
+
+
+def _filled(cells):
+    return set(zip(*(a.tolist() for a in np.nonzero(cells >= 0))))
+
+
+@given(lod_schedules(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_band_grid_fills_exactly_the_touched_cells(schedule, data):
+    from repro.core.timeframe import TimeFrame
+    from repro.render.lod import band_cell_grid
+
+    cluster = data.draw(st.sampled_from(schedule.clusters))
+    f0 = data.draw(st.integers(-2, 8))
+    span = data.draw(st.sampled_from([4, 8, 16, 32]))
+    nx = data.draw(_POW2)
+    ny = data.draw(st.sampled_from([n for n in (1, 2, 4, 8, 16)
+                                    if n <= cluster.num_hosts]))
+    _, cells = band_cell_grid(schedule, cluster.id, TimeFrame(f0, f0 + span),
+                              cluster.num_hosts, nx, ny)
+    deposits = [(t.start_time, t.end_time, r.start, r.stop)
+                for t in schedule.tasks_in_cluster(cluster.id)
+                for r in t.configuration_for(cluster.id).host_ranges]
+    assert _filled(cells) == _touched(deposits, f0, f0 + span, 0,
+                                      cluster.num_hosts, nx, ny, closed=True)
+
+
+@given(lod_schedules(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_viewport_grid_fills_exactly_the_touched_cells(schedule, data):
+    from repro.core.select import rows_in_region
+    from repro.core.timeframe import TimeFrame
+    from repro.render.lod import cell_grid
+
+    t0 = data.draw(st.integers(-2, 8))
+    t1 = t0 + data.draw(st.sampled_from([4, 8, 16, 32]))
+    r0 = data.draw(st.integers(0, schedule.num_hosts - 1))
+    r1 = r0 + data.draw(_POW2)
+    nx, ny = data.draw(_POW2), data.draw(_POW2)
+    cells = cell_grid(schedule, rows_in_region(schedule, t0, t1, r0, r1),
+                      TimeFrame(t0, t1), r0, r1, nx, ny)
+    deposits = []
+    for t in schedule:
+        for conf in t.configurations:
+            off = schedule.cluster_offset(conf.cluster_id)
+            for r in conf.host_ranges:
+                lo, hi = off + r.start, off + r.stop
+                if t.start_time < t1 and t0 < t.end_time and lo < r1 and r0 < hi:
+                    deposits.append((t.start_time, t.end_time, lo, hi))
+    assert _filled(cells) == _touched(deposits, t0, t1, r0, r1, nx, ny,
+                                      closed=False)

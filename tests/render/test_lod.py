@@ -197,6 +197,20 @@ class TestBandCellGrid:
         # exactly one column of cells, at the task's position (col 5 of 10)
         assert set(filled[1].tolist()) == {5}
 
+    def test_cancellation_residue_leaves_idle_cells_empty(self):
+        # the float corner updates of these three deposits cancel to a
+        # nonzero residue in columns 2-3, where nothing runs
+        s = Schedule()
+        s.new_cluster("c0", 16)
+        s.new_task("z", "a", 0.0, 0.0, cluster="c0", host_start=0, host_nb=2)
+        s.new_task("one", "a", 0.0, 1.0, cluster="c0", host_start=0, host_nb=1)
+        s.new_task("two", "a", 0.0, 1.0, cluster="c0", host_start=0, host_nb=2)
+        from repro.core.timeframe import TimeFrame
+        from repro.render.lod import band_cell_grid
+
+        _, cells = band_cell_grid(s, "c0", TimeFrame(0.0, 2.0), 16, 4, 1)
+        assert cells[0].tolist() == [0, 0, -1, -1]
+
     def test_aggregate_band_no_phantom_rects(self):
         from repro.core.timeframe import TimeFrame
         from repro.render.lod import aggregate_band
