@@ -48,12 +48,20 @@ def _parse_colors(elem: ET.Element, *, source: str) -> tuple[Color | None, Color
     return bg, fg
 
 
-def loads(text: str, *, source: str = "<string>") -> ColorMap:
-    """Parse a color-map XML document."""
+def loads(text: str | bytes, *, source: str = "<string>") -> ColorMap:
+    """Parse a color-map XML document.
+
+    Bytes are decoded as the XML encoding declaration says (UTF-8 when
+    there is none); a ``str`` is taken as already decoded.
+    """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}", source=source) from exc
+    except (LookupError, ValueError) as exc:
+        # expat raises these for a declared encoding it lacks, e.g.
+        # encoding="klingon", or a multi-byte one such as Shift_JIS
+        raise ParseError(f"unsupported encoding: {exc}", source=source) from exc
     if root.tag != "cmap":
         raise ParseError(f"root element is <{root.tag}>, expected <cmap>", source=source)
 
@@ -87,7 +95,7 @@ def loads(text: str, *, source: str = "<string>") -> ColorMap:
 
 def load(path: str | Path) -> ColorMap:
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=str(path))
+    return loads(path.read_bytes(), source=str(path))
 
 
 def dumps(cmap: ColorMap, *, indent: bool = True) -> str:

@@ -93,3 +93,33 @@ def test_composite_without_members_rejected():
 def test_conf_without_value_rejected():
     with pytest.raises(ParseError, match="<conf>"):
         colormap_xml.loads('<cmap><conf name="x"/></cmap>')
+
+
+LATIN1_MAP = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+              '<cmap name="carte"><task id="réseau">'
+              '<color type="bg" rgb="00AA00"/></task></cmap>')
+
+
+def test_declared_encoding_is_honoured(tmp_path):
+    path = tmp_path / "map.xml"
+    path.write_bytes(LATIN1_MAP.encode("latin-1"))
+    cmap = colormap_xml.load(path)
+    assert cmap.task_types == ("réseau",)
+    assert cmap.style_for_type("réseau").bg == Color.from_hex("00AA00")
+    assert colormap_xml.loads(LATIN1_MAP.encode("latin-1")).task_types == ("réseau",)
+    # a str is already decoded text: its declaration no longer applies
+    assert colormap_xml.loads(LATIN1_MAP).task_types == ("réseau",)
+
+
+@pytest.mark.parametrize("declaration,pattern", [
+    ("", "malformed XML"),  # latin-1 byte in a UTF-8 document
+    ('<?xml version="1.0" encoding="klingon"?>', "unsupported encoding"),
+    ('<?xml version="1.0" encoding="shift_jis"?>', "unsupported encoding"),
+], ids=["latin1-byte-in-utf8", "unknown-encoding", "multibyte-encoding"])
+def test_undecodable_bytes_name_the_file(tmp_path, declaration, pattern):
+    path = tmp_path / "bad.xml"
+    path.write_bytes((declaration + '<cmap><task id="caf\xe9">'
+                      '<color type="bg" rgb="000000"/></task></cmap>').encode("latin-1"))
+    with pytest.raises(ParseError, match=pattern) as ei:
+        colormap_xml.load(path)
+    assert ei.value.source == str(path)
