@@ -89,7 +89,9 @@ def schedule_from_swf(
     heapq.heapify(free)
     running: list[tuple[float, int, tuple[int, ...]]] = []  # (end, id, nodes)
 
-    schedule = Schedule(meta={"source": str(path)})
+    # the file name, not its path: the same trace renders (and digests) the
+    # same from any directory
+    schedule = Schedule(meta={"source": Path(path).name})
     for key in ("Computer", "Installation", "MaxNodes"):
         if key in trace.header:
             schedule.meta[key.lower()] = trace.header[key]

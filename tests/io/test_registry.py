@@ -145,3 +145,17 @@ def test_swf_loads_as_schedule(tmp_path):
 def test_registering_formatless_format_rejected():
     with pytest.raises(ValueError, match="needs a loader or a saver"):
         register_format("void", (".void",), None, None, overwrite=True)
+
+
+def test_swf_schedule_does_not_depend_on_its_directory(tmp_path):
+    from repro.serve.protocol import canonical_schedule_bytes
+
+    text = ("; MaxProcs: 8\n"
+            "1 0.0 0.0 10.0 4 -1 -1 4 10.0 -1 1 7 -1 -1 -1 -1 -1 -1\n")
+    paths = [tmp_path / "a" / "trace.swf", tmp_path / "deeper" / "b" / "trace.swf"]
+    for path in paths:
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+    first, second = (load_schedule(p) for p in paths)
+    assert first.meta["source"] == "trace.swf"
+    assert canonical_schedule_bytes(first) == canonical_schedule_bytes(second)
