@@ -251,3 +251,53 @@ class TestSchedule:
 
     def test_iteration_order_is_insertion(self, simple_schedule):
         assert [t.id for t in simple_schedule] == ["1", "2"]
+
+
+class TestColumns:
+    FIELDS = ("task", "type", "cluster", "start", "end", "row0", "row1")
+
+    def test_one_row_per_host_range(self, multi_cluster_schedule):
+        cols = multi_cluster_schedule.columns
+        # task 3 binds host 0 of cluster a and host 0 of cluster b (row 4)
+        assert cols.task.tolist() == [0, 1, 2, 2]
+        assert cols.type.tolist() == [0, 0, 1, 1]
+        assert cols.cluster.tolist() == [0, 1, 0, 1]
+        assert cols.start.tolist() == [0.0, 10.0, 4.0, 4.0]
+        assert cols.end.tolist() == [5.0, 30.0, 11.0, 11.0]
+        assert cols.row0.tolist() == [0, 4, 0, 4]
+        assert cols.row1.tolist() == [4, 6, 1, 5]
+
+    def test_scattered_hosts_split_into_ranges(self, simple_schedule):
+        cols = simple_schedule.columns  # task 2 binds hosts 0, 1, 2 and 6
+        assert cols.task.tolist() == [0, 1, 1]
+        assert list(zip(cols.row0.tolist(), cols.row1.tolist())) == [
+            (0, 8), (0, 3), (6, 7)]
+
+    def test_arrays_are_read_only(self, simple_schedule):
+        cols = simple_schedule.columns
+        for name in self.FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cols, name)[0] = 1
+
+    def test_empty_schedules(self):
+        s = Schedule()
+        assert all(getattr(s.columns, n).size == 0 for n in self.FIELDS)
+        s.new_cluster("c", 4)
+        assert all(getattr(s.columns, n).size == 0 for n in self.FIELDS)
+        assert s.columns.start.dtype.kind == "f"
+        assert s.columns.row0.dtype.kind == "i"
+
+    def test_cached_until_the_schedule_changes(self, simple_schedule):
+        s = simple_schedule
+        cols = s.columns
+        assert s.columns is cols
+        s.new_cluster(1, 2)
+        assert s.columns is not cols
+        s.new_task(3, "computation", 1.0, 2.0, cluster=1, host_start=0, host_nb=2)
+        assert s.columns.task.tolist() == [0, 1, 1, 2]
+        assert s.columns.row0.tolist() == [0, 0, 6, 8]
+        s.remove_task("1")
+        # type indices follow task_types(): now transfer, computation
+        assert s.task_types() == ("transfer", "computation")
+        assert s.columns.task.tolist() == [0, 0, 1]
+        assert s.columns.type.tolist() == [0, 0, 1]

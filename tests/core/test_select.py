@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.model import Schedule
+from repro.core.model import Cluster, Configuration, Schedule, Task
 from repro.core.select import Selection, describe_task, hit_test, tasks_in_region
 from repro.errors import ScheduleError
 
@@ -117,3 +118,79 @@ class TestSelection:
         sel.toggle("1")
         sel.clear()
         assert len(sel) == 0
+
+
+# ---------------------------------------------------------------------------
+# Parity of the column-view queries with the scalar loops they replaced,
+# kept here verbatim as the reference.
+
+def _ref_task_rows(schedule, task):
+    rows = []
+    for conf in task.configurations:
+        off = schedule.cluster_offset(conf.cluster_id)
+        for r in conf.host_ranges:
+            rows.append((off + r.start, off + r.stop))
+    return rows
+
+
+def _ref_hit_test(schedule, t, row):
+    hit = None
+    for task in schedule:
+        if not (task.start_time <= t < task.end_time):
+            continue
+        for lo, hi in _ref_task_rows(schedule, task):
+            if lo <= row < hi:
+                hit = task
+                break
+    return hit
+
+
+def _ref_tasks_in_region(schedule, t0, t1, row0, row1):
+    if t1 < t0:
+        t0, t1 = t1, t0
+    if row1 < row0:
+        row0, row1 = row1, row0
+    found = []
+    for task in schedule:
+        if not (task.start_time < t1 and t0 < task.end_time):
+            continue
+        if any(lo < row1 and row0 < hi for lo, hi in _ref_task_rows(schedule, task)):
+            found.append(task)
+    return tuple(found)
+
+
+@st.composite
+def _schedules(draw):
+    """Multi-cluster schedules on a coarse grid of times, so that query
+    points land on task boundaries; zero-duration and overlapping tasks."""
+    s = Schedule()
+    for c in range(draw(st.integers(1, 3))):
+        s.add_cluster(Cluster(f"c{c}", draw(st.integers(1, 6))))
+    for i in range(draw(st.integers(0, 10))):
+        configs = []
+        for c in draw(st.sets(st.sampled_from(s.clusters), min_size=1)):
+            hosts = draw(st.sets(st.integers(0, c.num_hosts - 1), min_size=1))
+            configs.append(Configuration.from_hosts(c.id, hosts))
+        start = draw(st.integers(0, 8)) / 2
+        end = start + draw(st.integers(0, 6)) / 2
+        s.add_task(Task(f"t{i}", draw(st.sampled_from("ab")), start, end, configs))
+    return s
+
+
+_TIMES = st.one_of(st.integers(-1, 12).map(lambda k: k / 2),
+                   st.floats(-1, 8, allow_nan=False))
+_ROWS = st.one_of(st.integers(-1, 19).map(float),
+                  st.floats(-1, 19, allow_nan=False))
+
+
+@given(_schedules(), _TIMES, _ROWS)
+@settings(max_examples=300, deadline=None)
+def test_hit_test_matches_scalar_reference(schedule, t, row):
+    assert hit_test(schedule, t, row) is _ref_hit_test(schedule, t, row)
+
+
+@given(_schedules(), _TIMES, _TIMES, _ROWS, _ROWS)
+@settings(max_examples=300, deadline=None)
+def test_tasks_in_region_matches_scalar_reference(schedule, t0, t1, r0, r1):
+    assert (tasks_in_region(schedule, t0, t1, r0, r1)
+            == _ref_tasks_in_region(schedule, t0, t1, r0, r1))

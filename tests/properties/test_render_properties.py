@@ -16,10 +16,10 @@ from repro.render.raster import rasterize
 
 
 @st.composite
-def render_schedules(draw) -> Schedule:
+def render_schedules(draw, max_clusters: int = 3) -> Schedule:
     """Multi-cluster schedules small enough to render fast."""
     s = Schedule()
-    n_clusters = draw(st.integers(1, 3))
+    n_clusters = draw(st.integers(1, max_clusters))
     sizes = []
     for c in range(n_clusters):
         size = draw(st.integers(1, 8))
@@ -219,3 +219,24 @@ def test_viewport_grid_fills_exactly_the_touched_cells(schedule, data):
                     deposits.append((t.start_time, t.end_time, lo, hi))
     assert _filled(cells) == _touched(deposits, t0, t1, r0, r1, nx, ny,
                                       closed=False)
+
+
+@given(render_schedules(max_clusters=1), st.integers(20, 300), st.integers(4, 120))
+@settings(max_examples=60, deadline=None)
+def test_fit_viewport_grid_is_the_full_view_band_grid(schedule, w, h):
+    """One grid: on one cluster without zero-duration tasks, aggregating
+    under ``Viewport.fit`` gives the full-view band's rects."""
+    from repro.core.colormap import default_colormap
+    from repro.core.timeframe import global_frame
+    from repro.core.viewport import Viewport
+    from repro.render.lod import LodOptions, aggregate_band, aggregate_window
+
+    cmap, opts = default_colormap(), LodOptions(mode="on")
+    cluster = schedule.clusters[0]
+    band = aggregate_band(schedule, cluster.id, global_frame(schedule),
+                          cluster.num_hosts, 10.0, 5.0, w, h, cmap, opts)
+    window = aggregate_window(schedule, Viewport.fit(schedule), 10.0, 5.0,
+                              w, h, cmap, opts)
+    assert band
+    assert ([(r.x, r.y, r.w, r.h, r.fill) for r in window]
+            == [(r.x, r.y, r.w, r.h, r.fill) for r in band])
