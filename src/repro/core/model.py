@@ -287,26 +287,10 @@ class Cluster:
         return range(self.num_hosts)
 
 
-@dataclass(frozen=True, slots=True)
-class TaskColumns:
-    """Read-only numpy columns of a schedule's task geometry.
-
-    One row per host range of every task configuration, in registration
-    order (task, then configuration, then host range).  ``task`` indexes
-    :attr:`Schedule.tasks`, ``type`` indexes :meth:`Schedule.task_types`,
-    ``cluster`` indexes :attr:`Schedule.clusters`; ``row0``/``row1`` are
-    the global (flattened) host rows ``[row0, row1)`` the range covers.
-    Built by :attr:`Schedule.columns`; every plane query (LOD grids,
-    viewport culling, hit-testing) reads these instead of walking tasks.
-    """
-
-    task: np.ndarray
-    type: np.ndarray
-    cluster: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-    row0: np.ndarray
-    row1: np.ndarray
+#: Row layout of :attr:`Schedule.columns`.
+_COLUMNS = np.dtype([("task", np.intp), ("type", np.intp), ("cluster", np.intp),
+                     ("start", np.float64), ("end", np.float64),
+                     ("row0", np.intp), ("row1", np.intp)])
 
 
 class Schedule:
@@ -324,7 +308,7 @@ class Schedule:
     ):
         self._clusters: dict[str, Cluster] = {}
         self._tasks: dict[str, Task] = {}
-        self._columns: TaskColumns | None = None
+        self._columns: np.recarray | None = None
         self.meta: dict[str, str] = dict(meta or {})
         for c in clusters:
             self.add_cluster(c)
@@ -465,37 +449,31 @@ class Schedule:
         return tuple(seen)
 
     @property
-    def columns(self) -> TaskColumns:
-        """Task geometry as read-only :class:`TaskColumns`, built on first use.
+    def columns(self) -> np.recarray:
+        """Task geometry as a read-only numpy record array, built on first use.
 
-        The view is cached until the next :meth:`add_cluster`,
-        :meth:`add_task` or :meth:`remove_task`.
+        One row per host range of every task configuration, in registration
+        order: ``task`` indexes :attr:`tasks`, ``type`` indexes
+        :meth:`task_types`, ``cluster`` indexes :attr:`clusters`, then
+        ``start``, ``end`` and the global host rows ``[row0, row1)``.  Every
+        plane query (LOD grids, viewport culling, hit-testing) reads these
+        columns instead of walking the tasks.  Cached until the next
+        :meth:`add_cluster`, :meth:`add_task` or :meth:`remove_task`.
         """
         if self._columns is None:
-            self._columns = self._build_columns()
+            placement = {c.id: (i, self.cluster_offset(c.id))
+                         for i, c in enumerate(self._clusters.values())}
+            type_ids: dict[str, int] = {}
+            table = np.fromiter(
+                ((ti, type_ids.setdefault(t.type, len(type_ids)), ci,
+                  t.start_time, t.end_time, off + r.start, off + r.stop)
+                 for ti, t in enumerate(self._tasks.values())
+                 for conf in t.configurations
+                 for ci, off in (placement[conf.cluster_id],)
+                 for r in conf.host_ranges), dtype=_COLUMNS)
+            table.flags.writeable = False
+            self._columns = table.view(np.recarray)
         return self._columns
-
-    def _build_columns(self) -> TaskColumns:
-        placement: dict[str, tuple[int, int]] = {}
-        offset = 0
-        for index, c in enumerate(self._clusters.values()):
-            placement[c.id] = (index, offset)
-            offset += c.num_hosts
-        type_ids: dict[str, int] = {}
-        rows = [(ti, type_ids.setdefault(t.type, len(type_ids)), ci,
-                 t.start_time, t.end_time, off + r.start, off + r.stop)
-                for ti, t in enumerate(self._tasks.values())
-                for conf in t.configurations
-                for ci, off in (placement[conf.cluster_id],)
-                for r in conf.host_ranges]
-        dtypes = (np.intp, np.intp, np.intp, np.float64, np.float64,
-                  np.intp, np.intp)
-        arrays = []
-        for col, dtype in zip(zip(*rows) if rows else ((),) * 7, dtypes):
-            a = np.array(col, dtype=dtype)
-            a.flags.writeable = False
-            arrays.append(a)
-        return TaskColumns(*arrays)
 
     @property
     def start_time(self) -> float:

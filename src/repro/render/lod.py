@@ -179,7 +179,6 @@ def cell_grid(
     f0, f1 = frame.start, frame.end
     ti, st, en, r0, r1 = (a[rows] for a in (
         cols.type, cols.start, cols.end, cols.row0, cols.row1))
-    cells = np.full((ny, nx), -1, dtype=np.intp)
     cst = np.maximum(st, f0)
     cen = np.minimum(en, f1)
     # Keep tasks with positive in-frame overlap, plus zero-duration tasks
@@ -192,7 +191,7 @@ def cell_grid(
         ti, st, en, r0, r1, cst, cen = (
             a[keep] for a in (ti, st, en, r0, r1, cst, cen))
     if not ti.size:
-        return cells
+        return np.full((ny, nx), -1, dtype=np.intp)
     gx0 = (cst - f0) * (nx / span)
     gx1 = (cen - f0) * (nx / span)
     bx0 = np.minimum(gx0.astype(np.intp), nx - 1)
