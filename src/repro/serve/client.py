@@ -78,19 +78,23 @@ class ServeClient:
         return http.client.HTTPConnection(self._host, self._port,
                                           timeout=self.timeout)
 
-    def request(self, method: str, path: str, doc: dict | None = None,
+    def request(self, method: str, path: str,
+                doc: dict | bytes | None = None,
                 *, headers: dict | None = None):
         """One round trip; returns ``(status, headers, body)``.
 
-        ``body`` is a parsed JSON document when the response is JSON,
-        raw bytes otherwise.  ``headers`` adds/overrides request headers
-        (e.g. the ``X-Jedule-Trace`` trace id).
+        ``doc`` is sent as a JSON body: a dict is encoded here, bytes
+        are sent as they are.  ``body`` is a parsed JSON document when
+        the response is JSON, raw bytes otherwise.  ``headers``
+        adds/overrides request headers (e.g. the ``X-Jedule-Trace``
+        trace id).
         """
         body = None
         extra = dict(headers or {})
         headers = {}
         if doc is not None:
-            body = json.dumps(doc).encode("utf-8")
+            body = doc if isinstance(doc, bytes) \
+                else json.dumps(doc).encode("utf-8")
             headers["Content-Type"] = "application/json"
         if self.client_id:
             headers["X-Jedule-Client"] = self.client_id
@@ -128,7 +132,7 @@ class ServeClient:
         """Submit one job; returns the job document (``id``, ``status``).
 
         ``schedule`` may be an in-memory :class:`~repro.core.model.Schedule`
-        (shipped as its canonical dict form) for input-path-less jobs.
+        (shipped as its canonical bytes) for input-path-less jobs.
         A ``trace_id`` is minted per submission (pass your own to join an
         outer trace) and sent as ``X-Jedule-Trace``; the server threads
         it through queue and worker and exposes the stitched request
@@ -136,42 +140,55 @@ class ServeClient:
         Raises :class:`ServeError` — ``queue-full`` carries the server's
         ``Retry-After`` estimate in :attr:`ServeError.retry_after`.
         """
-        doc: dict[str, object] = {"request": request_to_payload(request)}
+        body = json.dumps({"request": request_to_payload(request)}).encode()
         if schedule is not None:
-            # reuse the canonical byte form so client and server agree
-            doc["schedule"] = json.loads(
-                canonical_schedule_bytes(schedule).decode("utf-8"))
+            # splice the canonical bytes in as the "schedule" value: the
+            # server parses the same document, and the schedule is
+            # encoded once instead of dumped, loaded and dumped again
+            body = b"".join((body[:-1], b', "schedule": ',
+                             canonical_schedule_bytes(schedule), b"}"))
         if trace_id is None:
             trace_id = uuid.uuid4().hex[:16]
-        status, headers, body = self.request(
-            "POST", "/render", doc, headers={TRACE_HEADER: trace_id})
+        status, headers, reply = self.request(
+            "POST", "/render", body, headers={TRACE_HEADER: trace_id})
         if status != 202:
             try:
-                self._raise_for(status, body)
+                self._raise_for(status, reply)
             except ServeError as exc:
                 if status == 429:
                     exc.retry_after = int(headers.get("Retry-After", "1"))
                 raise
-        return body["job"]
+        return reply["job"]
 
-    def job(self, job_id: str) -> dict:
-        status, _, body = self.request("GET", f"/jobs/{job_id}")
+    def job(self, job_id: str, *, wait: float = 0.0) -> dict:
+        """The job document; with ``wait`` > 0 the server holds the reply
+        until the job finishes or ``wait`` seconds pass."""
+        path = f"/jobs/{job_id}"
+        if wait > 0:
+            path += f"?wait={wait}"
+        status, _, body = self.request("GET", path)
         if status != 200:
             self._raise_for(status, body)
         return body["job"]
 
-    def wait(self, job_id: str, *, timeout: float = 60.0,
-             poll_s: float = 0.05) -> dict:
-        """Poll until the job finishes; returns the final job document."""
+    def wait(self, job_id: str, *, timeout: float = 60.0) -> dict:
+        """Block until the job finishes; returns the final job document.
+
+        The server holds each ``GET /jobs/<id>?wait=`` until the job
+        finishes, so the reply comes as soon as the result exists.  No
+        request asks for more than the time left, nor for more than
+        half the socket timeout, so the reply lands well before the
+        socket gives up.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            doc = self.job(job_id)
+            left = deadline - time.monotonic()
+            doc = self.job(job_id, wait=min(left, self.timeout / 2))
             if doc["status"] in ("done", "failed"):
                 return doc
             if time.monotonic() >= deadline:
                 raise ServeError(f"job {job_id} still {doc['status']} after "
                                  f"{timeout:g}s", code="client-timeout")
-            time.sleep(poll_s)
 
     def result_bytes(self, job_id: str) -> bytes | None:
         """Raw output bytes of a finished job (``None`` when the server

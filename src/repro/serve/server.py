@@ -12,10 +12,11 @@ Architecture (all stdlib)::
 One dispatcher thread is bound to each warm worker: it pulls the next
 job in round-robin client order, ships it over the worker's pipe
 (canonical schedule bytes, no pickled graphs), and files the result
-under the job id for the client to poll.  Backpressure is explicit — a
-full queue answers 429 with a ``Retry-After`` estimate — and shutdown is
-graceful: ``/drain`` (or SIGTERM) stops admission, finishes every
-queued and in-flight job, persists a run-registry record, then exits.
+under the job id, waking any client blocked in ``GET /jobs/<id>?wait=``.
+Backpressure is explicit — a full queue answers 429 with a
+``Retry-After`` estimate — and shutdown is graceful: ``/drain`` (or
+SIGTERM) stops admission, finishes every queued and in-flight job,
+persists a run-registry record, then exits.
 SIGHUP performs a rolling worker restart without dropping the queue.
 
 Observability: per-request ``serve.job`` spans, ``serve.queue.depth``
@@ -36,7 +37,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -56,7 +57,8 @@ from repro.serve.protocol import (
 )
 from repro.serve.tracing import stitch_job_trace
 
-__all__ = ["RenderServer", "Job", "CONTENT_TYPES", "latency_percentiles"]
+__all__ = ["RenderServer", "Job", "CONTENT_TYPES", "MAX_JOB_WAIT_S",
+           "latency_percentiles"]
 
 #: output format -> HTTP content type of /jobs/<id>/result
 CONTENT_TYPES = {
@@ -70,6 +72,10 @@ CONTENT_TYPES = {
 }
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd request bodies outright
+
+#: longest ``GET /jobs/<id>?wait=<s>`` hold in seconds; a longer ``wait``
+#: is cut to this, and the client simply asks again
+MAX_JOB_WAIT_S = 30.0
 
 
 def latency_percentiles(values, points=(0.50, 0.95, 0.99)) -> dict[str, float]:
@@ -101,6 +107,10 @@ class Job:
     trace_id: str | None = None
     trace_doc: dict | None = None  # stitched request trace (wire form)
     debug: dict | None = None   # extra worker header keys (tests only)
+    #: set once the final status is published, after everything it
+    #: promises (result, seq, counters, trace) is in place
+    published: threading.Event = field(default_factory=threading.Event,
+                                       init=False, repr=False, compare=False)
 
     @property
     def finished(self) -> bool:
@@ -192,7 +202,18 @@ class _Handler(BaseHTTPRequestHandler):
         elif path.startswith("/jobs/"):
             parts = path.split("/")
             if len(parts) == 3:
-                status, doc = self.app.job_payload(parts[2])
+                query = parse_qs(split.query, keep_blank_values=True)
+                wait = (query.get("wait") or ["0"])[0]
+                try:
+                    wait_s = float(wait)
+                except ValueError:
+                    wait_s = math.nan
+                if not 0.0 <= wait_s < math.inf:
+                    self._send_json(400, _error(
+                        "invalid-value", "wait must be a finite number of "
+                        f"seconds >= 0, got {wait!r}", field="wait"))
+                    return
+                status, doc = self.app.job_payload(parts[2], wait=wait_s)
                 self._send_json(status, doc)
             elif len(parts) == 4 and parts[3] == "result":
                 status, payload, ctype = self.app.job_result(parts[2])
@@ -494,7 +515,7 @@ class RenderServer:
         with self._jobs_lock:
             self._seq += 1
             job.seq = self._seq
-        self._transition(job, "done" if result.ok else "failed")
+        status = "done" if result.ok else "failed"
         latency = job.finished_at - job.submitted_at
         with self._stats_lock:
             self._latencies.append(latency)
@@ -511,15 +532,24 @@ class RenderServer:
                              result.nbytes)
         _obs.add("serve.latency_ms", latency * 1000.0)
         if job.trace_id is not None:
-            self._stitch(job, result)
+            self._stitch(job, status, result)
+        # publish last: a client that sees the final status must find
+        # the trace and the counters that go with it
+        self._transition(job, status)
+        job.published.set()
 
-    def _stitch(self, job: Job, result: RenderResult) -> None:
-        """Unify server-side intervals with the worker's span segment."""
+    def _stitch(self, job: Job, status: str, result: RenderResult) -> None:
+        """Unify server-side intervals with the worker's span segment.
+
+        The trace records the final ``status``, which ``job`` itself
+        publishes only once the trace is attached.
+        """
+        final = dc_replace(job, status=status)
         try:
-            trace = stitch_job_trace(job, result.worker_obs)
+            trace = stitch_job_trace(final, result.worker_obs)
         except ValueError:
             # corrupt worker segment: keep the server-side view at least
-            trace = stitch_job_trace(job, None)
+            trace = stitch_job_trace(final, None)
         # worker-side root spans become latency stages on /metricz
         # (spans[2] is serve.worker; its children are the segment roots)
         for s in trace.spans:
@@ -704,11 +734,15 @@ class RenderServer:
         backlog = len(self._queue) * avg / max(self._pool.alive_count, 1)
         return max(1, min(60, math.ceil(backlog)))
 
-    def job_payload(self, job_id: str):
+    def job_payload(self, job_id: str, *, wait: float = 0.0):
+        """The job document, after up to ``wait`` seconds (capped at
+        :data:`MAX_JOB_WAIT_S`) spent waiting for the job to finish."""
         with self._jobs_lock:
             job = self._jobs.get(job_id)
         if job is None:
             return 404, _error("unknown-job", f"no job {job_id!r}")
+        if wait > 0:
+            job.published.wait(min(wait, MAX_JOB_WAIT_S))
         return 200, {"job": job.to_payload()}
 
     def job_result(self, job_id: str):

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import http.client
 import json
+import sys
+import threading
+import time
 from contextlib import contextmanager
 
 import pytest
 
+import repro.serve.server as server_module
+from repro.batch.cache import schedule_digest
 from repro.errors import ServeError
 from repro.io.json_fmt import to_dict
+from repro.obs.export import trace_from_doc
 from repro.render.api import RenderRequest, execute_request
 from repro.serve.client import ServeClient
+from repro.serve.metrics import parse_prometheus_text
+from repro.serve.protocol import request_to_payload
 from repro.serve.server import RenderServer, latency_percentiles
 
 
@@ -179,6 +189,11 @@ def test_unknown_job_is_404(tmp_path):
         client = ServeClient(server.url)
         status, _, body = client.request("GET", "/jobs/deadbeef")
         assert status == 404 and body["error"]["code"] == "unknown-job"
+        # asking to wait does not hold the 404
+        started = time.monotonic()
+        status, _, body = client.request("GET", "/jobs/deadbeef?wait=20")
+        assert status == 404 and body["error"]["code"] == "unknown-job"
+        assert time.monotonic() - started < 5.0
         status, _, _ = client.request("GET", "/nope")
         assert status == 404
 
@@ -310,3 +325,168 @@ def test_queue_peak_depth_reported(tmp_path, simple_schedule):
             client.submit(_request(), schedule=simple_schedule)
         assert server.statz_payload()["queue"]["peak"] == 4
         server.resume_dispatch()
+
+
+def test_job_wait_is_validated(tmp_path, simple_schedule):
+    with serving(cache_dir=None) as server:
+        server.pause_dispatch()
+        client = ServeClient(server.url)
+        job = client.submit(_request(), schedule=simple_schedule)
+        for bad in ("abc", "", "-1", "-0.5", "nan", "inf", "-inf", "1e999"):
+            status, _, body = client.request(
+                "GET", f"/jobs/{job['id']}?wait={bad}")
+            assert status == 400, (bad, body)
+            assert body["error"]["code"] == "invalid-value", (bad, body)
+            assert body["error"]["field"] == "wait", (bad, body)
+        # no wait, or wait=0, answers at once: the job is still queued
+        for query in ("", "?wait=0"):
+            started = time.monotonic()
+            status, _, body = client.request("GET",
+                                             f"/jobs/{job['id']}{query}")
+            assert status == 200 and body["job"]["status"] == "queued"
+            assert time.monotonic() - started < 5.0
+        server.resume_dispatch()
+        client.wait(job["id"])
+
+
+def test_job_wait_holds_until_finished_or_expired(tmp_path, simple_schedule,
+                                                  monkeypatch):
+    with serving(cache_dir=None) as server:
+        server.pause_dispatch()
+        client = ServeClient(server.url)
+        job = client.submit(_request(), schedule=simple_schedule)
+        path = f"/jobs/{job['id']}"
+        started = time.monotonic()
+        status, _, body = client.request("GET", f"{path}?wait=0.3")
+        assert status == 200 and body["job"]["status"] == "queued"
+        assert time.monotonic() - started >= 0.25  # held, not answered
+        # a wait beyond the cap is cut to it
+        monkeypatch.setattr(server_module, "MAX_JOB_WAIT_S", 0.2)
+        started = time.monotonic()
+        status, _, body = client.request("GET", f"{path}?wait=600")
+        assert status == 200 and body["job"]["status"] == "queued"
+        assert time.monotonic() - started < 5.0
+        monkeypatch.undo()
+        # the hold ends when the job finishes, not when it expires
+        timer = threading.Timer(0.3, server.resume_dispatch)
+        timer.start()
+        started = time.monotonic()
+        status, _, body = client.request("GET", f"{path}?wait=20")
+        timer.join(timeout=5)
+        assert not timer.is_alive()
+        assert status == 200 and body["job"]["status"] == "done"
+        assert time.monotonic() - started < 10.0
+
+
+def test_wait_blocks_on_the_server_instead_of_polling(tmp_path,
+                                                      simple_schedule):
+    with serving(cache_dir=None) as server:
+        server.pause_dispatch()
+        client = ServeClient(server.url)
+        job = client.submit(_request(), schedule=simple_schedule)
+        paths = []
+        send = client.request
+
+        def counting(method, path, *args, **kwargs):
+            paths.append(path)
+            return send(method, path, *args, **kwargs)
+
+        client.request = counting
+        timer = threading.Timer(0.5, server.resume_dispatch)
+        timer.start()
+        assert client.wait(job["id"], timeout=30.0)["status"] == "done"
+        timer.join(timeout=5)
+        assert not timer.is_alive()
+        # 50 ms polling would have sent about 10 requests
+        assert 1 <= len(paths) <= 2, paths
+        assert all(p.startswith(f"/jobs/{job['id']}") for p in paths), paths
+
+
+def test_finished_job_is_published_last(tmp_path, simple_schedule,
+                                        monkeypatch):
+    """A client that sees a job finished finds its trace and counters."""
+    stitch = server_module.stitch_job_trace
+
+    def slow_stitch(*args, **kwargs):
+        time.sleep(0.2)
+        return stitch(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "stitch_job_trace", slow_stitch)
+    with serving(cache_dir=None) as server:
+        client = ServeClient(server.url)
+        for n in range(1, 6):
+            job = client.render(_request(), schedule=simple_schedule)
+            status, _, body = client.request("GET",
+                                             f"/jobs/{job['id']}/trace")
+            assert status == 200, body
+            root = trace_from_doc(body["trace"]).spans[0]
+            assert root.attrs["status"] == "done"
+            parsed = parse_prometheus_text(client.metricz())
+            assert parsed["jedule_serve_jobs_total"][(("status", "ok"),)] \
+                == float(n)
+
+
+def test_concurrent_waiters_only_see_published_jobs(tmp_path,
+                                                    simple_schedule):
+    """More client threads than cores and a short switch interval: every
+    job a client sees finished already has its seq and its trace."""
+    clients, jobs_each = 4, 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serving(cache_dir=None, workers=2) as server:
+            problems = []
+
+            def client_loop(name):
+                client = ServeClient(server.url, client_id=name)
+                try:
+                    for _ in range(jobs_each):
+                        doc = client.render(_request(),
+                                            schedule=simple_schedule)
+                        job = server._jobs[doc["id"]]
+                        if doc["status"] != "done" or doc["seq"] is None \
+                                or job.trace_doc is None:
+                            problems.append(doc)
+                except Exception as exc:  # surfaced by the assert below
+                    problems.append(repr(exc))
+
+            threads = [threading.Thread(target=client_loop, args=(f"c{i}",))
+                       for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert problems == []
+            assert server.statz_payload()["jobs"] == \
+                {"done": clients * jobs_each}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_submit_body_splices_the_canonical_schedule(tmp_path, simple_schedule,
+                                                    monkeypatch):
+    bodies = []
+    send = http.client.HTTPConnection.request
+
+    def record(self, method, url, body=None, *args, **kwargs):
+        if method == "POST":
+            bodies.append(body)
+        return send(self, method, url, body, *args, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", record)
+    with serving(cache_dir=None) as server:
+        server.pause_dispatch()
+        client = ServeClient(server.url)
+        request = _request()
+        job = client.submit(request, schedule=simple_schedule)
+        assert json.loads(bodies[0]) == {
+            "request": request_to_payload(request),
+            "schedule": to_dict(simple_schedule)}
+        # the server's bytes are the ones `jedule batch` hashes, so both
+        # share render cache entries
+        held = server._jobs[job["id"]].schedule_bytes
+        assert hashlib.sha256(held).hexdigest() == \
+            schedule_digest(simple_schedule)
+        server.resume_dispatch()
+        assert client.wait(job["id"])["status"] == "done"
