@@ -1,11 +1,12 @@
 """``jedule top``: a live terminal dashboard for the render service.
 
-Polls ``/statz`` (queue, workers, job states, counters) and ``/metricz``
+Polls ``/statz`` (uptime, queue, worker health) and ``/metricz``
 (Prometheus text — parsed back with
 :func:`repro.serve.metrics.parse_prometheus_text`) and renders a compact
 operator view: queue fill bar, worker health, per-stage latency
 percentiles recovered from the scraped histogram buckets, throughput,
-cache and rejection counters.
+cache and rejection counters.  Every count comes from the one
+``/metricz`` scrape.
 
 ``--once`` prints a single snapshot and exits (scriptable, and what the
 test suite drives); the default loop redraws every ``--interval``
@@ -51,11 +52,6 @@ def _counter(parsed: dict, family: str,
     return 0.0
 
 
-def _gauge(parsed: dict, family: str) -> float:
-    samples = parsed.get(family, {})
-    return next(iter(samples.values()), 0.0)
-
-
 def _stage_table(parsed: dict) -> list[str]:
     buckets: dict[str, list[tuple[float, float]]] = {}
     for key, value in parsed.get(
@@ -93,7 +89,6 @@ def render_dashboard(statz: dict, metricz_text: str, *,
     depth = queue.get("depth", 0)
     capacity = queue.get("capacity", 0)
     uptime = statz.get("uptime_s", 0.0)
-    counters = statz.get("counters", {})
 
     lines: list[str] = []
     state = "DRAINING" if statz.get("draining") else "serving"
@@ -102,14 +97,13 @@ def render_dashboard(statz: dict, metricz_text: str, *,
     lines.append(f"queue    {_bar(depth, capacity)} {depth}/{capacity}"
                  f"  peak {queue.get('peak', 0)}"
                  f"  clients {len(queue.get('by_client', {}))}")
-    restarts = int(_counter(parsed, "jedule_serve_worker_restarts_total")
-                   or workers.get("restarts", 0))
+    restarts = int(_counter(parsed, "jedule_serve_worker_restarts_total"))
     lines.append(f"workers  {workers.get('alive', 0)}/"
                  f"{workers.get('total', 0)} alive"
                  f"  restarts {restarts}")
     ok = _counter(parsed, "jedule_serve_jobs_total", status="ok")
     failed = _counter(parsed, "jedule_serve_jobs_total", status="failed")
-    submitted = counters.get("serve.jobs.submitted", 0)
+    submitted = _counter(parsed, "jedule_serve_jobs_submitted_total")
     rate = rate_jobs_per_s if rate_jobs_per_s is not None \
         else ((ok + failed) / uptime if uptime > 0 else 0.0)
     lines.append(f"jobs     {int(submitted)} submitted  {int(ok)} ok  "

@@ -156,6 +156,17 @@ class Metrics:
         return self._histograms.get(name, {}).get(
             _labels_key({"stage": stage}))
 
+    def counter_values(self, samples: dict[str, tuple[str, dict | None]]
+                       ) -> dict[str, float]:
+        """Many counter samples read in one locked snapshot.
+
+        ``samples`` maps an output key to the ``(family, labels)`` it
+        reads; a sample that never fired reads ``0.0``.
+        """
+        with self._lock:
+            return {key: self._counters[family].get(_labels_key(labels), 0.0)
+                    for key, (family, labels) in samples.items()}
+
     # ------------------------------------------------------------ rendering
     def render(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4."""

@@ -365,16 +365,6 @@ class WorkerPool:
         worker.start()
         return True
 
-    def restart_all(self) -> None:
-        """Rolling restart (SIGHUP reload): waits for each busy worker."""
-        for index in range(self.size):
-            acquired = self._acquire(timeout=None)
-            try:
-                self.restart_worker(acquired)
-            finally:
-                if self._workers[acquired].alive:
-                    self._idle.put(acquired)
-
     # ------------------------------------------------------------ job plumbing
     def job_header(self, request: RenderRequest, *,
                    cache_dir: str | None = None,

@@ -19,11 +19,12 @@ SIGTERM) stops admission, finishes every queued and in-flight job,
 persists a run-registry record, then exits.
 SIGHUP performs a rolling worker restart without dropping the queue.
 
-Observability: per-request ``serve.job`` spans, ``serve.queue.depth``
-gauges and ``serve.*`` counters flow through :mod:`repro.obs` when a
-trace is being captured; an always-on local stats block feeds
-``/statz`` (latency percentiles included) and the drain-time runlog
-record regardless.
+Observability: every serve count and latency is kept once, in the
+:class:`~repro.serve.metrics.Metrics` registry behind ``/metricz``
+(:attr:`RenderServer.metrics`).  ``/statz`` and the drain-time runlog
+record read their counters and p50/p95/p99 back from it, so all three
+agree.  Each request's spans travel with its job and are served by
+``GET /jobs/<id>/trace``.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ import socketserver
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ParseError, ReproError, ServeError
-from repro.obs import core as _obs
 from repro.obs.export import to_chrome_events, trace_from_doc, trace_to_doc
 from repro.render.api import RenderRequest, RenderResult
 from repro.serve.jobqueue import FairQueue, QueueClosed, QueueFull
@@ -57,8 +57,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.tracing import stitch_job_trace
 
-__all__ = ["RenderServer", "Job", "CONTENT_TYPES", "MAX_JOB_WAIT_S",
-           "latency_percentiles"]
+__all__ = ["RenderServer", "Job", "CONTENT_TYPES", "MAX_JOB_WAIT_S"]
 
 #: output format -> HTTP content type of /jobs/<id>/result
 CONTENT_TYPES = {
@@ -76,18 +75,6 @@ _MAX_BODY = 64 * 1024 * 1024  # refuse absurd request bodies outright
 #: longest ``GET /jobs/<id>?wait=<s>`` hold in seconds; a longer ``wait``
 #: is cut to this, and the client simply asks again
 MAX_JOB_WAIT_S = 30.0
-
-
-def latency_percentiles(values, points=(0.50, 0.95, 0.99)) -> dict[str, float]:
-    """Nearest-rank percentiles of a latency sample, keyed ``p50``-style."""
-    out = {f"p{int(p * 100)}": 0.0 for p in points}
-    data = sorted(values)
-    if not data:
-        return out
-    for p in points:
-        rank = max(0, math.ceil(p * len(data)) - 1)
-        out[f"p{int(p * 100)}"] = data[rank]
-    return out
 
 
 @dataclass
@@ -234,21 +221,10 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         path = urlsplit(self.path).path
         if path == "/render":
-            body = self._read_body()
-            if body is None:
-                self._send_json(400, _error("bad-body",
-                                            "missing or oversized body"))
-                return
-            try:
-                doc = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                self._send_json(400, _error("bad-json",
-                                            f"body is not JSON: {exc}"))
-                return
-            client = self.headers.get("X-Jedule-Client") or None
-            trace_id = self.headers.get(TRACE_HEADER) or None
             status, payload, headers = self.app.submit_payload(
-                doc, client=client, trace_id=trace_id)
+                self._read_body(),
+                client=self.headers.get("X-Jedule-Client") or None,
+                trace_id=self.headers.get(TRACE_HEADER) or None)
             self._send_json(status, payload, headers)
         elif path == "/drain":
             self._send_json(200, self.app.begin_drain())
@@ -260,12 +236,63 @@ def _error(code: str, message: str, **extra) -> dict:
     return {"error": {"code": code, "message": message, **extra}}
 
 
-#: stage histogram family behind /metricz and the drain runlog record
+def _parse_submission(body: bytes | None, *, debug_hooks: bool
+                      ) -> tuple[dict, RenderRequest, bytes | None]:
+    """``(doc, request, schedule_bytes)`` of one ``POST /render`` body.
+
+    ``body`` is ``None`` when it was missing or oversized.  Every fault
+    in the body raises :class:`ServeError`, which the server answers
+    with a 400.
+    """
+    if body is None:
+        raise ServeError("missing or oversized body", code="bad-body")
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ServeError(f"body is not JSON: {exc}", code="bad-json") \
+            from None
+    if not isinstance(doc, dict):
+        raise ServeError("body must be a JSON object", code="bad-body")
+    allowed = {"request", "schedule", "client"}
+    if debug_hooks:  # test-only worker hooks (x_crash, ...)
+        allowed.add("debug")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ServeError(
+            f"unknown body field(s): {', '.join(sorted(unknown))}",
+            code="unknown-field")
+    request = request_from_payload(doc.get("request") or {})
+    schedule_doc = doc.get("schedule")
+    if schedule_doc is None:
+        if request.input_path is None:
+            raise ServeError(
+                "job needs either request.input_path or an inline schedule",
+                code="missing-input", field="input_path")
+        return doc, request, None
+    from repro.io.json_fmt import from_dict
+
+    try:
+        schedule = from_dict(schedule_doc, source="<submit>")
+    except ParseError as exc:
+        raise ServeError(str(exc), code="bad-schedule") from None
+    return doc, request, canonical_schedule_bytes(schedule)
+
+
+def _percentiles(hist) -> dict[str, float]:
+    """p50/p95/p99 of one stage histogram; zeros before its first sample."""
+    return {label: hist.percentile(q) if hist is not None else 0.0
+            for q, label in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99"))}
+
+
+#: stage histogram family behind /metricz; its ``stage="total"`` series
+#: also feeds /statz latency, the drain record and ``Retry-After``
 STAGE_FAMILY = "jedule_serve_stage_seconds"
 
-#: legacy stats-block counter -> /metricz counter family (+ labels)
+#: counter key, as /statz and the drain record name it -> the /metricz
+#: counter family (+ labels) that is its only store
 _METRIC_MAP: dict[str, tuple[str, dict[str, str] | None]] = {
     "serve.requests": ("jedule_serve_requests_total", None),
+    "serve.jobs.submitted": ("jedule_serve_jobs_submitted_total", None),
     "serve.jobs.ok": ("jedule_serve_jobs_total", {"status": "ok"}),
     "serve.jobs.failed": ("jedule_serve_jobs_total", {"status": "failed"}),
     "serve.cache.hit": ("jedule_serve_cache_total", {"outcome": "hit"}),
@@ -281,6 +308,7 @@ _METRIC_MAP: dict[str, tuple[str, dict[str, str] | None]] = {
         ("jedule_serve_worker_failures_total", {"kind": "timeout"}),
     "serve.worker.crash":
         ("jedule_serve_worker_failures_total", {"kind": "crash"}),
+    "serve.worker.reload": ("jedule_serve_reloads_total", None),
 }
 
 
@@ -321,9 +349,6 @@ class RenderServer:
         # transition) so /statz and /metricz never walk the jobs dict
         self._job_states: dict[str, int] = {}
 
-        self._stats_lock = threading.Lock()
-        self._counters: dict[str, float] = {}
-        self._latencies: deque[float] = deque(maxlen=4096)
         self._started_at = time.time()
         self.metrics = self._build_metrics()
 
@@ -479,58 +504,52 @@ class RenderServer:
         queue_wait = max(job.started_at - job.submitted_at, 0.0)
         self.metrics.observe(STAGE_FAMILY, queue_wait,
                              labels={"stage": "queue_wait"})
-        _obs.gauge("serve.queue.depth", len(self._queue))
         header = self._pool.job_header(
             job.request, cache_dir=self.cache_dir,
             has_schedule=job.schedule_bytes is not None,
             trace_id=job.trace_id)
         if job.debug:
             header.update(job.debug)
-        with _obs.span("serve.job", client=job.client, job=job.id) as sp:
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    result = self._pool.run_once_on(
-                        index, job.request, schedule_bytes=job.schedule_bytes,
-                        timeout=self.job_timeout_s, header=header)
-                    if attempts > 1:
-                        result = dc_replace(result, attempts=attempts)
-                    break
-                except WorkerTimeout as exc:
-                    self._count("serve.worker.timeout")
-                    result = self._failure(job, str(exc), attempts)
-                    break
-                except WorkerCrash as exc:
-                    self._count("serve.worker.crash")
-                    if attempts <= self.crash_retries and \
-                            self._pool.worker(index).alive:
-                        continue
-                    result = self._failure(
-                        job, f"{exc} (after {attempts} attempt(s))", attempts)
-                    break
-            sp.set(cache=result.cache, ok=result.ok, attempts=attempts)
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                result = self._pool.run_once_on(
+                    index, job.request, schedule_bytes=job.schedule_bytes,
+                    timeout=self.job_timeout_s, header=header)
+                if attempts > 1:
+                    result = dc_replace(result, attempts=attempts)
+                break
+            except WorkerTimeout as exc:
+                self._count("serve.worker.timeout")
+                result = self._failure(job, str(exc), attempts)
+                break
+            except WorkerCrash as exc:
+                self._count("serve.worker.crash")
+                if attempts <= self.crash_retries and \
+                        self._pool.worker(index).alive:
+                    continue
+                result = self._failure(
+                    job, f"{exc} (after {attempts} attempt(s))", attempts)
+                break
         job.result = result
         job.finished_at = time.time()
         with self._jobs_lock:
             self._seq += 1
             job.seq = self._seq
         status = "done" if result.ok else "failed"
-        latency = job.finished_at - job.submitted_at
-        with self._stats_lock:
-            self._latencies.append(latency)
         self.metrics.observe(
             STAGE_FAMILY, max(job.finished_at - job.started_at, 0.0),
             labels={"stage": "worker"})
-        self.metrics.observe(STAGE_FAMILY, max(latency, 0.0),
-                             labels={"stage": "total"})
+        self.metrics.observe(
+            STAGE_FAMILY, max(job.finished_at - job.submitted_at, 0.0),
+            labels={"stage": "total"})
         self._count("serve.jobs.ok" if result.ok else "serve.jobs.failed")
         if result.cache in ("hit", "miss", "off"):
             self._count(f"serve.cache.{result.cache}")
         if result.ok and result.nbytes:
             self.metrics.inc("jedule_serve_bytes_rendered_total",
                              result.nbytes)
-        _obs.add("serve.latency_ms", latency * 1000.0)
         if job.trace_id is not None:
             self._stitch(job, status, result)
         # publish last: a client that sees the final status must find
@@ -571,14 +590,9 @@ class RenderServer:
             cache="off" if self.cache_dir is None else "miss",
             error=error, attempts=attempts)
 
-    def _count(self, name: str, value: float = 1.0) -> None:
-        with self._stats_lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
-        _obs.add(name, value)
-        mapped = _METRIC_MAP.get(name)
-        if mapped is not None:
-            family, labels = mapped
-            self.metrics.inc(family, value, labels=labels)
+    def _count(self, name: str) -> None:
+        family, labels = _METRIC_MAP[name]
+        self.metrics.inc(family, labels=labels)
 
     def _build_metrics(self) -> Metrics:
         """Declare every /metricz family (gauges read live at scrape)."""
@@ -605,7 +619,9 @@ class RenderServer:
                   "Worker processes restarted after crash/timeout/reload.",
                   fn=lambda: self._pool.total_restarts)
         m.counter("jedule_serve_requests_total",
-                  "POST /render admissions attempted.")
+                  "POST /render requests, whatever the answer.")
+        m.counter("jedule_serve_jobs_submitted_total",
+                  "Jobs admitted to the queue (202 answers).")
         m.counter("jedule_serve_jobs_total",
                   "Finished jobs by status (ok|failed).")
         m.counter("jedule_serve_cache_total",
@@ -615,6 +631,8 @@ class RenderServer:
                   "(queue-full|invalid|draining).")
         m.counter("jedule_serve_worker_failures_total",
                   "Job attempts lost to a worker crash or timeout.")
+        m.counter("jedule_serve_reloads_total",
+                  "Rolling worker restarts (SIGHUP reloads).")
         m.counter("jedule_serve_bytes_rendered_total",
                   "Total output bytes produced by successful jobs.")
         m.histogram(STAGE_FAMILY,
@@ -637,10 +655,14 @@ class RenderServer:
             counts[status] = counts.get(status, 0) + 1
 
     # ------------------------------------------------------------ endpoints
-    def submit_payload(self, doc: object, *, client: str | None = None,
+    def submit_payload(self, body: bytes | None, *,
+                       client: str | None = None,
                        trace_id: str | None = None):
-        """Admit one job; returns ``(status, payload, headers)``.
+        """One ``POST /render`` answer: ``(status, payload, headers)``.
 
+        ``body`` is the raw request body, ``None`` when it was missing or
+        oversized.  Each call counts one ``serve.requests`` and then
+        exactly one of ``serve.jobs.submitted`` or ``serve.rejected.*``.
         ``trace_id`` is the client-minted ``X-Jedule-Trace`` value; when
         absent (and job tracing is on) the server mints one, so every
         admitted job has a stitched request trace either way.
@@ -649,40 +671,12 @@ class RenderServer:
         if self._draining:
             self._count("serve.rejected.draining")
             return 503, _error("draining", "server is draining"), {}
-        if not isinstance(doc, dict):
-            return 400, _error("bad-body", "body must be a JSON object"), {}
-        allowed = {"request", "schedule", "client"}
-        if self._pool.debug_hooks:  # test-only worker hooks (x_crash, ...)
-            allowed.add("debug")
-        unknown = set(doc) - allowed
-        if unknown:
-            self._count("serve.rejected.invalid")
-            return 400, _error(
-                "unknown-field",
-                f"unknown body field(s): {', '.join(sorted(unknown))}"), {}
         try:
-            request = request_from_payload(doc.get("request") or {})
+            doc, request, schedule_bytes = _parse_submission(
+                body, debug_hooks=self._pool.debug_hooks)
         except ServeError as exc:
             self._count("serve.rejected.invalid")
             return 400, {"error": exc.to_payload()}, {}
-
-        schedule_bytes = None
-        schedule_doc = doc.get("schedule")
-        if schedule_doc is not None:
-            from repro.io.json_fmt import from_dict
-
-            try:
-                schedule = from_dict(schedule_doc, source="<submit>")
-            except ParseError as exc:
-                self._count("serve.rejected.invalid")
-                return 400, _error("bad-schedule", str(exc)), {}
-            schedule_bytes = canonical_schedule_bytes(schedule)
-        elif request.input_path is None:
-            self._count("serve.rejected.invalid")
-            return 400, _error(
-                "missing-input",
-                "job needs either request.input_path or an inline schedule",
-                field="input_path"), {}
 
         debug = doc.get("debug") if self._pool.debug_hooks else None
         if self.trace_jobs and trace_id is None:
@@ -713,7 +707,6 @@ class RenderServer:
             self._jobs[job.id] = job
             self._prune_jobs()
         self._count("serve.jobs.submitted")
-        _obs.gauge("serve.queue.depth", depth)
         return 202, {"job": job.to_payload(), "queue_depth": depth}, {}
 
     def _prune_jobs(self) -> None:
@@ -728,9 +721,8 @@ class RenderServer:
                 self._job_states[dropped.status] -= 1
 
     def _retry_after(self) -> int:
-        with self._stats_lock:
-            sample = list(self._latencies)
-        avg = (sum(sample) / len(sample)) if sample else 1.0
+        total = self.metrics.stage_histogram(STAGE_FAMILY, "total")
+        avg = total.mean if total is not None else 1.0
         backlog = len(self._queue) * avg / max(self._pool.alive_count, 1)
         return max(1, min(60, math.ceil(backlog)))
 
@@ -802,9 +794,7 @@ class RenderServer:
         }
 
     def statz_payload(self) -> dict:
-        with self._stats_lock:
-            counters = dict(self._counters)
-            sample = list(self._latencies)
+        total = self.metrics.stage_histogram(STAGE_FAMILY, "total")
         with self._jobs_lock:
             # O(1) snapshot kept by _transition — never walks the dict
             states = {k: v for k, v in self._job_states.items() if v}
@@ -823,9 +813,9 @@ class RenderServer:
                 "restarts": self._pool.total_restarts,
             },
             "jobs": states,
-            "counters": counters,
-            "latency_s": {**latency_percentiles(sample),
-                          "count": len(sample)},
+            "counters": self.metrics.counter_values(_METRIC_MAP),
+            "latency_s": {**_percentiles(total),
+                          "count": total.count if total is not None else 0},
         }
 
     # ------------------------------------------------------------- runlog
@@ -834,29 +824,25 @@ class RenderServer:
             return
         from repro.obs.runlog import RunLog, record_from_trace
 
-        with self._stats_lock:
-            counters = dict(self._counters)
-            sample = list(self._latencies)
+        counters = self.metrics.counter_values(_METRIC_MAP)
         # the drain record ALWAYS carries the whole-job percentiles and
         # every per-stage section, zeros included — consumers (CI, the
         # regress gate) must never have to guard against missing keys
-        timings_s: dict[str, list[float]] = {
-            key: [value] for key, value in latency_percentiles(sample).items()
-        }
+        timings_s: dict[str, list[float]] = {}
         for stage in ("queue_wait", "worker", "total"):
             hist = self.metrics.stage_histogram(STAGE_FAMILY, stage)
-            for q, label in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
-                value = hist.percentile(q) if hist is not None else 0.0
+            for label, value in _percentiles(hist).items():
                 timings_s[f"{stage}_{label}"] = [value]
+        # the whole-job percentiles are the total stage's
+        for label in ("p50", "p95", "p99"):
+            timings_s[label] = timings_s[f"total_{label}"]
         record = record_from_trace(
-            "serve", self.name,
-            _obs.current_trace() if _obs.is_enabled() else None,
-            timings_s=timings_s,
+            "serve", self.name, timings_s=timings_s,
             meta={"workers": self._pool.size,
                   "queue_depth": self._queue.maxsize,
                   "queue_peak": self._queue.peak_depth,
                   "cache_dir": self.cache_dir,
                   "restarts": self._pool.total_restarts,
-                  "jobs": int(counters.get("serve.jobs.submitted", 0))})
-        record.counters.update(counters)
+                  "jobs": int(counters["serve.jobs.submitted"])})
+        record.counters = counters
         RunLog(self.runlog).append(record)

@@ -13,11 +13,12 @@ module rebuilds the request's unified timeline:
 * ``serve.worker`` — started→finished, under which the worker's own
   ``render.*`` / ``io.*`` spans are grafted on the wall-clock timeline.
 
-Every span inherits the request's trace id, so the stitched trace, the
-server's JSONL log lines and the worker's log lines all correlate.  The
-result is an ordinary :class:`~repro.obs.core.Trace`: exportable as
-Chrome trace JSON and — the paper's thesis applied to the tool itself —
-renderable as a Gantt via :func:`repro.obs.export.trace_to_schedule`.
+Every span inherits the request's trace id: the client's
+``X-Jedule-Trace`` value, or one the server minted, which the job
+document also carries as ``trace_id``.  The result is an ordinary
+:class:`~repro.obs.core.Trace`: exportable as Chrome trace JSON and —
+the paper's thesis applied to the tool itself — renderable as a Gantt
+via :func:`repro.obs.export.trace_to_schedule`.
 """
 
 from __future__ import annotations

@@ -163,6 +163,23 @@ class TestMetricsRender:
         values = [v for _, v in series]
         assert values == sorted(values)  # cumulative counts are monotone
 
+    def test_counter_values_read_what_render_shows(self):
+        m = self._registry()
+        m.inc("jobs_total", labels={"status": "ok"})
+        m.inc("jobs_total", 2, labels={"status": "failed"})
+        samples = {"ok": ("jobs_total", {"status": "ok"}),
+                   "failed": ("jobs_total", {"status": "failed"}),
+                   "requests": ("requests_total", None)}
+        # a sample that never fired reads zero, like its rendered line
+        assert m.counter_values(samples) == \
+            {"ok": 1.0, "failed": 2.0, "requests": 0.0}
+        parsed = parse_prometheus_text(m.render())
+        for key, (family, labels) in samples.items():
+            assert parsed[family][tuple(sorted((labels or {}).items()))] \
+                == m.counter_values(samples)[key]
+        with pytest.raises(KeyError):
+            m.counter_values({"x": ("never_declared_total", None)})
+
     def test_label_values_survive_render_parse(self):
         m = Metrics()
         m.counter("weird_total", "Counter with hostile label values.")

@@ -21,7 +21,7 @@ from repro.render.api import RenderRequest, execute_request
 from repro.serve.client import ServeClient
 from repro.serve.metrics import parse_prometheus_text
 from repro.serve.protocol import request_to_payload
-from repro.serve.server import RenderServer, latency_percentiles
+from repro.serve.server import RenderServer
 
 
 @contextmanager
@@ -184,6 +184,113 @@ def test_validation_errors_are_structured_400s(tmp_path, simple_schedule):
             assert body["error"]["code"] == code, (payload, body)
 
 
+#: one POST /render per kind of 400: (body, extra headers, error code)
+_BAD_SUBMISSIONS = [
+    (None, {"Content-Length": "abc"}, "bad-body"),
+    (b"{not json", None, "bad-json"),
+    (b"[]", None, "bad-body"),
+    ({"bogus": 1}, None, "unknown-field"),
+    ({"request": {"bogus": 1}}, None, "unknown-field"),
+    ({"request": {}}, None, "missing-input"),
+    ({"request": {}, "schedule": [1, 2]}, None, "bad-schedule"),
+]
+
+
+def _send_bad_submissions(client, after_each=lambda: None):
+    for body, headers, code in _BAD_SUBMISSIONS:
+        status, _, reply = client.request("POST", "/render", body,
+                                          headers=headers)
+        assert status == 400 and reply["error"]["code"] == code, \
+            (body, reply)
+        after_each()
+
+
+def _flood_past_a_full_queue(server, client, schedule,
+                             after_each=lambda: None):
+    """One 202 that fills a one-slot queue, then one 429."""
+    server.pause_dispatch()
+    job = client.submit(_request(), schedule=schedule)
+    after_each()
+    with pytest.raises(ServeError) as err:
+        client.submit(_request(), schedule=schedule)
+    assert err.value.code == "queue-full"
+    after_each()
+    server.resume_dispatch()
+    return client.wait(job["id"], timeout=60.0)
+
+
+def test_every_render_answer_is_counted_once(tmp_path, simple_schedule):
+    answers = 0
+
+    def balanced():
+        nonlocal answers
+        answers += 1
+        counters = server.statz_payload()["counters"]
+        rejected = sum(value for key, value in counters.items()
+                       if key.startswith("serve.rejected."))
+        assert counters["serve.requests"] == answers == \
+            counters["serve.jobs.submitted"] + rejected, counters
+        parsed = parse_prometheus_text(server.metricz_text())
+        assert parsed["jedule_serve_requests_total"][()] == \
+            parsed["jedule_serve_jobs_submitted_total"][()] \
+            + sum(parsed["jedule_serve_rejected_total"].values())
+
+    with serving(cache_dir=None, queue_depth=1) as server:
+        client = ServeClient(server.url)
+        _send_bad_submissions(client, balanced)
+        _flood_past_a_full_queue(server, client, simple_schedule, balanced)
+        server._draining = True  # simulate the window before shutdown
+        with pytest.raises(ServeError) as err:
+            client.submit(_request(), schedule=simple_schedule)
+        assert err.value.code == "draining"
+        balanced()
+        server._draining = False
+        counters = server.statz_payload()["counters"]
+        assert counters["serve.rejected.invalid"] == len(_BAD_SUBMISSIONS)
+        assert counters["serve.jobs.submitted"] == 1
+        assert counters["serve.rejected.queue_full"] == 1
+        assert counters["serve.rejected.draining"] == 1
+
+
+def test_statz_metricz_and_runlog_agree(tmp_path, simple_schedule):
+    runlog = tmp_path / "runlog.jsonl"
+    with serving(cache_dir=str(tmp_path / "cache"), runlog=str(runlog),
+                 queue_depth=1, debug_hooks=True) as server:
+        client = ServeClient(server.url)
+        assert client.render(_request(), schedule=simple_schedule)[
+            "result"]["cache"] == "miss"
+        assert client.render(_request(), schedule=simple_schedule)[
+            "result"]["cache"] == "hit"
+        status, _, body = client.request("POST", "/render", {
+            "request": {"output_format": "svg"},
+            "schedule": to_dict(simple_schedule),
+            "debug": {"x_crash": True}})
+        assert status == 202
+        assert client.wait(body["job"]["id"], timeout=60.0)["status"] \
+            == "failed"
+        _send_bad_submissions(client)
+        assert _flood_past_a_full_queue(server, client, simple_schedule)[
+            "status"] == "done"
+        statz = client.statz()
+        metricz = parse_prometheus_text(client.metricz())
+    record = json.loads(runlog.read_text().splitlines()[-1])
+
+    counters = statz["counters"]
+    assert set(counters) == set(record["counters"]) \
+        == set(server_module._METRIC_MAP)
+    for key, (family, labels) in server_module._METRIC_MAP.items():
+        sample = metricz[family].get(tuple(sorted((labels or {}).items())),
+                                     0.0)
+        assert counters[key] == sample == record["counters"][key], key
+    assert counters["serve.jobs.ok"] == 3 and counters["serve.jobs.failed"] == 1
+    assert counters["serve.rejected.invalid"] == len(_BAD_SUBMISSIONS)
+    assert counters["serve.rejected.queue_full"] == 1
+    finished = counters["serve.jobs.ok"] + counters["serve.jobs.failed"]
+    total = metricz["jedule_serve_stage_seconds_count"][(("stage", "total"),)]
+    assert statz["latency_s"]["count"] == total == finished
+    assert record["timings_s"]["p95"] == record["timings_s"]["total_p95"]
+
+
 def test_unknown_job_is_404(tmp_path):
     with serving(cache_dir=None) as server:
         client = ServeClient(server.url)
@@ -250,13 +357,6 @@ def test_drain_writes_runlog_record(tmp_path, simple_schedule):
     assert record["counters"]["serve.cache.hit"] == 1
     assert record["meta"]["jobs"] == 2
     assert "p95" in record["timings_s"]
-
-
-def test_latency_percentiles_helper():
-    assert latency_percentiles([]) == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    values = list(range(1, 101))
-    pcts = latency_percentiles(values)
-    assert pcts == {"p50": 50, "p95": 95, "p99": 99}
 
 
 def test_drain_runlog_empty_sample_still_has_stage_keys(tmp_path):
