@@ -38,7 +38,6 @@ from repro.render import (
     execute_request,
     export_schedule,
     render_ascii,
-    render_schedule,
 )
 
 __version__ = "1.0.0"
@@ -63,7 +62,6 @@ __all__ = [
     "grayscale_colormap",
     "load_schedule",
     "render_ascii",
-    "render_schedule",
     "save_schedule",
     "with_composites",
 ]

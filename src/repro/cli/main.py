@@ -624,7 +624,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.render.api import format_from_suffix, render_drawing
+    from repro.render.api import export_drawing
     from repro.render.compose import compare_schedules
 
     schedules = [load_schedule(path) for path in args.inputs]
@@ -632,8 +632,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     drawing = compare_schedules(
         schedules, titles, width=args.width, panel_height=args.panel_height,
         share_time_axis=not args.independent_axes, horizontal=args.horizontal)
-    fmt = args.format or format_from_suffix(args.output)
-    Path(args.output).write_bytes(render_drawing(drawing, fmt))
+    export_drawing(drawing, args.output, args.format)
     print(f"wrote {args.output} ({len(schedules)} panels)")
     return 0
 

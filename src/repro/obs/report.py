@@ -206,13 +206,9 @@ def build_report(
 def export_report(records: list[RunRecord], path: str | Path,
                   format: str | None = None, **kwargs) -> Path:
     """Render a run-record dashboard straight to a file."""
-    from repro.render.api import format_from_suffix, render_drawing
+    from repro.render.api import export_drawing
 
-    path = Path(path)
-    fmt = format or format_from_suffix(path)
-    drawing = build_report(records, **kwargs)
-    path.write_bytes(render_drawing(drawing, fmt))
-    return path
+    return export_drawing(build_report(records, **kwargs), path, format)
 
 
 def report_from_runlog(

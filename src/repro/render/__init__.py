@@ -5,11 +5,11 @@ from repro.render.api import (
     RenderRequest,
     RenderResult,
     execute_request,
+    export_drawing,
     export_schedule,
     format_from_suffix,
     render_drawing,
     render_request_bytes,
-    render_schedule,
 )
 from repro.render.backends import render_ascii
 from repro.render.compose import compare_schedules, stack_drawings
@@ -37,6 +37,7 @@ __all__ = [
     "compare_schedules",
     "execute_request",
     "export_dag",
+    "export_drawing",
     "export_profile",
     "export_schedule",
     "render_request_bytes",
@@ -48,6 +49,5 @@ __all__ = [
     "nice_ticks",
     "render_ascii",
     "render_drawing",
-    "render_schedule",
     "stack_drawings",
 ]

@@ -8,14 +8,15 @@ parallel batch runner (:mod:`repro.batch`) and the benchmark suites all
 build requests and hand them to :func:`execute_request`, which returns a
 :class:`RenderResult` describing what happened.
 
-Convenience wrappers remain: :func:`export_schedule` (schedule -> file)
-and the deprecated :func:`render_schedule` keyword sprawl it replaced.
+Files are written by :func:`execute_request` (or its wrapper
+:func:`export_schedule`, schedule -> file) and, for drawings laid out
+elsewhere (task graphs, profiles, run reports, comparisons), by
+:func:`export_drawing`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -51,8 +52,8 @@ __all__ = [
     "RenderResult",
     "execute_request",
     "render_request_bytes",
-    "render_schedule",
     "export_schedule",
+    "export_drawing",
     "render_drawing",
     "OUTPUT_FORMATS",
     "format_from_suffix",
@@ -255,22 +256,26 @@ class RenderRequest:
             return load_style_file(self.style_path)
         return self.style or Style()
 
-    def resolve_cmap(self, schedule: Schedule) -> ColorMap:
-        from repro.core.colormap import auto_colormap, default_colormap
-
+    def _given_cmap(self) -> ColorMap | None:
+        """The color map the request names (``cmap`` or the file at
+        ``cmap_path``), or None."""
         if self.cmap is not None and self.cmap_path is not None:
             raise RenderError("give either cmap or cmap_path, not both")
         if self.cmap_path is not None:
             from repro.io import colormap_xml
 
-            cmap = colormap_xml.load(self.cmap_path)
-        elif self.cmap is not None:
-            cmap = self.cmap
-        elif self.auto_colors is not None:
-            cmap = default_colormap().merged_with(
-                auto_colormap(schedule, key=self.auto_colors or None))
-        else:
+            return colormap_xml.load(self.cmap_path)
+        return self.cmap
+
+    def resolve_cmap(self, schedule: Schedule) -> ColorMap:
+        from repro.core.colormap import auto_colormap, default_colormap
+
+        cmap = self._given_cmap()
+        if cmap is None:
             cmap = default_colormap()
+            if self.auto_colors is not None:
+                cmap = cmap.merged_with(
+                    auto_colormap(schedule, key=self.auto_colors or None))
         if self.grayscale:
             cmap = cmap.to_grayscale()
         return cmap
@@ -312,10 +317,10 @@ class RenderRequest:
             # every other format are unaffected by their defaults changing
             token["html_threshold"] = self.html_threshold
             token["html_tiers"] = self.html_tiers
-        if self.cmap_path is not None:
-            token["cmap_path"] = str(Path(self.cmap_path).resolve())
-        elif self.cmap is not None:
-            token["cmap"] = _cmap_token(self.cmap)
+        cmap = self._given_cmap()
+        if cmap is not None:
+            # keyed by content, not by path: an edited cmap file re-renders
+            token["cmap"] = _cmap_token(cmap)
         return token
 
 
@@ -329,13 +334,14 @@ def _dataclass_token(obj) -> dict:
 
 
 def _cmap_token(cmap: ColorMap) -> dict:
-    styles = {t: (s.bg.hex, s.fg.hex if s.fg else None)
+    styles = {t: (s.bg.hex(), s.fg.hex() if s.fg else None)
               for t, s in ((t, cmap.style_for_type(t)) for t in cmap.task_types)}
     rules = sorted(
-        (sorted(r.member_types), r.style.bg.hex, r.style.fg.hex if r.style.fg else None)
+        (sorted(r.member_types), r.style.bg.hex(),
+         r.style.fg.hex() if r.style.fg else None)
         for r in cmap.composite_rules)
     return {"name": cmap.name, "styles": styles, "composites": rules,
-            "fallback": cmap.fallback.bg.hex, "config": dict(cmap.config)}
+            "fallback": cmap.fallback.bg.hex(), "config": dict(cmap.config)}
 
 
 @dataclass(frozen=True)
@@ -463,34 +469,6 @@ def execute_request(request: RenderRequest,
     )
 
 
-def render_schedule(
-    schedule: Schedule,
-    format: str = "svg",
-    *,
-    cmap: ColorMap | None = None,
-    style: Style | None = None,
-    width: int = 900,
-    height: int = 480,
-    mode: ViewMode | str = ViewMode.ALIGNED,
-    title: str | None = None,
-    viewport: Viewport | None = None,
-    lod: str | LodOptions = "auto",
-) -> bytes:
-    """Deprecated keyword-sprawl entry point; build a :class:`RenderRequest`
-    and call :func:`render_request_bytes` / :func:`execute_request` instead.
-
-    Kept as a thin shim so existing callers keep working unchanged.
-    """
-    warnings.warn(
-        "render_schedule() is deprecated; build a RenderRequest and use "
-        "render_request_bytes()/execute_request() instead",
-        DeprecationWarning, stacklevel=2)
-    request = RenderRequest(
-        output_format=format.lower(), cmap=cmap, style=style, width=width,
-        height=height, mode=mode, title=title, viewport=viewport, lod=lod)
-    return render_request_bytes(request, schedule)
-
-
 def export_schedule(
     schedule: Schedule,
     path: str | Path,
@@ -506,4 +484,13 @@ def export_schedule(
     fmt = format.lower() if format else format_from_suffix(path)
     request = RenderRequest(output_path=str(path), output_format=fmt, **kwargs)
     execute_request(request, schedule)
+    return path
+
+
+def export_drawing(drawing: Drawing, path: str | Path,
+                   format: str | None = None) -> Path:
+    """Serialize an already laid-out drawing to a file; format inferred
+    from the suffix."""
+    path = Path(path)
+    path.write_bytes(render_drawing(drawing, format or format_from_suffix(path)))
     return path

@@ -21,11 +21,12 @@ present, raw tasks) as the zoom changes — a 100k-job trace stays a small
 page and responsive to interact with.  Everything is inline: no external
 assets, openable from disk.
 
-:func:`render_html` remains the drawing-level fallback used by
-``render_drawing(d, "html")`` callers that only have geometry (e.g. the
-report dashboard): it wraps the SVG output with hover/zoom handlers.  Its
-wheel zoom computes the cursor anchor through the effective uniform scale
-of ``preserveAspectRatio="xMidYMid meet"`` — naive
+:func:`render_html` is the drawing-level HTML page, used by
+``render_drawing(d, "html")`` for figures that only have geometry (task
+graphs, profiles, comparisons, the report dashboard): it wraps the SVG
+output with hover/zoom handlers.  Its wheel zoom computes the cursor
+anchor through the effective uniform scale of
+``preserveAspectRatio="xMidYMid meet"`` — naive
 ``getBoundingClientRect()`` proportions drift as soon as zooming changes
 the viewBox aspect ratio and the letterbox appears.
 """
@@ -53,8 +54,8 @@ def embed_json_text(text: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# legacy drawing-level wrapper (SVG + hover/zoom), kept for callers that
-# only have a Drawing
+# drawing-level page (SVG + hover/zoom), for figures that only have a
+# Drawing
 # --------------------------------------------------------------------------
 
 _SVG_TEMPLATE = """<!DOCTYPE html>

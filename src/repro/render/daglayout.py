@@ -117,14 +117,8 @@ def layout_dag(
     return drawing
 
 
-def export_dag(graph: TaskGraph, path, **kwargs):
+def export_dag(graph: TaskGraph, path, format: str | None = None, **kwargs):
     """Render a task graph straight to a file (suffix picks the backend)."""
-    from pathlib import Path
+    from repro.render.api import export_drawing
 
-    from repro.render.api import format_from_suffix, render_drawing
-
-    path = Path(path)
-    fmt = kwargs.pop("format", None) or format_from_suffix(path)
-    drawing = layout_dag(graph, **kwargs)
-    path.write_bytes(render_drawing(drawing, fmt))
-    return path
+    return export_drawing(layout_dag(graph, **kwargs), path, format)

@@ -111,7 +111,6 @@ class LayoutOptions:
     height: int = 480
     mode: ViewMode = ViewMode.ALIGNED
     title: str | None = None
-    show_host_labels: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,8 +346,7 @@ def _layout_full(schedule: Schedule, cmap: ColorMap, style: Style,
     bands = _cluster_bands(schedule, style, y, h, options.mode, axis_gap)
     aggregate = lod_active(lod_opts, len(schedule), w, h)
     for band in bands:
-        if options.show_host_labels:
-            _host_labels(drawing, band, style, x)
+        _host_labels(drawing, band, style, x)
         _draw_band_tasks(drawing, schedule, band, cmap, style, x, w,
                          lod_opts if aggregate else None)
         if per_band_axis:

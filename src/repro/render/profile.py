@@ -125,14 +125,8 @@ def _layout_profile_into(drawing, schedule, cmap, style, width, height,
             cx += sw + 10 + len(g) * style.font_size_axes * 0.6
 
 
-def export_profile(schedule: Schedule, path, **kwargs):
+def export_profile(schedule: Schedule, path, format: str | None = None, **kwargs):
     """Render the utilization profile straight to a file."""
-    from pathlib import Path
+    from repro.render.api import export_drawing
 
-    from repro.render.api import format_from_suffix, render_drawing
-
-    path = Path(path)
-    fmt = kwargs.pop("format", None) or format_from_suffix(path)
-    drawing = layout_profile(schedule, **kwargs)
-    path.write_bytes(render_drawing(drawing, fmt))
-    return path
+    return export_drawing(layout_profile(schedule, **kwargs), path, format)

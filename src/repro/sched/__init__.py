@@ -9,20 +9,11 @@ The supported way to run any scheduler is the registry API::
 the offline CPA/HEFT families, the multi-DAG CRA algorithms, the cluster
 space-sharing policies, and the online zoo (:mod:`repro.sched.online`).
 Every run returns the same :class:`~repro.sched.result.SchedResult` shape.
-
-**Deprecated:** importing scheduler *functions* from this package
-(``from repro.sched import cpa_schedule``) still works but warns; call
-through the registry, or import from the defining submodule
-(``repro.sched.cpa``) if you need the raw per-family result types.
-The result/problem classes and the metrics helpers remain first-class
-exports of this package.
+A family's own function and raw result type live in its submodule
+(:mod:`repro.sched.heft`, :mod:`repro.sched.cra`, ...).
 """
 
 from __future__ import annotations
-
-import functools
-import importlib
-import warnings
 
 from repro.sched.metrics import (
     efficiency,
@@ -48,41 +39,7 @@ from repro.sched.registry import (
 )
 from repro.sched.result import SchedResult, base_metrics
 
-#: package-level scheduler imports that keep working under a deprecation
-#: warning: name -> (defining module, attribute)
-_DEPRECATED = {
-    "backfill_cra": ("repro.sched.backfill", "backfill_cra"),
-    "backfill_mapping": ("repro.sched.backfill", "backfill_mapping"),
-    "cpa_schedule": ("repro.sched.cpa", "cpa_schedule"),
-    "cpop_schedule": ("repro.sched.cpop", "cpop_schedule"),
-    "cra_schedule": ("repro.sched.cra", "cra_schedule"),
-    "data_parallel_schedule": ("repro.sched.baselines", "data_parallel_schedule"),
-    "downward_ranks": ("repro.sched.cpop", "downward_ranks"),
-    "heft_schedule": ("repro.sched.heft", "heft_schedule"),
-    "integer_shares": ("repro.sched.cra", "integer_shares"),
-    "mcpa2_schedule": ("repro.sched.mcpa2", "mcpa2_schedule"),
-    "mcpa_schedule": ("repro.sched.mcpa", "mcpa_schedule"),
-    "mheft_schedule": ("repro.sched.mheft", "mheft_schedule"),
-    "task_parallel_schedule": ("repro.sched.baselines", "task_parallel_schedule"),
-    "upward_ranks": ("repro.sched.heft", "upward_ranks"),
-    "allocate": ("repro.sched.mtask", "allocate"),
-    "level_bounded_growth": ("repro.sched.mtask", "level_bounded_growth"),
-    "map_allocation": ("repro.sched.mtask", "map_allocation"),
-}
-
-#: classes and enums re-exported lazily *without* a warning — they are
-#: result/problem types, not call sites the registry replaces
-_LAZY_TYPES = {
-    "Allocation": ("repro.sched.mtask", "Allocation"),
-    "CRAPolicy": ("repro.sched.cra", "CRAPolicy"),
-    "CRAResult": ("repro.sched.cra", "CRAResult"),
-    "HeftResult": ("repro.sched.heft", "HeftResult"),
-    "MHeftResult": ("repro.sched.mheft", "MHeftResult"),
-    "MTaskProblem": ("repro.sched.mtask", "MTaskProblem"),
-    "MTaskResult": ("repro.sched.mtask", "MTaskResult"),
-}
-
-__all__ = sorted([
+__all__ = [
     "DagProblem",
     "JobsProblem",
     "MultiDagProblem",
@@ -103,38 +60,4 @@ __all__ = sorted([
     "stretch_imbalance",
     "stretch_summary",
     "stretches",
-    *_DEPRECATED,
-    *_LAZY_TYPES,
-])
-
-
-def _deprecated_wrapper(name: str, module: str, attr: str):
-    target = getattr(importlib.import_module(module), attr)
-
-    @functools.wraps(target)
-    def wrapper(*args, **kwargs):
-        warnings.warn(
-            f"repro.sched.{name} is deprecated; use "
-            f"repro.sched.registry.run_scheduler, or import from {module}",
-            DeprecationWarning, stacklevel=2)
-        return target(*args, **kwargs)
-
-    return wrapper
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module, attr = _DEPRECATED[name]
-        wrapper = _deprecated_wrapper(name, module, attr)
-        globals()[name] = wrapper   # warn on every call, resolve once
-        return wrapper
-    if name in _LAZY_TYPES:
-        module, attr = _LAZY_TYPES[name]
-        value = getattr(importlib.import_module(module), attr)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__
+]

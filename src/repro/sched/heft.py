@@ -80,11 +80,6 @@ class HeftResult:
     def makespan(self) -> float:
         return max(self.finish.values(), default=0.0)
 
-    def hosts_of_type(self, task_type: str, graph: TaskGraph) -> dict[str, int]:
-        """task id -> host for every task of one type (anomaly inspection)."""
-        return {v: self.assignment[v] for v in self.assignment
-                if graph.node(v).type == task_type}
-
 
 def heft_schedule(
     graph: TaskGraph,

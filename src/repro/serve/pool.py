@@ -75,6 +75,10 @@ _PREIMPORT = (
 
 _EXIT_CRASH_HOOK = 23  # worker exit code for the test-only crash hook
 
+#: times a job whose worker crashed is retried on a restarted worker
+#: before the crash is reported (the pool's and the render service's policy)
+CRASH_RETRIES = 1
+
 
 class WorkerCrash(ServeError):
     """A warm worker died while (or before) running a job."""
@@ -277,12 +281,12 @@ class WorkerPool:
     raises instead of hanging.
     """
 
-    def __init__(self, workers: int, *, start_method: str | None = None,
-                 max_restarts: int = 3, debug_hooks: bool = False):
+    def __init__(self, workers: int, *, max_restarts: int = 3,
+                 debug_hooks: bool = False):
         if workers < 1:
             raise ServeError(f"need >= 1 worker, got {workers}",
                              code="bad-config")
-        self._ctx = mp.get_context(start_method or _default_start_method())
+        self._ctx = mp.get_context(_default_start_method())
         self.max_restarts = max_restarts
         self.debug_hooks = debug_hooks
         self._workers: list[WarmWorker] = [
@@ -417,12 +421,11 @@ class WorkerPool:
                     cache_dir: str | None = None,
                     schedule_bytes: bytes | None = None,
                     timeout: float | None = None,
-                    crash_retries: int = 1,
                     trace_id: str | None = None) -> RenderResult:
         """Run one job on any idle worker; never raises for job failures.
 
         A crashed worker fails the attempt; the job is retried
-        ``crash_retries`` times on a (restarted) worker before the crash
+        :data:`CRASH_RETRIES` times on a (restarted) worker before the crash
         is reported as an error result.  When the caller is capturing an
         obs trace, a per-job trace id is minted automatically so the
         result carries the worker's span segment (``worker_obs``).
@@ -452,7 +455,7 @@ class WorkerPool:
                     request, cache_dir,
                     f"timed out after {timeout:g}s (worker killed)")
             except WorkerCrash as exc:
-                if attempt <= crash_retries and self.usable:
+                if attempt <= CRASH_RETRIES and self.usable:
                     continue
                 return self._failure(
                     request, cache_dir,
@@ -468,8 +471,7 @@ class WorkerPool:
 
     def map_requests(self, requests, *, cache_dir: str | None = None,
                      deadline_s: float | None = None,
-                     max_parallel: int | None = None,
-                     crash_retries: int = 1) -> list[RenderResult]:
+                     max_parallel: int | None = None) -> list[RenderResult]:
         """Fan a request list across the pool; results keep input order.
 
         ``deadline_s`` bounds the whole map: jobs still queued when it
@@ -499,8 +501,7 @@ class WorkerPool:
                             f"timed out after {deadline_s:g}s")
                         continue
                 results[i] = self.run_request(
-                    requests[i], cache_dir=cache_dir, timeout=remaining,
-                    crash_retries=crash_retries)
+                    requests[i], cache_dir=cache_dir, timeout=remaining)
 
         n_threads = min(self.size, len(requests), max_parallel or self.size)
         threads = [threading.Thread(target=feed, daemon=True,

@@ -48,7 +48,7 @@ from repro.obs.export import to_chrome_events, trace_from_doc, trace_to_doc
 from repro.render.api import RenderRequest, RenderResult
 from repro.serve.jobqueue import FairQueue, QueueClosed, QueueFull
 from repro.serve.metrics import Metrics
-from repro.serve.pool import WorkerCrash, WorkerPool, WorkerTimeout
+from repro.serve.pool import CRASH_RETRIES, WorkerCrash, WorkerPool, WorkerTimeout
 from repro.serve.protocol import (
     TRACE_HEADER,
     canonical_schedule_bytes,
@@ -325,8 +325,7 @@ class RenderServer:
                  socket_path: str | None = None, workers: int = 2,
                  queue_depth: int = 64, cache_dir: str | None = None,
                  runlog: str | None = None, name: str = "serve",
-                 job_timeout_s: float | None = None, crash_retries: int = 1,
-                 keep_jobs: int = 1024, start_method: str | None = None,
+                 job_timeout_s: float | None = None, keep_jobs: int = 1024,
                  trace_jobs: bool = True, debug_hooks: bool = False):
         self.host = host
         self.port = port
@@ -335,12 +334,10 @@ class RenderServer:
         self.runlog = runlog
         self.name = name
         self.job_timeout_s = job_timeout_s
-        self.crash_retries = crash_retries
         self.keep_jobs = keep_jobs
         self.trace_jobs = trace_jobs
 
-        self._pool = WorkerPool(workers, start_method=start_method,
-                                debug_hooks=debug_hooks)
+        self._pool = WorkerPool(workers, debug_hooks=debug_hooks)
         self._queue = FairQueue(queue_depth)
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._jobs_lock = threading.Lock()
@@ -526,7 +523,7 @@ class RenderServer:
                 break
             except WorkerCrash as exc:
                 self._count("serve.worker.crash")
-                if attempts <= self.crash_retries and \
+                if attempts <= CRASH_RETRIES and \
                         self._pool.worker(index).alive:
                     continue
                 result = self._failure(

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import obs
 from repro.batch import batch_record, run_batch
 from repro.batch.runner import execute_with_cache
+from repro.core.colormap import default_colormap
 from repro.errors import BatchError, ParseError
-from repro.io import save_schedule
+from repro.io import colormap_xml, save_schedule
 from repro.io.registry import register_format
-from repro.render.api import RenderRequest
+from repro.render.api import RenderRequest, execute_request
 
 
 def _requests(tmp_path, schedule, n=3, fmt="svg"):
@@ -148,3 +151,21 @@ def test_execute_with_cache_inline(tmp_path, simple_schedule):
     warm = execute_with_cache(request, str(tmp_path / "cache"))
     assert cold.cache == "miss" and warm.cache == "hit"
     assert cold.nbytes == warm.nbytes > 0
+
+
+def test_cached_render_sees_colormap_file_edits(tmp_path, simple_schedule):
+    src = tmp_path / "s.jed"
+    save_schedule(simple_schedule, src)
+    cmap_file = tmp_path / "map.xml"
+    colormap_xml.dump(default_colormap(), cmap_file)
+    request = RenderRequest(input_path=src, output_format="png",
+                            cmap_path=cmap_file)
+    cache_dir = str(tmp_path / "cache")
+    cold = execute_with_cache(request, cache_dir)
+    assert cold.cache == "miss"
+    assert execute_with_cache(request, cache_dir).cache == "hit"
+    colormap_xml.dump(default_colormap().to_grayscale(), cmap_file)
+    edited = execute_with_cache(request, cache_dir)
+    assert edited.cache == "miss"
+    assert edited.data == execute_request(request).data != cold.data
+    json.dumps(request.fingerprint())   # the colormap token is plain JSON

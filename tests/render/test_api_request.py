@@ -1,4 +1,4 @@
-"""Tests for the RenderRequest/RenderResult API and the deprecated shim."""
+"""Tests for the RenderRequest/RenderResult API."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from repro.render.api import (
     RenderResult,
     execute_request,
     export_schedule,
-    render_request_bytes,
-    render_schedule,
 )
 
 
@@ -117,14 +115,6 @@ def test_execute_request_in_memory(simple_schedule):
 def test_request_without_input_raises(tmp_path):
     with pytest.raises(RenderError, match="no input_path"):
         execute_request(RenderRequest(output_format="svg"))
-
-
-def test_render_schedule_shim_deprecated(simple_schedule):
-    with pytest.warns(DeprecationWarning, match="render_schedule"):
-        legacy = render_schedule(simple_schedule, "svg", width=500)
-    fresh = render_request_bytes(
-        RenderRequest(output_format="svg", width=500), simple_schedule)
-    assert legacy == fresh
 
 
 def test_export_schedule_by_suffix(tmp_path, simple_schedule):

@@ -1,8 +1,6 @@
-"""Tests for the scheduler registry and the deprecated package shims."""
+"""Tests for the scheduler registry."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -112,36 +110,3 @@ class TestRunScheduler:
         coarse = run_scheduler("rr", p, quantum=1e9)
         assert fine.metrics["slices"] > coarse.metrics["slices"]
 
-
-class TestDeprecatedShims:
-    def test_import_does_not_warn_call_does(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.sched import heft_schedule  # noqa: F401
-
-        from repro.dag.generators import fork_join_dag
-        from repro.platform.builders import homogeneous_cluster
-        from repro.sched import heft_schedule
-        graph = fork_join_dag(width=3, stages=1, seed=1)
-        platform = homogeneous_cluster(4, 1e9)
-        with pytest.warns(DeprecationWarning, match="run_scheduler"):
-            old = heft_schedule(graph, platform)
-        new = run_scheduler("heft", DagProblem(graph, platform))
-        assert old.makespan == pytest.approx(new.makespan)
-
-    def test_every_shim_resolves(self):
-        import repro.sched as sched
-        for name in sched._DEPRECATED:
-            assert callable(getattr(sched, name))
-        for name in sched._LAZY_TYPES:
-            assert getattr(sched, name) is not None
-
-    def test_lazy_types_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.sched import HeftResult  # noqa: F401
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.sched as sched
-        with pytest.raises(AttributeError):
-            sched.no_such_function

@@ -80,5 +80,18 @@ def test_package_all_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name} missing"
 
 
+def test_removed_shims_stay_gone():
+    """Schedulers run through the registry or their family submodule;
+    schedules render through a RenderRequest."""
+    import repro.render.api
+    import repro.sched
+
+    with pytest.raises(AttributeError):
+        repro.sched.heft_schedule
+    with pytest.raises(ImportError):
+        from repro.sched import HeftResult  # noqa: F401
+    assert not hasattr(repro.render.api, "render_schedule")
+
+
 def test_version():
     assert repro.__version__.count(".") == 2
