@@ -49,10 +49,44 @@ from repro.obs import core as _obs
 from repro.render.api import RenderRequest, RenderResult
 
 __all__ = ["BatchReport", "run_batch", "run_manifest", "batch_record",
-           "execute_with_cache", "DEFAULT_CACHE_DIR"]
+           "execute_with_cache", "cached_result", "DEFAULT_CACHE_DIR"]
 
 #: Cache location when a batch asks for caching but names no directory.
 DEFAULT_CACHE_DIR = ".jedule-cache"
+
+
+def _finished(request: RenderRequest, data: bytes, cache: str,
+              started: float) -> RenderResult:
+    """The result of a request whose output bytes are ``data``; they go
+    to ``request.output_path`` when it is set."""
+    if request.output_path is not None:
+        out = Path(request.output_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_bytes(data)
+    return RenderResult(
+        input_path=request.input_path,
+        output_path=request.output_path,
+        format=request.resolved_output_format(),
+        nbytes=len(data),
+        duration_s=perf_counter() - started,
+        cache=cache,
+        data=None if request.output_path is not None else data,
+    )
+
+
+def cached_result(request: RenderRequest, cache: RenderCache, key: str, *,
+                  started: float) -> RenderResult | None:
+    """The render cache's answer to ``request``, or ``None`` on a miss.
+
+    The one hit path: a warm worker (:func:`execute_with_cache`) and the
+    render service's admission both call it.  ``started`` is the
+    :func:`time.perf_counter` instant the request's handling began.
+    Raises ``OSError`` when ``request.output_path`` cannot be written.
+    """
+    data = cache.get(key)
+    if data is None:
+        return None
+    return _finished(request, data, "hit", started)
 
 
 def execute_with_cache(request: RenderRequest,
@@ -64,11 +98,12 @@ def execute_with_cache(request: RenderRequest,
     inline (``jobs=1``).  With ``cache_dir=None`` it degrades to a plain
     :func:`~repro.render.api.execute_request`.
 
-    ``schedule_bytes`` is the *canonical* byte form of an in-memory
-    schedule (:func:`repro.serve.protocol.canonical_schedule_bytes`):
-    because those bytes are exactly what :func:`schedule_digest` hashes,
-    the cache key is derived by hashing them directly — a repeat request
-    is served without parsing the schedule at all.
+    ``schedule_bytes`` is an in-memory schedule as compact sorted-key
+    JSON: the render service's re-encoding of the schedule it received,
+    which for a schedule in ``to_dict`` form is exactly
+    :func:`repro.serve.protocol.canonical_schedule_bytes`, the bytes
+    :func:`schedule_digest` hashes.  The cache key hashes them as they
+    are, so a repeat request is served without parsing the schedule.
     """
     from repro.render.api import execute_request
 
@@ -98,21 +133,9 @@ def execute_with_cache(request: RenderRequest,
             if request.input_path:
                 cache.remember_digest(request.input_path, digest, token=token)
     key = cache_key_from_digest(digest, request)
-    data = cache.get(key)
-    if data is not None:
-        if request.output_path is not None:
-            out = Path(request.output_path)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_bytes(data)
-        return RenderResult(
-            input_path=request.input_path,
-            output_path=request.output_path,
-            format=request.resolved_output_format(),
-            nbytes=len(data),
-            duration_s=perf_counter() - started,
-            cache="hit",
-            data=None if request.output_path is not None else data,
-        )
+    hit = cached_result(request, cache, key, started=started)
+    if hit is not None:
+        return hit
     from repro.render.api import render_request_bytes
 
     if schedule is None:
@@ -120,19 +143,7 @@ def execute_with_cache(request: RenderRequest,
             else request.load_schedule()
     rendered = render_request_bytes(request, schedule)
     cache.put(key, rendered)
-    if request.output_path is not None:
-        out = Path(request.output_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(rendered)
-    return RenderResult(
-        input_path=request.input_path,
-        output_path=request.output_path,
-        format=request.resolved_output_format(),
-        nbytes=len(rendered),
-        duration_s=perf_counter() - started,
-        cache="miss",
-        data=None if request.output_path is not None else rendered,
-    )
+    return _finished(request, rendered, "miss", started)
 
 
 def _fmt(request: RenderRequest) -> str:

@@ -24,7 +24,7 @@ from repro.serve.metrics import parse_prometheus_text, quantile_from_buckets
 __all__ = ["run_top", "render_dashboard"]
 
 #: fixed stages always shown first, in pipeline order
-_LEAD_STAGES = ("queue_wait", "worker", "total")
+_LEAD_STAGES = ("admit", "queue_wait", "worker", "total")
 
 _CLEAR = "\x1b[2J\x1b[H"
 

@@ -7,16 +7,20 @@ pre-imports the render stack, then sits in a loop receiving jobs over a
 
 * frame 1 — a JSON header (the plain-payload render request, the cache
   directory, flags);
-* frame 2 (optional) — the *canonical schedule bytes* of an in-memory
-  schedule (see :func:`repro.serve.protocol.canonical_schedule_bytes`).
+* frame 2 (optional) — an in-memory schedule as compact sorted-key JSON:
+  the render service's re-encoding of the schedule it received, which
+  for a schedule in ``to_dict`` form equals
+  :func:`repro.serve.protocol.canonical_schedule_bytes`.
 
-Nothing is pickled across the boundary on the canonical path; requests
-that carry in-memory style/colormap objects fall back to an explicit
-pickle frame (same machine, same codebase — safe, just not canonical).
+Nothing is pickled across the boundary on the plain-payload path;
+requests that carry in-memory style/colormap objects fall back to an
+explicit pickle frame (same machine, same codebase — safe, just not
+plain JSON).
 
-Because the schedule bytes are canonical, a worker can hash them directly
-to the content-addressed cache key: a repeat request is a cache hit
-**without parsing the schedule at all**.
+A worker hashes the schedule bytes as they are for the content-addressed
+cache key, so a cache hit costs no parse of the schedule.  The render
+service answers hits at admission and sends a worker only the jobs it
+could not answer there (see :mod:`repro.serve.server`).
 
 Crash handling: a worker that dies mid-job (OOM killer, segfault, power
 user) is detected by the broken pipe, restarted within a bounded

@@ -5,18 +5,24 @@ Architecture (all stdlib)::
     HTTP threads            dispatcher threads         worker processes
     ------------            ------------------         ----------------
     POST /render  --put-->  FairQueue  --get-->  [T0]  --pipe-->  [W0]
-    GET  /jobs/<id>                              [T1]  --pipe-->  [W1]
-    GET  /healthz|/statz                          ...              ...
+      | cache hit                                [T1]  --pipe-->  [W1]
+      +--> done at admission                      ...              ...
+    GET  /jobs/<id>
+    GET  /healthz|/statz
     POST /drain
 
-One dispatcher thread is bound to each warm worker: it pulls the next
-job in round-robin client order, ships it over the worker's pipe
-(canonical schedule bytes, no pickled graphs), and files the result
-under the job id, waking any client blocked in ``GET /jobs/<id>?wait=``.
-Backpressure is explicit — a full queue answers 429 with a
-``Retry-After`` estimate — and shutdown is graceful: ``/drain`` (or
-SIGTERM) stops admission, finishes every queued and in-flight job,
-persists a run-registry record, then exits.
+Admission decides hit or miss before any schedule model is built: an
+inline schedule is keyed by the SHA-256 of its compact sorted-key
+re-encoding, an ``input_path`` by the render cache's stat index.  A hit
+is finished in the HTTP thread (:func:`repro.batch.runner.cached_result`)
+and never queues.  A miss is validated and queued; one dispatcher thread
+bound to each warm worker pulls the next job in round-robin client
+order, ships it over the worker's pipe (the re-encoded schedule bytes,
+no pickled graphs), and files the result under the job id, waking any
+client blocked in ``GET /jobs/<id>?wait=``.  Backpressure is explicit —
+a full queue answers 429 with a ``Retry-After`` estimate — and shutdown
+is graceful: ``/drain`` (or SIGTERM) stops admission, finishes every
+queued and in-flight job, persists a run-registry record, then exits.
 SIGHUP performs a rolling worker restart without dropping the queue.
 
 Observability: every serve count and latency is kept once, in the
@@ -29,6 +35,7 @@ agree.  Each request's spans travel with its job and are served by
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -41,8 +48,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from time import perf_counter
 from urllib.parse import parse_qs, urlsplit
 
+from repro.batch.cache import RenderCache, cache_key_from_digest
+from repro.batch.runner import cached_result
 from repro.errors import ParseError, ReproError, ServeError
 from repro.obs.export import to_chrome_events, trace_from_doc, trace_to_doc
 from repro.render.api import RenderRequest, RenderResult
@@ -51,7 +61,6 @@ from repro.serve.metrics import Metrics
 from repro.serve.pool import CRASH_RETRIES, WorkerCrash, WorkerPool, WorkerTimeout
 from repro.serve.protocol import (
     TRACE_HEADER,
-    canonical_schedule_bytes,
     request_from_payload,
     result_to_payload,
 )
@@ -79,16 +88,24 @@ MAX_JOB_WAIT_S = 30.0
 
 @dataclass
 class Job:
-    """One submitted render job as it moves queued -> running -> done."""
+    """One submitted render job as it moves queued -> running -> done.
+
+    A render-cache hit is done at admission: it never queues, and its
+    ``submitted_at``, ``started_at`` and ``finished_at`` coincide.
+    """
 
     id: str
     client: str
     request: RenderRequest
     schedule_bytes: bytes | None
     status: str = "queued"      # queued | running | done | failed
-    submitted_at: float = 0.0
+    submitted_at: float = 0.0   # admitted: answered from the cache or queued
     started_at: float | None = None
     finished_at: float | None = None
+    received_at: float | None = None  # POST /render arrived (before its body)
+    #: render-cache outcome decided at admission: "hit" (finished there),
+    #: "miss" or "off" (queued for a worker)
+    admit_cache: str | None = None
     seq: int | None = None      # completion order, for fairness inspection
     result: RenderResult | None = None
     trace_id: str | None = None
@@ -219,12 +236,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, _error("not-found", f"no route {path!r}"))
 
     def do_POST(self) -> None:  # noqa: N802
+        received_at = time.time()
         path = urlsplit(self.path).path
         if path == "/render":
             status, payload, headers = self.app.submit_payload(
                 self._read_body(),
                 client=self.headers.get("X-Jedule-Client") or None,
-                trace_id=self.headers.get(TRACE_HEADER) or None)
+                trace_id=self.headers.get(TRACE_HEADER) or None,
+                received_at=received_at)
             self._send_json(status, payload, headers)
         elif path == "/drain":
             self._send_json(200, self.app.begin_drain())
@@ -241,8 +260,13 @@ def _parse_submission(body: bytes | None, *, debug_hooks: bool
     """``(doc, request, schedule_bytes)`` of one ``POST /render`` body.
 
     ``body`` is ``None`` when it was missing or oversized.  Every fault
-    in the body raises :class:`ServeError`, which the server answers
-    with a 400.
+    in the body outside its inline schedule raises :class:`ServeError`,
+    which the server answers with a 400.  ``schedule_bytes`` is the
+    inline schedule's compact sorted-key re-encoding, not validated yet
+    (:func:`_check_schedule`), or ``None`` for an ``input_path`` job.
+    For a schedule in ``to_dict`` form, as :class:`ServeClient` sends
+    it, these are its canonical bytes, the ones ``jedule batch`` keys
+    the render cache by.
     """
     if body is None:
         raise ServeError("missing or oversized body", code="bad-body")
@@ -251,6 +275,11 @@ def _parse_submission(body: bytes | None, *, debug_hooks: bool
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ServeError(f"body is not JSON: {exc}", code="bad-json") \
             from None
+    except RecursionError:
+        # json.loads hits the recursion limit at a smaller depth than
+        # json.dumps, so the re-encoding below needs no such guard
+        raise ServeError("body is nested too deeply to decode",
+                         code="bad-json") from None
     if not isinstance(doc, dict):
         raise ServeError("body must be a JSON object", code="bad-body")
     allowed = {"request", "schedule", "client"}
@@ -269,13 +298,19 @@ def _parse_submission(body: bytes | None, *, debug_hooks: bool
                 "job needs either request.input_path or an inline schedule",
                 code="missing-input", field="input_path")
         return doc, request, None
-    from repro.io.json_fmt import from_dict
+    return doc, request, json.dumps(
+        schedule_doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _check_schedule(schedule_doc: object) -> None:
+    """Raise :class:`ServeError` unless ``schedule_doc`` builds a valid
+    schedule; the model it builds is dropped."""
+    from repro.io import json_fmt
 
     try:
-        schedule = from_dict(schedule_doc, source="<submit>")
+        json_fmt.from_dict(schedule_doc, source="<submit>")
     except ParseError as exc:
         raise ServeError(str(exc), code="bad-schedule") from None
-    return doc, request, canonical_schedule_bytes(schedule)
 
 
 def _percentiles(hist) -> dict[str, float]:
@@ -287,6 +322,11 @@ def _percentiles(hist) -> dict[str, float]:
 #: stage histogram family behind /metricz; its ``stage="total"`` series
 #: also feeds /statz latency, the drain record and ``Retry-After``
 STAGE_FAMILY = "jedule_serve_stage_seconds"
+
+#: the server's own stage labels in pipeline order: receipt -> admitted,
+#: admitted -> dispatched, dispatched -> finished, receipt -> finished.
+#: A job answered at admission has no queue_wait or worker sample.
+SERVER_STAGES = ("admit", "queue_wait", "worker", "total")
 
 #: counter key, as /statz and the drain record name it -> the /metricz
 #: counter family (+ labels) that is its only store
@@ -498,9 +538,7 @@ class RenderServer:
     def _run_job(self, index: int, job: Job) -> None:
         job.started_at = time.time()
         self._transition(job, "running")
-        queue_wait = max(job.started_at - job.submitted_at, 0.0)
-        self.metrics.observe(STAGE_FAMILY, queue_wait,
-                             labels={"stage": "queue_wait"})
+        self._observe("queue_wait", job.started_at - job.submitted_at)
         header = self._pool.job_header(
             job.request, cache_dir=self.cache_dir,
             has_schedule=job.schedule_bytes is not None,
@@ -529,18 +567,23 @@ class RenderServer:
                 result = self._failure(
                     job, f"{exc} (after {attempts} attempt(s))", attempts)
                 break
-        job.result = result
         job.finished_at = time.time()
+        self._observe("worker", job.finished_at - job.started_at)
+        self._finish(job, result)
+
+    def _finish(self, job: Job, result: RenderResult) -> None:
+        """Publish a finished job, from a worker or from admission.
+
+        Its admit and total stage samples, its counters and its stitched
+        trace are all in place before its final status is published.
+        """
+        job.result = result
         with self._jobs_lock:
             self._seq += 1
             job.seq = self._seq
         status = "done" if result.ok else "failed"
-        self.metrics.observe(
-            STAGE_FAMILY, max(job.finished_at - job.started_at, 0.0),
-            labels={"stage": "worker"})
-        self.metrics.observe(
-            STAGE_FAMILY, max(job.finished_at - job.submitted_at, 0.0),
-            labels={"stage": "total"})
+        self._observe("admit", job.submitted_at - job.received_at)
+        self._observe("total", job.finished_at - job.received_at)
         self._count("serve.jobs.ok" if result.ok else "serve.jobs.failed")
         if result.cache in ("hit", "miss", "off"):
             self._count(f"serve.cache.{result.cache}")
@@ -554,6 +597,10 @@ class RenderServer:
         self._transition(job, status)
         job.published.set()
 
+    def _observe(self, stage: str, seconds: float) -> None:
+        self.metrics.observe(STAGE_FAMILY, max(seconds, 0.0),
+                             labels={"stage": stage})
+
     def _stitch(self, job: Job, status: str, result: RenderResult) -> None:
         """Unify server-side intervals with the worker's span segment.
 
@@ -566,12 +613,12 @@ class RenderServer:
         except ValueError:
             # corrupt worker segment: keep the server-side view at least
             trace = stitch_job_trace(final, None)
-        # worker-side root spans become latency stages on /metricz
-        # (spans[2] is serve.worker; its children are the segment roots)
+        # worker-side root spans (the children of serve.worker) become
+        # latency stages on /metricz
+        worker = {s.index for s in trace.spans if s.name == "serve.worker"}
         for s in trace.spans:
-            if s.parent == 2:
-                self.metrics.observe(STAGE_FAMILY, s.duration,
-                                     labels={"stage": s.name})
+            if s.parent in worker:
+                self._observe(s.name, s.duration)
         job.trace_doc = trace_to_doc(trace)
 
     def _failure(self, job: Job, error: str, attempts: int) -> RenderResult:
@@ -634,7 +681,8 @@ class RenderServer:
                   "Total output bytes produced by successful jobs.")
         m.histogram(STAGE_FAMILY,
                     "Per-stage job latency in seconds (stage label: "
-                    "queue_wait|worker|total plus worker-side root spans).")
+                    "admit|queue_wait|worker|total plus worker-side root "
+                    "spans).")
         return m
 
     def metricz_text(self) -> str:
@@ -652,14 +700,18 @@ class RenderServer:
             counts[status] = counts.get(status, 0) + 1
 
     # ------------------------------------------------------------ endpoints
-    def submit_payload(self, body: bytes | None, *,
+    def submit_payload(self, body: bytes | None, *, received_at: float,
                        client: str | None = None,
                        trace_id: str | None = None):
         """One ``POST /render`` answer: ``(status, payload, headers)``.
 
         ``body`` is the raw request body, ``None`` when it was missing or
-        oversized.  Each call counts one ``serve.requests`` and then
-        exactly one of ``serve.jobs.submitted`` or ``serve.rejected.*``.
+        oversized; ``received_at`` is the wall-clock instant the request
+        arrived, before its body was read.  Each call counts one
+        ``serve.requests`` and then exactly one of
+        ``serve.jobs.submitted`` or ``serve.rejected.*``.  A render-cache
+        hit is finished here and answered ``202`` with status ``done``;
+        it never enters the queue, so a full queue does not refuse it.
         ``trace_id`` is the client-minted ``X-Jedule-Trace`` value; when
         absent (and job tracing is on) the server mints one, so every
         admitted job has a stitched request trace either way.
@@ -671,6 +723,9 @@ class RenderServer:
         try:
             doc, request, schedule_bytes = _parse_submission(
                 body, debug_hooks=self._pool.debug_hooks)
+            hit = self._cached_answer(request, schedule_bytes)
+            if hit is None and schedule_bytes is not None:
+                _check_schedule(doc["schedule"])
         except ServeError as exc:
             self._count("serve.rejected.invalid")
             return 400, {"error": exc.to_payload()}, {}
@@ -678,33 +733,75 @@ class RenderServer:
         debug = doc.get("debug") if self._pool.debug_hooks else None
         if self.trace_jobs and trace_id is None:
             trace_id = uuid.uuid4().hex[:16]
+        if hit is not None:
+            admit_cache, schedule_bytes = "hit", None
+        else:
+            admit_cache = "off" if self.cache_dir is None else "miss"
+        admitted = time.time()
         job = Job(id=uuid.uuid4().hex[:12],
                   client=client or str(doc.get("client") or "anon"),
                   request=request, schedule_bytes=schedule_bytes,
-                  submitted_at=time.time(),
+                  submitted_at=admitted, received_at=received_at,
+                  admit_cache=admit_cache,
                   trace_id=trace_id if self.trace_jobs else None,
                   debug=dict(debug) if isinstance(debug, dict) else None)
-        # count the queued state *before* the put: a dispatcher may pull
-        # the job (and transition it) the instant it lands in the queue
+        # count the queued state first: a dispatcher may pull the job (and
+        # transition it) the instant it lands in the queue, and a hit
+        # moves from queued to done in _finish
         with self._jobs_lock:
             self._job_states["queued"] = \
                 self._job_states.get("queued", 0) + 1
-        try:
-            depth = self._queue.put(job, client=job.client)
-        except (QueueFull, QueueClosed) as exc:
-            with self._jobs_lock:
-                self._job_states["queued"] -= 1
-            if isinstance(exc, QueueFull):
-                self._count("serve.rejected.queue_full")
-                return (429, {"error": exc.to_payload()},
-                        {"Retry-After": self._retry_after()})
-            self._count("serve.rejected.draining")
-            return 503, _error("draining", "server is draining"), {}
+        if hit is not None:
+            job.started_at = job.finished_at = admitted
+            self._finish(job, hit)
+            depth = len(self._queue)
+        else:
+            try:
+                depth = self._queue.put(job, client=job.client)
+            except (QueueFull, QueueClosed) as exc:
+                with self._jobs_lock:
+                    self._job_states["queued"] -= 1
+                if isinstance(exc, QueueFull):
+                    self._count("serve.rejected.queue_full")
+                    return (429, {"error": exc.to_payload()},
+                            {"Retry-After": self._retry_after()})
+                self._count("serve.rejected.draining")
+                return 503, _error("draining", "server is draining"), {}
         with self._jobs_lock:
             self._jobs[job.id] = job
             self._prune_jobs()
         self._count("serve.jobs.submitted")
         return 202, {"job": job.to_payload(), "queue_depth": depth}, {}
+
+    def _cached_answer(self, request: RenderRequest,
+                       schedule_bytes: bytes | None) -> RenderResult | None:
+        """The render cache's answer at admission, or ``None`` to queue.
+
+        An inline schedule is keyed by the SHA-256 of ``schedule_bytes``
+        (its re-encoding), an ``input_path`` by the digest the workers
+        record in the cache's stat index.  No schedule model is built.
+        Only bytes a validated schedule was rendered from are ever
+        keyed, so an invalid schedule cannot hit.  Whatever fails here
+        (an input with no stat entry, a missing style or cmap file, an
+        ``output_path`` that cannot be written) queues the job, and the
+        worker answers it as it always has.
+        """
+        if self.cache_dir is None:
+            return None
+        started = perf_counter()
+        cache = RenderCache(self.cache_dir)
+        try:
+            if schedule_bytes is not None:
+                digest = hashlib.sha256(schedule_bytes).hexdigest()
+            else:
+                digest = cache.digest_hint(request.input_path)
+                if digest is None:
+                    return None
+            return cached_result(request, cache,
+                                 cache_key_from_digest(digest, request),
+                                 started=started)
+        except (ReproError, OSError, ValueError):
+            return None
 
     def _prune_jobs(self) -> None:
         # caller holds _jobs_lock; drop oldest *finished* jobs beyond cap
@@ -790,8 +887,15 @@ class RenderServer:
             "queue_depth": len(self._queue),
         }
 
+    def _stage_summary(self, stage: str) -> dict[str, float]:
+        """p50/p95/p99 and sample count of one stage histogram."""
+        hist = self.metrics.stage_histogram(STAGE_FAMILY, stage)
+        return {**_percentiles(hist),
+                "count": hist.count if hist is not None else 0}
+
     def statz_payload(self) -> dict:
-        total = self.metrics.stage_histogram(STAGE_FAMILY, "total")
+        stages = {stage: self._stage_summary(stage)
+                  for stage in SERVER_STAGES}
         with self._jobs_lock:
             # O(1) snapshot kept by _transition — never walks the dict
             states = {k: v for k, v in self._job_states.items() if v}
@@ -811,8 +915,8 @@ class RenderServer:
             },
             "jobs": states,
             "counters": self.metrics.counter_values(_METRIC_MAP),
-            "latency_s": {**_percentiles(total),
-                          "count": total.count if total is not None else 0},
+            "latency_s": stages["total"],
+            "stages_s": stages,
         }
 
     # ------------------------------------------------------------- runlog
@@ -826,7 +930,7 @@ class RenderServer:
         # every per-stage section, zeros included — consumers (CI, the
         # regress gate) must never have to guard against missing keys
         timings_s: dict[str, list[float]] = {}
-        for stage in ("queue_wait", "worker", "total"):
+        for stage in SERVER_STAGES:
             hist = self.metrics.stage_histogram(STAGE_FAMILY, stage)
             for label, value in _percentiles(hist).items():
                 timings_s[f"{stage}_{label}"] = [value]

@@ -7,11 +7,17 @@ obs trace (:func:`repro.serve.pool._worker_main`) and ships the segment
 back as a wire-form doc (:func:`repro.obs.export.trace_to_doc`); this
 module rebuilds the request's unified timeline:
 
-* ``serve.request`` — the whole submitted→finished interval (root);
-* ``serve.queue_wait`` — submitted→started (time spent in the
+* ``serve.request`` — the whole received→finished interval (root);
+* ``serve.admit`` — received→admitted: reading the body, the cache
+  lookup and, on a miss, validating the schedule; tagged ``cache`` with
+  the outcome admission decided (``hit``, ``miss`` or ``off``);
+* ``serve.queue_wait`` — admitted→started (time spent in the
   :class:`~repro.serve.jobqueue.FairQueue`);
 * ``serve.worker`` — started→finished, under which the worker's own
   ``render.*`` / ``io.*`` spans are grafted on the wall-clock timeline.
+
+A job answered from the cache at admission has no ``serve.queue_wait``
+or ``serve.worker`` span.
 
 Every span inherits the request's trace id: the client's
 ``X-Jedule-Trace`` value, or one the server minted, which the job
@@ -40,22 +46,27 @@ def _append_span(trace: Trace, name: str, start: float, end: float, *,
 
 
 def stitch_job_trace(job, worker_doc: dict | None = None) -> Trace:
-    """One job's unified request trace, anchored at its submit instant.
+    """One job's unified request trace, anchored at its receipt instant.
 
     ``job`` is a :class:`~repro.serve.server.Job` that has finished (or
     at least started); ``worker_doc`` is the worker-side span segment
     that came back with the result (``RenderResult.worker_obs``), if
-    any.  Timestamps are seconds since ``job.submitted_at``, which is
-    also the trace's ``epoch_wall`` — so grafting lands worker spans at
-    the right offset without any clock juggling beyond wall time.
+    any.  Timestamps are seconds since ``job.received_at`` (or
+    ``job.submitted_at`` for a job without a receipt time, which then
+    has no ``serve.admit`` span), which is also the trace's
+    ``epoch_wall`` — so grafting lands worker spans at the right offset
+    without any clock juggling beyond wall time.
     """
+    received = job.received_at if job.received_at is not None \
+        else job.submitted_at
     trace = Trace(trace_id=job.trace_id)
-    trace.epoch_wall = job.submitted_at
+    trace.epoch_wall = received
     started = job.started_at if job.started_at is not None \
         else job.submitted_at
     finished = job.finished_at if job.finished_at is not None else started
-    t_started = max(started - job.submitted_at, 0.0)
-    t_finished = max(finished - job.submitted_at, t_started)
+    t_admitted = max(job.submitted_at - received, 0.0)
+    t_started = max(started - received, t_admitted)
+    t_finished = max(finished - received, t_started)
 
     attrs: dict[str, object] = {"job": job.id, "client": job.client,
                                 "status": job.status}
@@ -63,7 +74,12 @@ def stitch_job_trace(job, worker_doc: dict | None = None) -> Trace:
         attrs["cache"] = job.result.cache
         attrs["ok"] = job.result.ok
     root = _append_span(trace, "serve.request", 0.0, t_finished, attrs=attrs)
-    _append_span(trace, "serve.queue_wait", 0.0, t_started,
+    if job.received_at is not None:
+        _append_span(trace, "serve.admit", 0.0, t_admitted,
+                     parent=root.index, attrs={"cache": job.admit_cache})
+    if job.admit_cache == "hit":
+        return trace
+    _append_span(trace, "serve.queue_wait", t_admitted, t_started,
                  parent=root.index)
     worker = _append_span(trace, "serve.worker", t_started, t_finished,
                           parent=root.index)

@@ -33,9 +33,11 @@ def test_top_once_snapshot(tmp_path, server, simple_schedule, capsys):
     assert "workers  1/1 alive" in out
     assert "2 submitted  2 ok  0 failed" in out
     assert "1 hit / 1 miss" in out
-    # the stage table carries every pipeline stage with its job count
-    for stage in ("queue_wait", "worker", "total"):
-        assert any(line.split()[:2] == [stage, "2"]
+    # the stage table carries every pipeline stage with its job count;
+    # the hit was answered at admission, so only the miss was queued
+    for stage, count in (("admit", "2"), ("queue_wait", "1"),
+                         ("worker", "1"), ("total", "2")):
+        assert any(line.split()[:2] == [stage, count]
                    for line in out.splitlines()), (stage, out)
 
 

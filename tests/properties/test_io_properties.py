@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.errors import ParseError
 from repro.io import csv_fmt, jedule_xml, json_fmt, swf
 from repro.io.swf import SWFJob, SWFTrace
 from repro.render.png_codec import decode_png, encode_png
+from repro.serve.protocol import canonical_schedule_bytes, schedule_from_canonical
 
 _ID_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_-."
 
@@ -187,6 +189,30 @@ def test_json_roundtrip(schedule):
     back = json_fmt.loads(json_fmt.dumps(schedule))
     _same_schedule(schedule, back)
     assert back.meta == schedule.meta
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10)
+
+
+@given(rich_schedules(),
+       st.dictionaries(st.text(max_size=8), json_values, max_size=4))
+@settings(max_examples=100)
+def test_canonical_bytes_survive_the_serve_reencoding(schedule, meta):
+    """The render service keys an inline schedule by the compact
+    sorted-key re-encoding of the JSON value it received; for canonical
+    bytes that is the bytes themselves, so serve and ``jedule batch``
+    share render cache entries."""
+    schedule.meta = meta
+    canonical = canonical_schedule_bytes(schedule)
+    again = json.dumps(json.loads(canonical), sort_keys=True,
+                       separators=(",", ":")).encode("utf-8")
+    assert again == canonical
+    assert canonical_schedule_bytes(schedule_from_canonical(canonical)) \
+        == canonical
 
 
 @given(rich_schedules())

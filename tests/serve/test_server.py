@@ -88,14 +88,16 @@ def test_queue_full_answers_429_with_retry_after(tmp_path, simple_schedule):
     with serving(queue_depth=2, cache_dir=None) as server:
         server.pause_dispatch()
         client = ServeClient(server.url, client_id="flood")
-        for _ in range(2):
-            client.submit(_request(), schedule=simple_schedule)
+        queued = [client.submit(_request(), schedule=simple_schedule)
+                  for _ in range(2)]
         with pytest.raises(ServeError) as err:
             client.submit(_request(), schedule=simple_schedule)
         assert err.value.code == "queue-full"
         assert err.value.retry_after >= 1
         server.resume_dispatch()
         # the rejected submit succeeds once the queue drains
+        for doc in queued:
+            client.wait(doc["id"], timeout=60.0)
         job = client.render(_request(), schedule=simple_schedule,
                             timeout=60.0)
         assert job["status"] == "done"
@@ -252,7 +254,21 @@ def test_every_render_answer_is_counted_once(tmp_path, simple_schedule):
         assert counters["serve.rejected.draining"] == 1
 
 
-def test_statz_metricz_and_runlog_agree(tmp_path, simple_schedule):
+def test_deeply_nested_body_is_a_counted_400(tmp_path):
+    depth = 100_000
+    body = b"".join((b'{"request": {}, "schedule": ', b"[" * depth,
+                     b"]" * depth, b"}"))
+    with serving(cache_dir=None) as server:
+        client = ServeClient(server.url)
+        status, _, reply = client.request("POST", "/render", body)
+        assert status == 400 and reply["error"]["code"] == "bad-json", reply
+        counters = server.statz_payload()["counters"]
+        assert counters["serve.requests"] == \
+            counters["serve.rejected.invalid"] == 1
+
+
+def test_statz_metricz_and_runlog_agree(tmp_path, simple_schedule,
+                                        multi_cluster_schedule):
     runlog = tmp_path / "runlog.jsonl"
     with serving(cache_dir=str(tmp_path / "cache"), runlog=str(runlog),
                  queue_depth=1, debug_hooks=True) as server:
@@ -269,7 +285,9 @@ def test_statz_metricz_and_runlog_agree(tmp_path, simple_schedule):
         assert client.wait(body["job"]["id"], timeout=60.0)["status"] \
             == "failed"
         _send_bad_submissions(client)
-        assert _flood_past_a_full_queue(server, client, simple_schedule)[
+        # an uncached pair: the cached one is answered at admission
+        assert _flood_past_a_full_queue(server, client,
+                                        multi_cluster_schedule)[
             "status"] == "done"
         statz = client.statz()
         metricz = parse_prometheus_text(client.metricz())
@@ -590,3 +608,131 @@ def test_submit_body_splices_the_canonical_schedule(tmp_path, simple_schedule,
             schedule_digest(simple_schedule)
         server.resume_dispatch()
         assert client.wait(job["id"])["status"] == "done"
+
+
+def _stage_counts(client) -> dict[str, float]:
+    parsed = parse_prometheus_text(client.metricz())
+    return {dict(key)["stage"]: value for key, value
+            in parsed["jedule_serve_stage_seconds_count"].items()}
+
+
+def test_repeat_is_answered_at_admission_without_a_model(
+        tmp_path, simple_schedule, monkeypatch):
+    from repro.errors import ParseError
+    from repro.io import json_fmt
+
+    request = _request()
+    direct = execute_request(request, simple_schedule).data
+    runlog = tmp_path / "runlog.jsonl"
+    with serving(cache_dir=str(tmp_path / "cache"),
+                 runlog=str(runlog)) as server:
+        client = ServeClient(server.url)
+        assert client.render(request, schedule=simple_schedule)[
+            "result"]["cache"] == "miss"
+
+        def no_model(*args, **kwargs):
+            raise ParseError("a schedule model was built")
+
+        monkeypatch.setattr(json_fmt, "from_dict", no_model)
+        job = client.submit(request, schedule=simple_schedule)
+        assert job["status"] == "done" and job["result"]["cache"] == "hit"
+        assert client.result_bytes(job["id"]) == direct
+        assert server._jobs[job["id"]].schedule_bytes is None
+        counts = _stage_counts(client)
+        assert counts["worker"] == counts["queue_wait"] == 1
+        assert counts["admit"] == counts["total"] == 2
+        # the miss's worker-side spans still become stages; the hit has none
+        assert counts["render.layout"] == 1
+        stages = client.statz()["stages_s"]
+        assert {stage: stages[stage]["count"] for stage in stages} == \
+            {"admit": 2, "queue_wait": 1, "worker": 1, "total": 2}
+        # a finished job like any other: timestamps and a stitched trace
+        assert job["submitted_at"] == job["started_at"] == job["finished_at"]
+        trace = trace_from_doc(client.job_trace(job["id"]))
+        assert [s.name for s in trace.spans] == ["serve.request",
+                                                 "serve.admit"]
+        assert trace.spans[1].attrs["cache"] == "hit"
+        assert trace.spans[0].attrs["status"] == "done"
+    timings = json.loads(runlog.read_text().splitlines()[-1])["timings_s"]
+    assert timings["admit_p50"][0] > 0.0
+
+
+def test_cached_pair_is_answered_while_the_queue_is_full(tmp_path,
+                                                         simple_schedule):
+    with serving(cache_dir=str(tmp_path / "cache"), queue_depth=1) as server:
+        client = ServeClient(server.url)
+        cached = _request()
+        assert client.render(cached, schedule=simple_schedule)[
+            "result"]["cache"] == "miss"
+        server.pause_dispatch()
+        queued = client.submit(_request(width=330), schedule=simple_schedule)
+        job = client.submit(cached, schedule=simple_schedule)
+        assert job["status"] == "done" and job["result"]["cache"] == "hit"
+        with pytest.raises(ServeError) as err:
+            client.submit(_request(width=340), schedule=simple_schedule)
+        assert err.value.code == "queue-full"
+        server.resume_dispatch()
+        assert client.wait(queued["id"], timeout=60.0)["status"] == "done"
+
+
+def test_file_input_repeat_is_a_hit_at_admission(tmp_path, simple_schedule):
+    from repro.io import save_schedule
+
+    src = tmp_path / "s.jed"
+    save_schedule(simple_schedule, src)
+    out = tmp_path / "out" / "s.svg"
+    request = RenderRequest(input_path=str(src), output_path=str(out))
+    with serving(cache_dir=str(tmp_path / "cache")) as server:
+        client = ServeClient(server.url)
+        assert client.render(request)["result"]["cache"] == "miss"
+        rendered = out.read_bytes()
+        out.unlink()
+        server.pause_dispatch()
+        job = client.submit(request)
+        assert job["status"] == "done" and job["result"]["cache"] == "hit"
+        assert out.read_bytes() == rendered
+        server.resume_dispatch()
+
+
+def test_batch_cache_entry_is_served_at_admission(tmp_path, simple_schedule):
+    from repro.batch.runner import execute_with_cache
+    from repro.io import save_schedule
+
+    src = tmp_path / "s.json"
+    save_schedule(simple_schedule, src)
+    cache_dir = str(tmp_path / "cache")
+    batch = execute_with_cache(_request(input_path=str(src)), cache_dir)
+    assert batch.cache == "miss"
+    with serving(cache_dir=cache_dir) as server:
+        server.pause_dispatch()
+        client = ServeClient(server.url)
+        job = client.submit(_request(), schedule=simple_schedule)
+        assert job["status"] == "done" and job["result"]["cache"] == "hit"
+        assert client.result_bytes(job["id"]) == batch.data
+        # a to_dict body in its own key order and spacing: the server's
+        # sorted compact re-encoding is the same canonical bytes
+        status, _, body = client.request("POST", "/render", {
+            "request": request_to_payload(_request()),
+            "schedule": to_dict(simple_schedule)})
+        assert status == 202 and body["job"]["status"] == "done"
+        server.resume_dispatch()
+
+
+def test_unwritable_output_on_a_hit_is_left_to_the_worker(tmp_path,
+                                                          simple_schedule):
+    from repro.io import save_schedule
+
+    src = tmp_path / "s.jed"
+    save_schedule(simple_schedule, src)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    with serving(cache_dir=str(tmp_path / "cache")) as server:
+        client = ServeClient(server.url)
+        assert client.render(RenderRequest(
+            input_path=str(src), output_path=str(tmp_path / "out.svg")))[
+            "result"]["cache"] == "miss"
+        job = client.render(RenderRequest(
+            input_path=str(src), output_path=str(blocker / "s.svg")))
+        assert job["status"] == "failed"
+        assert job["result"]["error"].startswith("FileExistsError: ")
+        assert _stage_counts(client)["worker"] == 2
