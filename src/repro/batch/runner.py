@@ -98,9 +98,9 @@ def execute_with_cache(request: RenderRequest,
     inline (``jobs=1``).  With ``cache_dir=None`` it degrades to a plain
     :func:`~repro.render.api.execute_request`.
 
-    ``schedule_bytes`` is an in-memory schedule as compact sorted-key
-    JSON: the render service's re-encoding of the schedule it received,
-    which for a schedule in ``to_dict`` form is exactly
+    ``schedule_bytes`` is an in-memory schedule as JSON bytes: the bytes
+    the render service's client sent, which for
+    :class:`~repro.serve.client.ServeClient` are
     :func:`repro.serve.protocol.canonical_schedule_bytes`, the bytes
     :func:`schedule_digest` hashes.  The cache key hashes them as they
     are, so a repeat request is served without parsing the schedule.

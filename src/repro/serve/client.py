@@ -12,18 +12,26 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 import uuid
+from collections import OrderedDict
 
 from repro.errors import ServeError
 from repro.render.api import RenderRequest
 from repro.serve.protocol import (
     TRACE_HEADER,
     canonical_schedule_bytes,
+    frame_submission,
     request_to_payload,
 )
 
-__all__ = ["ServeClient"]
+__all__ = ["ServeClient", "FINISHED_KEPT"]
+
+#: most finished job documents a client keeps from ``202`` answers (cache
+#: hits the server finished at admission) for :meth:`ServeClient.wait`;
+#: past it the oldest is dropped, and ``wait`` asks the server for it
+FINISHED_KEPT = 256
 
 
 class _UnixHTTPConnection(http.client.HTTPConnection):
@@ -62,6 +70,8 @@ class ServeClient:
         self.socket_path = socket_path
         self.client_id = client_id
         self.timeout = timeout
+        self._finished: OrderedDict[str, dict] = OrderedDict()
+        self._finished_lock = threading.Lock()
         if url is not None:
             if not url.startswith("http://"):
                 raise ServeError(f"only http:// urls are supported, "
@@ -83,8 +93,9 @@ class ServeClient:
                 *, headers: dict | None = None):
         """One round trip; returns ``(status, headers, body)``.
 
-        ``doc`` is sent as a JSON body: a dict is encoded here, bytes
-        are sent as they are.  ``body`` is a parsed JSON document when
+        ``doc`` is the request body: a dict is encoded here as JSON,
+        bytes (a framed ``POST /render`` body, say) are sent as they
+        are.  ``body`` is a parsed JSON document when
         the response is JSON, raw bytes otherwise.  ``headers``
         adds/overrides request headers (e.g. the ``X-Jedule-Trace``
         trace id).
@@ -132,7 +143,10 @@ class ServeClient:
         """Submit one job; returns the job document (``id``, ``status``).
 
         ``schedule`` may be an in-memory :class:`~repro.core.model.Schedule`
-        (shipped as its canonical bytes) for input-path-less jobs.
+        (shipped as its canonical bytes after the header line) for
+        input-path-less jobs.  A job the server finished at admission (a
+        render-cache hit) comes back ``done``; :meth:`wait` returns that
+        document without asking the server again.
         A ``trace_id`` is minted per submission (pass your own to join an
         outer trace) and sent as ``X-Jedule-Trace``; the server threads
         it through queue and worker and exposes the stitched request
@@ -140,13 +154,9 @@ class ServeClient:
         Raises :class:`ServeError` — ``queue-full`` carries the server's
         ``Retry-After`` estimate in :attr:`ServeError.retry_after`.
         """
-        body = json.dumps({"request": request_to_payload(request)}).encode()
-        if schedule is not None:
-            # splice the canonical bytes in as the "schedule" value: the
-            # server parses the same document, and the schedule is
-            # encoded once instead of dumped, loaded and dumped again
-            body = b"".join((body[:-1], b', "schedule": ',
-                             canonical_schedule_bytes(schedule), b"}"))
+        body = frame_submission(
+            {"request": request_to_payload(request)},
+            None if schedule is None else canonical_schedule_bytes(schedule))
         if trace_id is None:
             trace_id = uuid.uuid4().hex[:16]
         status, headers, reply = self.request(
@@ -158,7 +168,13 @@ class ServeClient:
                 if status == 429:
                     exc.retry_after = int(headers.get("Retry-After", "1"))
                 raise
-        return reply["job"]
+        job = reply["job"]
+        if job["status"] in ("done", "failed"):
+            with self._finished_lock:
+                self._finished[job["id"]] = job
+                while len(self._finished) > FINISHED_KEPT:
+                    self._finished.popitem(last=False)
+        return job
 
     def job(self, job_id: str, *, wait: float = 0.0) -> dict:
         """The job document; with ``wait`` > 0 the server holds the reply
@@ -174,12 +190,17 @@ class ServeClient:
     def wait(self, job_id: str, *, timeout: float = 60.0) -> dict:
         """Block until the job finishes; returns the final job document.
 
-        The server holds each ``GET /jobs/<id>?wait=`` until the job
-        finishes, so the reply comes as soon as the result exists.  No
-        request asks for more than the time left, nor for more than
-        half the socket timeout, so the reply lands well before the
-        socket gives up.
+        A job whose ``202`` already said it finished is returned at once,
+        with no request.  Otherwise the server holds each
+        ``GET /jobs/<id>?wait=`` until the job finishes, so the reply
+        comes as soon as the result exists.  No request asks for more
+        than the time left, nor for more than half the socket timeout,
+        so the reply lands well before the socket gives up.
         """
+        with self._finished_lock:
+            doc = self._finished.pop(job_id, None)
+        if doc is not None:
+            return doc
         deadline = time.monotonic() + timeout
         while True:
             left = deadline - time.monotonic()

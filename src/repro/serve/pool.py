@@ -7,9 +7,9 @@ pre-imports the render stack, then sits in a loop receiving jobs over a
 
 * frame 1 — a JSON header (the plain-payload render request, the cache
   directory, flags);
-* frame 2 (optional) — an in-memory schedule as compact sorted-key JSON:
-  the render service's re-encoding of the schedule it received, which
-  for a schedule in ``to_dict`` form equals
+* frame 2 (optional) — an in-memory schedule as JSON bytes; from the
+  render service, the bytes its client sent after the header line,
+  which :class:`~repro.serve.client.ServeClient` writes with
   :func:`repro.serve.protocol.canonical_schedule_bytes`.
 
 Nothing is pickled across the boundary on the plain-payload path;

@@ -1,10 +1,15 @@
 """Wire format of the render service.
 
-One vocabulary for three transports: the HTTP front end (JSON request
-bodies), the worker pipes (a JSON header frame, optionally followed by
-raw canonical schedule bytes) and the client helper.  Everything here is
-plain-JSON-able on purpose — no pickled object graphs cross a process or
-network boundary.
+One vocabulary for three transports: the HTTP front end, the worker
+pipes and the client helper.  Both carriers of a job put a JSON header
+first and the inline schedule's bytes after it, untouched: a
+``POST /render`` body is one line of compact JSON, ``\n``, then the
+schedule bytes (:func:`frame_submission` writes it,
+:func:`split_submission` splits it), and a worker pipe sends the header
+and the bytes as two frames.  So the render service keys a schedule by
+the bytes the client sent and never decodes them to answer a cache hit.
+Everything here is plain-JSON-able on purpose — no pickled object graphs
+cross a process or network boundary.
 
 Validation is deliberately strict and *structured*: a bad field raises
 :class:`~repro.errors.ServeError` carrying a machine-readable ``code``
@@ -30,6 +35,8 @@ __all__ = [
     "request_from_payload",
     "result_to_payload",
     "result_from_payload",
+    "frame_submission",
+    "split_submission",
     "canonical_schedule_bytes",
     "schedule_from_canonical",
 ]
@@ -187,6 +194,48 @@ def result_from_payload(doc: dict, data: bytes | None = None) -> RenderResult:
         data=data,
         worker_obs=obs_doc if isinstance(obs_doc, dict) else None,
     )
+
+
+def frame_submission(header: dict, schedule_bytes: bytes | None = None
+                     ) -> bytes:
+    """One ``POST /render`` body: ``header`` as one line of compact JSON,
+    ``\n``, then ``schedule_bytes`` as they are (nothing for an
+    ``input_path`` job).
+
+    ``json.dumps`` escapes every newline inside a string, so the first
+    ``\n`` of the body always ends the header line.
+    """
+    line = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join((line, b"\n", schedule_bytes or b""))
+
+
+def split_submission(body: bytes) -> tuple[dict, bytes | None]:
+    """``(header, schedule_bytes)`` of a ``POST /render`` body.
+
+    The header is the JSON object on the body's first line; everything
+    after that line is the inline schedule, returned undecoded, or
+    ``None`` when nothing follows.  Raises :class:`ServeError`:
+    ``bad-json`` when the header line is not UTF-8 JSON, ``bad-body``
+    when it is not an object, and ``unknown-field`` (field
+    ``schedule``) when it holds the schedule, as the one-document body
+    of earlier versions did.
+    """
+    line, _, schedule_bytes = body.partition(b"\n")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _bad(f"header line is not JSON: {exc}",
+                   code="bad-json") from None
+    except RecursionError:
+        raise _bad("header line is nested too deeply to decode",
+                   code="bad-json") from None
+    if not isinstance(header, dict):
+        raise _bad("header line must be a JSON object", code="bad-body")
+    if "schedule" in header:
+        raise _bad('the inline schedule follows the header line: send '
+                   '{"request": ...} on one line, a newline, then the '
+                   'schedule JSON', code="unknown-field", field="schedule")
+    return header, schedule_bytes or None
 
 
 def canonical_schedule_bytes(schedule: Schedule) -> bytes:

@@ -11,15 +11,17 @@ Architecture (all stdlib)::
     GET  /healthz|/statz
     POST /drain
 
-Admission decides hit or miss before any schedule model is built: an
-inline schedule is keyed by the SHA-256 of its compact sorted-key
-re-encoding, an ``input_path`` by the render cache's stat index.  A hit
-is finished in the HTTP thread (:func:`repro.batch.runner.cached_result`)
-and never queues.  A miss is validated and queued; one dispatcher thread
-bound to each warm worker pulls the next job in round-robin client
-order, ships it over the worker's pipe (the re-encoded schedule bytes,
-no pickled graphs), and files the result under the job id, waking any
-client blocked in ``GET /jobs/<id>?wait=``.  Backpressure is explicit —
+A ``POST /render`` body is a one-line JSON header followed by the
+inline schedule's bytes (:func:`repro.serve.protocol.split_submission`).
+Admission decides hit or miss before it decodes the schedule: an inline
+schedule is keyed by the SHA-256 of the bytes the client sent, an
+``input_path`` by the render cache's stat index.  A hit is finished in
+the HTTP thread (:func:`repro.batch.runner.cached_result`) and never
+queues.  A miss is validated and queued; one dispatcher thread bound to
+each warm worker pulls the next job in round-robin client order, ships
+it over the worker's pipe (the same schedule bytes, no pickled graphs),
+and files the result under the job id, waking any client blocked in
+``GET /jobs/<id>?wait=``.  Backpressure is explicit —
 a full queue answers 429 with a ``Retry-After`` estimate — and shutdown
 is graceful: ``/drain`` (or SIGTERM) stops admission, finishes every
 queued and in-flight job, persists a run-registry record, then exits.
@@ -48,6 +50,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from time import perf_counter
 from urllib.parse import parse_qs, urlsplit
 
@@ -63,6 +66,7 @@ from repro.serve.protocol import (
     TRACE_HEADER,
     request_from_payload,
     result_to_payload,
+    split_submission,
 )
 from repro.serve.tracing import stitch_job_trace
 
@@ -257,58 +261,50 @@ def _error(code: str, message: str, **extra) -> dict:
 
 def _parse_submission(body: bytes | None, *, debug_hooks: bool
                       ) -> tuple[dict, RenderRequest, bytes | None]:
-    """``(doc, request, schedule_bytes)`` of one ``POST /render`` body.
+    """``(header, request, schedule_bytes)`` of one ``POST /render`` body.
 
     ``body`` is ``None`` when it was missing or oversized.  Every fault
     in the body outside its inline schedule raises :class:`ServeError`,
     which the server answers with a 400.  ``schedule_bytes`` is the
-    inline schedule's compact sorted-key re-encoding, not validated yet
+    inline schedule exactly as sent, not decoded yet
     (:func:`_check_schedule`), or ``None`` for an ``input_path`` job.
-    For a schedule in ``to_dict`` form, as :class:`ServeClient` sends
-    it, these are its canonical bytes, the ones ``jedule batch`` keys
-    the render cache by.
+    :class:`ServeClient` sends a schedule's canonical bytes, the ones
+    ``jedule batch`` keys the render cache by.
     """
     if body is None:
         raise ServeError("missing or oversized body", code="bad-body")
-    try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ServeError(f"body is not JSON: {exc}", code="bad-json") \
-            from None
-    except RecursionError:
-        # json.loads hits the recursion limit at a smaller depth than
-        # json.dumps, so the re-encoding below needs no such guard
-        raise ServeError("body is nested too deeply to decode",
-                         code="bad-json") from None
-    if not isinstance(doc, dict):
-        raise ServeError("body must be a JSON object", code="bad-body")
-    allowed = {"request", "schedule", "client"}
+    header, schedule_bytes = split_submission(body)
+    allowed = {"request", "client"}
     if debug_hooks:  # test-only worker hooks (x_crash, ...)
         allowed.add("debug")
-    unknown = set(doc) - allowed
+    unknown = set(header) - allowed
     if unknown:
         raise ServeError(
-            f"unknown body field(s): {', '.join(sorted(unknown))}",
+            f"unknown header field(s): {', '.join(sorted(unknown))}",
             code="unknown-field")
-    request = request_from_payload(doc.get("request") or {})
-    schedule_doc = doc.get("schedule")
-    if schedule_doc is None:
-        if request.input_path is None:
-            raise ServeError(
-                "job needs either request.input_path or an inline schedule",
-                code="missing-input", field="input_path")
-        return doc, request, None
-    return doc, request, json.dumps(
-        schedule_doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    request = request_from_payload(header.get("request") or {})
+    if schedule_bytes is None and request.input_path is None:
+        raise ServeError(
+            "job needs either request.input_path or an inline schedule",
+            code="missing-input", field="input_path")
+    return header, request, schedule_bytes
 
 
-def _check_schedule(schedule_doc: object) -> None:
-    """Raise :class:`ServeError` unless ``schedule_doc`` builds a valid
-    schedule; the model it builds is dropped."""
+def _check_schedule(schedule_bytes: bytes) -> None:
+    """Raise :class:`ServeError` unless ``schedule_bytes`` decode to a
+    valid schedule; the model it builds is dropped."""
     from repro.io import json_fmt
 
     try:
-        json_fmt.from_dict(schedule_doc, source="<submit>")
+        doc = json.loads(schedule_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ServeError(f"schedule is not JSON: {exc}", code="bad-json",
+                         field="schedule") from None
+    except RecursionError:
+        raise ServeError("schedule is nested too deeply to decode",
+                         code="bad-json", field="schedule") from None
+    try:
+        json_fmt.from_dict(doc, source="<submit>")
     except ParseError as exc:
         raise ServeError(str(exc), code="bad-schedule") from None
 
@@ -721,16 +717,16 @@ class RenderServer:
             self._count("serve.rejected.draining")
             return 503, _error("draining", "server is draining"), {}
         try:
-            doc, request, schedule_bytes = _parse_submission(
+            header, request, schedule_bytes = _parse_submission(
                 body, debug_hooks=self._pool.debug_hooks)
             hit = self._cached_answer(request, schedule_bytes)
             if hit is None and schedule_bytes is not None:
-                _check_schedule(doc["schedule"])
+                _check_schedule(schedule_bytes)
         except ServeError as exc:
             self._count("serve.rejected.invalid")
             return 400, {"error": exc.to_payload()}, {}
 
-        debug = doc.get("debug") if self._pool.debug_hooks else None
+        debug = header.get("debug") if self._pool.debug_hooks else None
         if self.trace_jobs and trace_id is None:
             trace_id = uuid.uuid4().hex[:16]
         if hit is not None:
@@ -739,7 +735,7 @@ class RenderServer:
             admit_cache = "off" if self.cache_dir is None else "miss"
         admitted = time.time()
         job = Job(id=uuid.uuid4().hex[:12],
-                  client=client or str(doc.get("client") or "anon"),
+                  client=client or str(header.get("client") or "anon"),
                   request=request, schedule_bytes=schedule_bytes,
                   submitted_at=admitted, received_at=received_at,
                   admit_cache=admit_cache,
@@ -778,8 +774,8 @@ class RenderServer:
         """The render cache's answer at admission, or ``None`` to queue.
 
         An inline schedule is keyed by the SHA-256 of ``schedule_bytes``
-        (its re-encoding), an ``input_path`` by the digest the workers
-        record in the cache's stat index.  No schedule model is built.
+        (the bytes the client sent), an ``input_path`` by the digest the
+        workers record in the cache's stat index.  Nothing is decoded.
         Only bytes a validated schedule was rendered from are ever
         keyed, so an invalid schedule cannot hit.  Whatever fails here
         (an input with no stat entry, a missing style or cmap file, an
@@ -847,7 +843,7 @@ class RenderServer:
         data = job.result.data
         if data is None and job.result.output_path:
             try:
-                data = open(job.result.output_path, "rb").read()
+                data = Path(job.result.output_path).read_bytes()
             except OSError:
                 data = None
         if data is None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import hashlib
 import re
 
 import numpy as np
@@ -10,12 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.batch.cache import schedule_digest
 from repro.core.model import Cluster, Configuration, Schedule, Task
 from repro.errors import ParseError
 from repro.io import csv_fmt, jedule_xml, json_fmt, swf
 from repro.io.swf import SWFJob, SWFTrace
 from repro.render.png_codec import decode_png, encode_png
-from repro.serve.protocol import canonical_schedule_bytes, schedule_from_canonical
+from repro.serve.protocol import (
+    canonical_schedule_bytes,
+    frame_submission,
+    schedule_from_canonical,
+    split_submission,
+)
 
 _ID_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_-."
 
@@ -199,18 +205,20 @@ json_values = st.recursive(
 
 
 @given(rich_schedules(),
-       st.dictionaries(st.text(max_size=8), json_values, max_size=4))
+       st.dictionaries(st.text(max_size=8), json_values, max_size=4),
+       st.text(max_size=8))
 @settings(max_examples=100)
-def test_canonical_bytes_survive_the_serve_reencoding(schedule, meta):
-    """The render service keys an inline schedule by the compact
-    sorted-key re-encoding of the JSON value it received; for canonical
-    bytes that is the bytes themselves, so serve and ``jedule batch``
-    share render cache entries."""
+def test_framed_body_carries_the_canonical_bytes(schedule, meta, client):
+    """A ``POST /render`` body carries the schedule's canonical bytes
+    untouched after its header line, and the render service keys an
+    inline schedule by the SHA-256 of those bytes: the digest
+    ``jedule batch`` keys the same schedule by."""
     schedule.meta = meta
     canonical = canonical_schedule_bytes(schedule)
-    again = json.dumps(json.loads(canonical), sort_keys=True,
-                       separators=(",", ":")).encode("utf-8")
-    assert again == canonical
+    header = {"request": {"output_format": "svg"}, "client": client}
+    assert split_submission(frame_submission(header, canonical)) == \
+        (header, canonical)
+    assert hashlib.sha256(canonical).hexdigest() == schedule_digest(schedule)
     assert canonical_schedule_bytes(schedule_from_canonical(canonical)) \
         == canonical
 

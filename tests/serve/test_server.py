@@ -8,10 +8,12 @@ import json
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import pytest
 
+import repro.serve.client as client_module
 import repro.serve.server as server_module
 from repro.batch.cache import schedule_digest
 from repro.errors import ServeError
@@ -20,7 +22,12 @@ from repro.obs.export import trace_from_doc
 from repro.render.api import RenderRequest, execute_request
 from repro.serve.client import ServeClient
 from repro.serve.metrics import parse_prometheus_text
-from repro.serve.protocol import request_to_payload
+from repro.serve.protocol import (
+    canonical_schedule_bytes,
+    frame_submission,
+    request_to_payload,
+    split_submission,
+)
 from repro.serve.server import RenderServer
 
 
@@ -41,6 +48,13 @@ def _request(**kwargs):
     kwargs.setdefault("width", 320)
     kwargs.setdefault("height", 240)
     return RenderRequest(**kwargs)
+
+
+def _body(schedule, **header) -> bytes:
+    """A framed POST /render body: ``header`` with an svg request by
+    default, then ``schedule``'s canonical bytes."""
+    header.setdefault("request", {"output_format": "svg"})
+    return frame_submission(header, canonical_schedule_bytes(schedule))
 
 
 def test_submit_poll_result_matches_direct_render(tmp_path, simple_schedule):
@@ -72,6 +86,22 @@ def test_file_input_written_to_output_path(tmp_path, simple_schedule):
         assert job["status"] == "done"
         assert out.stat().st_size == job["result"]["bytes"] > 0
         assert client.result_bytes(job["id"]) == out.read_bytes()
+
+
+def test_output_path_result_is_read_without_leaking_the_file(
+        tmp_path, simple_schedule):
+    out = tmp_path / "out" / "s.svg"
+    with serving(cache_dir=None) as server:
+        client = ServeClient(server.url)
+        job = client.render(_request(output_path=str(out)),
+                            schedule=simple_schedule)
+        assert job["status"] == "done"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, data, _ = server.job_result(job["id"])
+        assert status == 200 and data == out.read_bytes()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)], caught
 
 
 def test_unix_socket_transport(tmp_path, simple_schedule):
@@ -126,9 +156,7 @@ def test_fairness_between_competing_clients(tmp_path, simple_schedule):
 def test_drain_completes_inflight_and_queued_jobs(tmp_path, simple_schedule):
     with serving(cache_dir=None, debug_hooks=True) as server:
         client = ServeClient(server.url)
-        payload = {"request": {"output_format": "svg"},
-                   "schedule": to_dict(simple_schedule),
-                   "debug": {"x_sleep_s": 0.4}}
+        payload = _body(simple_schedule, debug={"x_sleep_s": 0.4})
         slow = client.request("POST", "/render", payload)[2]["job"]
         queued = [client.submit(_request(), schedule=simple_schedule)
                   for _ in range(2)]
@@ -152,9 +180,7 @@ def test_draining_server_refuses_new_jobs(tmp_path, simple_schedule):
 def test_worker_crash_retried_once_then_reported(tmp_path, simple_schedule):
     with serving(cache_dir=None, debug_hooks=True) as server:
         client = ServeClient(server.url)
-        payload = {"request": {"output_format": "svg"},
-                   "schedule": to_dict(simple_schedule),
-                   "debug": {"x_crash": True}}
+        payload = _body(simple_schedule, debug={"x_crash": True})
         status, _, body = client.request("POST", "/render", payload)
         assert status == 202
         job = client.wait(body["job"]["id"], timeout=60.0)
@@ -176,8 +202,9 @@ def test_validation_errors_are_structured_400s(tmp_path, simple_schedule):
             ({"request": {"output_format": "tiff"}}, "unknown-format"),
             ({"request": {"bogus": 1}}, "unknown-field"),
             ({"request": {}}, "missing-input"),
-            ({"request": {}, "schedule": {"tasks": "nope"}}, "bad-schedule"),
-            ({"request": {}, "schedule": [1, 2]}, "bad-schedule"),
+            (frame_submission({"request": {}}, b'{"tasks": "nope"}'),
+             "bad-schedule"),
+            (frame_submission({"request": {}}, b"[1, 2]"), "bad-schedule"),
             ({"debug": {"x_crash": True}}, "unknown-field"),  # hooks off
         ]
         for payload, code in cases:
@@ -186,24 +213,35 @@ def test_validation_errors_are_structured_400s(tmp_path, simple_schedule):
             assert body["error"]["code"] == code, (payload, body)
 
 
-#: one POST /render per kind of 400: (body, extra headers, error code)
+#: one POST /render per kind of 400:
+#: (body, extra headers, error code, error field)
 _BAD_SUBMISSIONS = [
-    (None, {"Content-Length": "abc"}, "bad-body"),
-    (b"{not json", None, "bad-json"),
-    (b"[]", None, "bad-body"),
-    ({"bogus": 1}, None, "unknown-field"),
-    ({"request": {"bogus": 1}}, None, "unknown-field"),
-    ({"request": {}}, None, "missing-input"),
-    ({"request": {}, "schedule": [1, 2]}, None, "bad-schedule"),
+    (None, {"Content-Length": "abc"}, "bad-body", None),
+    (b"{not json", None, "bad-json", None),
+    (b"[]", None, "bad-body", None),
+    (b'[]\n{"clusters": [], "tasks": []}', None, "bad-body", None),
+    ({"bogus": 1}, None, "unknown-field", None),
+    ({"request": {"bogus": 1}}, None, "unknown-field", "bogus"),
+    ({"request": {}}, None, "missing-input", "input_path"),
+    # the one-document body of earlier versions
+    ({"request": {}, "schedule": {"clusters": [], "tasks": []}}, None,
+     "unknown-field", "schedule"),
+    (frame_submission({"request": {}}, b"\xff\xfe{}"), None, "bad-json",
+     "schedule"),
+    (frame_submission({"request": {}}, b"{not json"), None, "bad-json",
+     "schedule"),
+    (frame_submission({"request": {}}, b"[1, 2]"), None, "bad-schedule",
+     None),
 ]
 
 
 def _send_bad_submissions(client, after_each=lambda: None):
-    for body, headers, code in _BAD_SUBMISSIONS:
+    for body, headers, code, field in _BAD_SUBMISSIONS:
         status, _, reply = client.request("POST", "/render", body,
                                           headers=headers)
         assert status == 400 and reply["error"]["code"] == code, \
             (body, reply)
+        assert reply["error"].get("field") == field, (body, reply)
         after_each()
 
 
@@ -256,15 +294,19 @@ def test_every_render_answer_is_counted_once(tmp_path, simple_schedule):
 
 def test_deeply_nested_body_is_a_counted_400(tmp_path):
     depth = 100_000
-    body = b"".join((b'{"request": {}, "schedule": ', b"[" * depth,
-                     b"]" * depth, b"}"))
+    nested = b"[" * depth + b"]" * depth
+    bodies = [(frame_submission({"request": {}}, nested), "schedule"),
+              (b'{"request": ' + nested + b"}", None)]
     with serving(cache_dir=None) as server:
         client = ServeClient(server.url)
-        status, _, reply = client.request("POST", "/render", body)
-        assert status == 400 and reply["error"]["code"] == "bad-json", reply
+        for body, field in bodies:
+            status, _, reply = client.request("POST", "/render", body)
+            assert status == 400 and reply["error"]["code"] == "bad-json", \
+                reply
+            assert reply["error"].get("field") == field, reply
         counters = server.statz_payload()["counters"]
         assert counters["serve.requests"] == \
-            counters["serve.rejected.invalid"] == 1
+            counters["serve.rejected.invalid"] == len(bodies)
 
 
 def test_statz_metricz_and_runlog_agree(tmp_path, simple_schedule,
@@ -277,10 +319,8 @@ def test_statz_metricz_and_runlog_agree(tmp_path, simple_schedule,
             "result"]["cache"] == "miss"
         assert client.render(_request(), schedule=simple_schedule)[
             "result"]["cache"] == "hit"
-        status, _, body = client.request("POST", "/render", {
-            "request": {"output_format": "svg"},
-            "schedule": to_dict(simple_schedule),
-            "debug": {"x_crash": True}})
+        status, _, body = client.request(
+            "POST", "/render", _body(simple_schedule, debug={"x_crash": True}))
         assert status == 202
         assert client.wait(body["job"]["id"], timeout=60.0)["status"] \
             == "failed"
@@ -520,6 +560,76 @@ def test_wait_blocks_on_the_server_instead_of_polling(tmp_path,
         assert all(p.startswith(f"/jobs/{job['id']}") for p in paths), paths
 
 
+def test_render_of_a_repeat_sends_one_request(tmp_path, simple_schedule,
+                                              monkeypatch):
+    with serving(cache_dir=str(tmp_path / "cache")) as server:
+        client = ServeClient(server.url)
+        assert client.render(_request(), schedule=simple_schedule)[
+            "result"]["cache"] == "miss"
+        paths = []
+        send = client.request
+
+        def counting(method, path, *args, **kwargs):
+            paths.append((method, path))
+            return send(method, path, *args, **kwargs)
+
+        client.request = counting
+        job = client.render(_request(), schedule=simple_schedule)
+        assert job["status"] == "done" and job["result"]["cache"] == "hit"
+        # the 202 already carried the finished job: wait() asks nothing
+        assert paths == [("POST", "/render")], paths
+        # past FINISHED_KEPT the oldest kept document is dropped, and
+        # wait() asks the server for that one
+        monkeypatch.setattr(client_module, "FINISHED_KEPT", 1)
+        paths.clear()
+        jobs = [client.submit(_request(), schedule=simple_schedule)
+                for _ in range(2)]
+        assert [client.wait(job["id"])["result"]["cache"]
+                for job in jobs] == ["hit", "hit"]
+        assert paths == [("POST", "/render")] * 2 + [
+            ("GET", f"/jobs/{jobs[0]['id']}?wait=15.0")], paths
+        assert not client._finished
+
+
+def test_threads_sharing_a_client_each_wait_for_their_own_hit(
+        tmp_path, simple_schedule, monkeypatch):
+    """More threads than kept documents and a short switch interval:
+    every wait() returns its own job, and no kept document is left."""
+    monkeypatch.setattr(client_module, "FINISHED_KEPT", 2)
+    threads, jobs_each = 4, 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serving(cache_dir=str(tmp_path / "cache")) as server:
+            client = ServeClient(server.url)
+            assert client.render(_request(), schedule=simple_schedule)[
+                "result"]["cache"] == "miss"
+            problems = []
+
+            def loop():
+                try:
+                    for _ in range(jobs_each):
+                        job = client.submit(_request(),
+                                            schedule=simple_schedule)
+                        doc = client.wait(job["id"], timeout=60.0)
+                        if doc["id"] != job["id"] or \
+                                doc["result"]["cache"] != "hit":
+                            problems.append(doc)
+                except Exception as exc:  # surfaced by the assert below
+                    problems.append(repr(exc))
+
+            workers = [threading.Thread(target=loop) for _ in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in workers)
+            assert problems == []
+            assert not client._finished
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_finished_job_is_published_last(tmp_path, simple_schedule,
                                         monkeypatch):
     """A client that sees a job finished finds its trace and counters."""
@@ -582,8 +692,8 @@ def test_concurrent_waiters_only_see_published_jobs(tmp_path,
         sys.setswitchinterval(interval)
 
 
-def test_submit_body_splices_the_canonical_schedule(tmp_path, simple_schedule,
-                                                    monkeypatch):
+def test_submit_body_frames_the_canonical_schedule(tmp_path, simple_schedule,
+                                                   monkeypatch):
     bodies = []
     send = http.client.HTTPConnection.request
 
@@ -598,12 +708,13 @@ def test_submit_body_splices_the_canonical_schedule(tmp_path, simple_schedule,
         client = ServeClient(server.url)
         request = _request()
         job = client.submit(request, schedule=simple_schedule)
-        assert json.loads(bodies[0]) == {
-            "request": request_to_payload(request),
-            "schedule": to_dict(simple_schedule)}
-        # the server's bytes are the ones `jedule batch` hashes, so both
-        # share render cache entries
+        canonical = canonical_schedule_bytes(simple_schedule)
+        assert split_submission(bodies[0]) == (
+            {"request": request_to_payload(request)}, canonical)
+        # the server holds the bytes as sent: the ones `jedule batch`
+        # hashes, so both share render cache entries
         held = server._jobs[job["id"]].schedule_bytes
+        assert held == canonical
         assert hashlib.sha256(held).hexdigest() == \
             schedule_digest(simple_schedule)
         server.resume_dispatch()
@@ -633,7 +744,20 @@ def test_repeat_is_answered_at_admission_without_a_model(
         def no_model(*args, **kwargs):
             raise ParseError("a schedule model was built")
 
+        decode = json.loads
+        schedule_text = canonical_schedule_bytes(simple_schedule).decode()
+
+        def no_schedule_decode(text, *args, **kwargs):
+            if isinstance(text, (bytes, bytearray)):
+                text = text.decode("utf-8")
+            if schedule_text in text:
+                raise json.JSONDecodeError("the schedule was decoded", text, 0)
+            return decode(text, *args, **kwargs)
+
+        # the repeat builds no model and does not even decode the
+        # schedule's JSON
         monkeypatch.setattr(json_fmt, "from_dict", no_model)
+        monkeypatch.setattr(json, "loads", no_schedule_decode)
         job = client.submit(request, schedule=simple_schedule)
         assert job["status"] == "done" and job["result"]["cache"] == "hit"
         assert client.result_bytes(job["id"]) == direct
@@ -709,13 +833,21 @@ def test_batch_cache_entry_is_served_at_admission(tmp_path, simple_schedule):
         job = client.submit(_request(), schedule=simple_schedule)
         assert job["status"] == "done" and job["result"]["cache"] == "hit"
         assert client.result_bytes(job["id"]) == batch.data
-        # a to_dict body in its own key order and spacing: the server's
-        # sorted compact re-encoding is the same canonical bytes
-        status, _, body = client.request("POST", "/render", {
-            "request": request_to_payload(_request()),
-            "schedule": to_dict(simple_schedule)})
-        assert status == 202 and body["job"]["status"] == "done"
+        # a to_dict schedule in its own key order and spacing is keyed by
+        # its own bytes: a miss the first time, rendered to the same
+        # bytes, and a hit when the exact body comes again
+        body = frame_submission(
+            {"request": request_to_payload(_request())},
+            json.dumps(to_dict(simple_schedule), indent=1).encode("utf-8"))
+        status, _, reply = client.request("POST", "/render", body)
+        assert status == 202 and reply["job"]["status"] == "queued"
         server.resume_dispatch()
+        done = client.wait(reply["job"]["id"], timeout=60.0)
+        assert done["status"] == "done" and done["result"]["cache"] == "miss"
+        assert client.result_bytes(done["id"]) == batch.data
+        status, _, reply = client.request("POST", "/render", body)
+        assert status == 202 and reply["job"]["status"] == "done"
+        assert reply["job"]["result"]["cache"] == "hit"
 
 
 def test_unwritable_output_on_a_hit_is_left_to_the_worker(tmp_path,
