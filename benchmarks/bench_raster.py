@@ -1,8 +1,11 @@
 """Raster/PNG hot path — rasterize, encode, decode at 1k/10k/100k rects.
 
 The single-core raster pipeline is the last leg of every PNG/BMP/PPM
-render: ``rasterize()`` turns the primitive list into an (h, w, 3) uint8
-canvas and ``encode_png()`` filters + deflates it.  This benchmark draws
+render: ``rasterize()`` paints the primitive list into an (h, w) canvas
+of palette indices, ``.pixels`` gathers the (h, w, 3) uint8 RGB image,
+and ``encode_png()`` filters + deflates it (one index byte per pixel when
+the image has at most 256 colours, as these 16-colour fields do; the
+gather is timed with the encode).  This benchmark draws
 Gantt-shaped rect fields (dense rows of small task rects, the regime of
 Scully-Allison & Isaacs' 100k-task traces) on a 2000x1200 canvas at three
 scales and times each stage separately, so ``BENCH_raster.json`` holds a

@@ -1,22 +1,28 @@
-"""Minimal PNG encoder/decoder (truecolor, 8-bit).
+"""Minimal PNG encoder/decoder (8-bit truecolour and indexed colour).
 
 Implemented from the PNG specification as numpy array passes on top of
-:mod:`zlib` (stdlib): signature, IHDR/IDAT/IEND chunks, CRC32 per chunk,
-and the five scanline filter types.  The encoder picks per-row between
-None, Sub and Up filters by the standard minimum-sum-of-absolute-
-differences heuristic; the decoder supports all five filters so it can
-read anything the encoder (or another conforming encoder of color type 2,
-bit depth 8) produced.  The decoder exists chiefly so tests can verify
-exported images pixel-for-pixel.
+:mod:`zlib` (stdlib): signature, IHDR/PLTE/IDAT/IEND chunks, CRC32 per
+chunk, and the five scanline filter types.  The encoder first finds the
+image's colours with one exact run-based pass.  With at most 256 it writes
+colour type 3: a ``PLTE`` chunk in ascending RGB order and one index byte
+per pixel.  Otherwise it writes colour type 2, three bytes per pixel.
+Either way it picks per row between None, Sub and Up filters by the
+standard minimum-sum-of-absolute-differences heuristic, Sub taking the
+pixel to the left (1 byte back for indices, 3 for RGB).  The decoder reads
+both colour types at bit depth 8 and supports all five filters, so it can
+read anything the encoder (or another conforming encoder of that flavour)
+produced.  The decoder exists chiefly so tests can verify exported images
+pixel-for-pixel.
 
 There are no per-pixel (or per-row) Python loops on the encode side: the
-three candidate filters, their costs, and the interleaved
+colour runs, the three candidate filters, their costs, and the interleaved
 ``filter-byte + filtered-row`` stream handed to zlib are all built as
 whole-image uint8 array operations (uint8 arithmetic wraps mod 256, which
 is exactly PNG filter arithmetic).  On the decode side None/Sub/Up rows are
 one array op each — Sub unfilters via a modular cumulative sum along the
 scanline — while the rarely-seen Average/Paeth rows (our encoder never
-emits them) fall back to a tight scalar recurrence over Python ints.
+emits them) fall back to a tight scalar recurrence over Python ints.  An
+indexed image is gathered to RGB through its palette with ``np.take``.
 """
 
 from __future__ import annotations
@@ -49,41 +55,90 @@ def _filter_cost(filtered: np.ndarray) -> np.ndarray:
         axis=1, dtype=np.int64)
 
 
+def _palette(pixels: np.ndarray):
+    """``(plte, indices)`` when the image has at most 256 colours, else None.
+
+    ``plte`` is the ``PLTE`` payload, the colours in ascending RGB order,
+    and ``indices`` the ``(h, w)`` uint8 image of positions in it.  The
+    pass is exact but reads colours only at the start of each run of equal
+    pixels in row-major order, then repeats each run's index over it.
+    """
+    h, w, _ = pixels.shape
+    n = h * w
+    flat = np.ascontiguousarray(pixels).reshape(n, 3)
+    stream = flat.reshape(-1)
+    # A run starts at pixel 0 and at every pixel unlike the one before.
+    differs = (stream[3:] != stream[:-3]).reshape(n - 1, 3)
+    starts = np.flatnonzero(differs[:, 0] | differs[:, 1] | differs[:, 2])
+    starts = np.concatenate(([0], starts + 1))
+    first = flat[starts].astype(np.uint32)
+    keys = first[:, 0] << 16 | first[:, 1] << 8 | first[:, 2]
+    colors = np.unique(keys)
+    if len(colors) > 256:
+        return None
+    run_index = np.searchsorted(colors, keys).astype(np.uint8)
+    indices = np.repeat(run_index, np.diff(starts, append=n))
+    plte = np.stack([colors >> 16, colors >> 8, colors], axis=1) & 0xFF
+    return plte.astype(np.uint8).tobytes(), indices.reshape(h, w)
+
+
+def _filter_rows(flat: np.ndarray, bpp: int) -> np.ndarray:
+    """The ``(h, 1 + stride)`` IDAT scanlines of ``(h, stride)`` image
+    bytes: each row's filter byte, then the row under that filter.
+
+    Candidate filters are 0 (None), 1 (Sub, against the pixel ``bpp``
+    bytes to the left) and 2 (Up); each row takes the cheapest by MSAD.
+    """
+    h, stride = flat.shape
+    sub_f = flat.copy()
+    sub_f[:, bpp:] -= flat[:, :-bpp]
+    up_f = flat.copy()
+    up_f[1:] -= flat[:-1]
+    costs = np.stack(
+        [_filter_cost(flat), _filter_cost(sub_f), _filter_cost(up_f)])
+    choice = np.argmin(costs, axis=0)
+
+    # One array interleaves the per-row filter byte with the chosen
+    # filtered row; its raw buffer is the zlib input.
+    out = np.empty((h, 1 + stride), np.uint8)
+    out[:, 0] = choice
+    out[:, 1:] = flat
+    rows = choice == 1
+    out[rows, 1:] = sub_f[rows]
+    rows = choice == 2
+    out[rows, 1:] = up_f[rows]
+    return out
+
+
 def encode_png(pixels: np.ndarray, *, compress_level: int = 6) -> bytes:
-    """Encode an (h, w, 3) uint8 array as a PNG byte string."""
-    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
+    """Encode an (h, w, 3) uint8 array as a PNG byte string.
+
+    An image of at most 256 colours is written as colour type 3 (indexed),
+    any other as colour type 2 (truecolour); both are 8-bit.
+    """
+    if (pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8
+            or not pixels.size):
         raise RenderError(f"expected (h, w, 3) uint8 pixels, got {pixels.shape} {pixels.dtype}")
     h, w, _ = pixels.shape
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)  # 8-bit, truecolor
 
     with _obs.span("render.png.filter", rows=h):
-        flat = np.ascontiguousarray(pixels).reshape(h, w * 3)
-        # Candidate filters: 0 (None), 1 (Sub), 2 (Up); pick per row by MSAD.
-        sub_f = flat.copy()
-        sub_f[:, 3:] -= flat[:, :-3]
-        up_f = flat.copy()
-        up_f[1:] -= flat[:-1]
-        costs = np.stack(
-            [_filter_cost(flat), _filter_cost(sub_f), _filter_cost(up_f)])
-        choice = np.argmin(costs, axis=0)
-
-        # One (h, 1 + stride) array interleaves the per-row filter byte with
-        # the chosen filtered row; its raw buffer is the zlib input.
-        out = np.empty((h, 1 + w * 3), np.uint8)
-        out[:, 0] = choice
-        out[:, 1:] = flat
-        rows = choice == 1
-        out[rows, 1:] = sub_f[rows]
-        rows = choice == 2
-        out[rows, 1:] = up_f[rows]
+        indexed = _palette(pixels)
+        if indexed is None:
+            ctype, plte = 2, b""
+            out = _filter_rows(np.ascontiguousarray(pixels).reshape(h, w * 3), 3)
+        else:
+            ctype, (palette, indices) = 3, indexed
+            plte = _chunk(b"PLTE", palette)
+            out = _filter_rows(indices, 1)
     with _obs.span("render.png.compress", nbytes=out.nbytes):
         idat = zlib.compress(out, compress_level)
-    return (_SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat)
-            + _chunk(b"IEND", b""))
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, ctype, 0, 0, 0)
+    return (_SIGNATURE + _chunk(b"IHDR", ihdr) + plte
+            + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
 
 
-def _unfilter_average(data: np.ndarray, prev: np.ndarray) -> list[int]:
-    """Average unfiltering of one scanline.
+def _unfilter_average(data: np.ndarray, prev: np.ndarray, bpp: int) -> list[int]:
+    """Average unfiltering of one scanline of ``bpp`` bytes per pixel.
 
     The left neighbour is this row's own output, a sequential recurrence
     the array layer cannot express; run it over plain Python ints, which
@@ -91,24 +146,24 @@ def _unfilter_average(data: np.ndarray, prev: np.ndarray) -> list[int]:
     """
     line = data.tolist()
     up = prev.tolist()
-    for x in range(3):
+    for x in range(bpp):
         line[x] = (line[x] + (up[x] >> 1)) & 0xFF
-    for x in range(3, len(line)):
-        line[x] = (line[x] + ((line[x - 3] + up[x]) >> 1)) & 0xFF
+    for x in range(bpp, len(line)):
+        line[x] = (line[x] + ((line[x - bpp] + up[x]) >> 1)) & 0xFF
     return line
 
 
-def _unfilter_paeth(data: np.ndarray, prev: np.ndarray) -> list[int]:
+def _unfilter_paeth(data: np.ndarray, prev: np.ndarray, bpp: int) -> list[int]:
     """Paeth unfiltering of one scanline (same scalar-recurrence shape)."""
     line = data.tolist()
     up = prev.tolist()
-    for x in range(3):
+    for x in range(bpp):
         # With no left neighbour the predictor always resolves to "up".
         line[x] = (line[x] + up[x]) & 0xFF
-    for x in range(3, len(line)):
-        a = line[x - 3]
+    for x in range(bpp, len(line)):
+        a = line[x - bpp]
         b = up[x]
-        c = up[x - 3]
+        c = up[x - bpp]
         p = a + b - c
         pa = p - a if p >= a else a - p
         pb = p - b if p >= b else b - p
@@ -124,11 +179,13 @@ def _unfilter_paeth(data: np.ndarray, prev: np.ndarray) -> list[int]:
 
 
 def decode_png(data: bytes) -> np.ndarray:
-    """Decode a truecolor 8-bit PNG into an (h, w, 3) uint8 array."""
+    """Decode an 8-bit truecolour or indexed PNG into an (h, w, 3) uint8
+    array."""
     if not data.startswith(_SIGNATURE):
         raise RenderError("not a PNG: bad signature")
     pos = len(_SIGNATURE)
     width = height = None
+    palette = None
     idat = bytearray()
     while pos + 8 <= len(data):
         (length,) = struct.unpack(">I", data[pos:pos + 4])
@@ -148,9 +205,17 @@ def decode_png(data: bytes) -> np.ndarray:
                     f"truncated PNG: IHDR payload is {len(payload)} bytes, expected 13")
             width, height, depth, ctype, comp, filt, inter = struct.unpack(
                 ">IIBBBBB", payload)
-            if depth != 8 or ctype != 2 or inter != 0:
+            if depth != 8 or ctype not in (2, 3) or inter != 0:
                 raise RenderError(
                     f"unsupported PNG flavor: depth={depth} color={ctype} interlace={inter}")
+        elif kind == b"PLTE":
+            if len(payload) % 3:
+                raise RenderError(
+                    f"PNG PLTE is {len(payload)} bytes, not a multiple of 3")
+            if not 1 <= len(payload) // 3 <= 256:
+                raise RenderError(
+                    f"PNG PLTE has {len(payload) // 3} entries, not 1-256")
+            palette = np.frombuffer(payload, np.uint8).reshape(-1, 3)
         elif kind == b"IDAT":
             idat.extend(payload)
         elif kind == b"IEND":
@@ -158,9 +223,13 @@ def decode_png(data: bytes) -> np.ndarray:
         pos += 12 + length
     if width is None or height is None:
         raise RenderError("PNG without IHDR")
+    indexed = ctype == 3
+    if indexed and palette is None:
+        raise RenderError("indexed PNG without PLTE")
 
     raw = zlib.decompress(bytes(idat))
-    stride = width * 3
+    bpp = 1 if indexed else 3
+    stride = width * bpp
     if len(raw) != height * (stride + 1):
         raise RenderError(
             f"PNG data length {len(raw)} != expected {height * (stride + 1)}")
@@ -175,15 +244,20 @@ def decode_png(data: bytes) -> np.ndarray:
             if ftype == 0:
                 img[y] = data_rows[y]
             elif ftype == 1:  # Sub: modular cumulative sum along the row
-                img[y] = data_rows[y].reshape(width, 3).cumsum(
+                img[y] = data_rows[y].reshape(width, bpp).cumsum(
                     axis=0, dtype=np.uint8).reshape(stride)
             elif ftype == 2:  # Up
                 img[y] = data_rows[y] + prev
             elif ftype == 3:  # Average
-                img[y] = _unfilter_average(data_rows[y], prev)
+                img[y] = _unfilter_average(data_rows[y], prev, bpp)
             elif ftype == 4:  # Paeth
-                img[y] = _unfilter_paeth(data_rows[y], prev)
+                img[y] = _unfilter_paeth(data_rows[y], prev, bpp)
             else:
                 raise RenderError(f"PNG row {y}: unknown filter {ftype}")
             prev = img[y]
-    return img.reshape(height, width, 3)
+        if not indexed:
+            return img.reshape(height, width, 3)
+        if img.size and int(img.max()) >= len(palette):
+            raise RenderError(
+                f"PNG index {int(img.max())} is past the {len(palette)}-entry PLTE")
+        return np.take(palette, img, axis=0)

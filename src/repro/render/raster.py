@@ -1,19 +1,23 @@
 """Pure-Python/NumPy rasterizer for the bitmap backends (PNG, PPM, BMP).
 
-The image is an ``(h, w, 3)`` uint8 array.  Operations are vectorized slice
-assignments (rect fills), a Bresenham walk batched through fancy indexing
+The canvas is an ``(h, w)`` array of palette indices.  Jedule colours
+tasks by type, so a drawing holds few colours: each gets its index the
+first time it is painted, the canvas is uint8 and widens to uint16 past
+256 colours, and :attr:`RasterImage.pixels` gathers the ``(h, w, 3)``
+uint8 RGB image on demand.  Operations are scalar slice assignments of an
+index (rect fills), a Bresenham walk batched through fancy indexing
 (lines), and nearest-neighbour scaling of the 5x7 font (text).  The
 rasterizer implements the drawing-primitive vocabulary of
 :mod:`repro.render.geometry` and nothing more.
 
-:func:`rasterize` does not dispatch one Python call per primitive: runs of
-consecutive fill-only rects are collected and painted as a batch —
-coordinate snapping/clipping is computed with array arithmetic for the
-whole run, rects are grouped into a distinct-color palette, and large runs
-paint palette *indices* into a scalar scratch canvas that is resolved to
-RGB in one whole-canvas gather.  Painting order is preserved exactly in
-every path (the last index written to a pixel wins), so batched output is
-pixel-identical to the naive per-primitive z-order walk.
+:func:`rasterize` has one painter.  Every axis-aligned primitive joins one
+z-ordered batch of boxes: a fill-only rect, the fill and four edges of a
+stroked rect, and an axis-aligned line.  Snapping and clipping are array
+arithmetic over the whole batch, read with ``np.fromiter``, and the boxes
+are then painted in order, one scalar slice assignment each.  Only
+diagonal lines and text interrupt it: each flushes the boxes before it and
+paints itself, so the output is pixel-identical to dispatching every
+primitive through the :class:`RasterImage` methods one by one in z-order.
 
 All pixel snapping uses half-up rounding (``floor(v + 0.5)``) rather than
 Python's banker's rounding: two rects sharing an edge at a ``*.5``
@@ -24,6 +28,7 @@ between 1-px overlaps and 1-px gaps by parity.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +38,9 @@ from repro.render import font5x7
 from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
 
 __all__ = ["RasterImage", "rasterize"]
+
+#: pixels per band of the palette gather in :attr:`RasterImage.pixels`
+_GATHER_PIXELS = 1 << 16
 
 
 def _snap(v: float) -> int:
@@ -45,16 +53,73 @@ def _snap(v: float) -> int:
     return math.floor(v + 0.5)
 
 
+def _stroke_edges(x, y, w, h, width):
+    """The top, bottom, left and right edge boxes ``(x, y, w, h)`` of a
+    stroked rect.
+
+    Negative extents are normalized first, so the edges land on the sides
+    of the normalized rectangle.  Works on floats and, elementwise, on
+    arrays; the edges are whole pixels.
+    """
+    x, w = np.minimum(x, x + w), np.abs(w)
+    y, h = np.minimum(y, y + h), np.abs(h)
+    t = np.maximum(1.0, np.floor(width + 0.5))
+    x0, y0 = np.floor(x + 0.5), np.floor(y + 0.5)
+    x1, y1 = np.floor(x + w + 0.5), np.floor(y + h + 0.5)
+    return ((x0, y0, x1 - x0, t), (x0, y1 - t, x1 - x0, t),
+            (x0, y0, t, y1 - y0), (x1 - t, y0, t, y1 - y0))
+
+
+def _axis_line(x0: float, y0: float, x1: float, y1: float,
+               width: float) -> tuple[float, float, float, float] | None:
+    """The box ``(x, y, w, h)`` an axis-aligned line fills, or None for a
+    diagonal one.  The box covers both end points and is ``width`` thick."""
+    if abs(y1 - y0) < 0.5:  # horizontal
+        lo, hi = sorted((x0, x1))
+        return lo, y0 - width / 2, hi - lo + 1, max(width, 1.0)
+    if abs(x1 - x0) < 0.5:  # vertical
+        lo, hi = sorted((y0, y1))
+        return x0 - width / 2, lo, max(width, 1.0), hi - lo + 1
+    return None
+
+
 class RasterImage:
-    """A mutable RGB image with primitive drawing operations."""
+    """A mutable palette-indexed image with primitive drawing operations."""
 
     def __init__(self, width: int, height: int, background: Color = Color(255, 255, 255)):
         if width <= 0 or height <= 0:
             raise ValueError(f"bad image size {width}x{height}")
         self.width = int(width)
         self.height = int(height)
-        self.pixels = np.empty((self.height, self.width, 3), dtype=np.uint8)
-        self.pixels[:] = (background.r, background.g, background.b)
+        #: palette: ``colors[i]`` is the colour of index ``i``
+        self.colors: list[Color] = [background]
+        self._index: dict[Color, int] = {background: 0}
+        #: ``(h, w)`` palette indices, uint8 until the palette outgrows it
+        self.canvas = np.zeros((self.height, self.width), np.uint8)
+
+    def _color_index(self, color: Color) -> int:
+        """``color``'s palette index, assigned (and the canvas widened)
+        on first use."""
+        ci = self._index.get(color)
+        if ci is None:
+            ci = self._index[color] = len(self.colors)
+            self.colors.append(color)
+            if ci > np.iinfo(self.canvas.dtype).max:
+                self.canvas = self.canvas.astype(np.min_scalar_type(ci))
+        return ci
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The ``(h, w, 3)`` uint8 RGB image, gathered from the palette."""
+        palette = np.array([(c.r, c.g, c.b) for c in self.colors], np.uint8)
+        out = np.empty((self.height, self.width, 3), np.uint8)
+        # np.take copies its indices as intp, 8 bytes a pixel; a band of
+        # rows at a time keeps that copy small.
+        rows = max(1, _GATHER_PIXELS // self.width)
+        for y in range(0, self.height, rows):
+            np.take(palette, self.canvas[y:y + rows], axis=0,
+                    out=out[y:y + rows])
+        return out
 
     # ----------------------------------------------------------- primitives
     def fill_rect(self, x: float, y: float, w: float, h: float, color: Color) -> None:
@@ -79,27 +144,19 @@ class RasterImage:
         if h > 0 and y1 <= y0 and y0 < self.height:
             y1 = y0 + 1
         if x1 > x0 and y1 > y0:
-            self.pixels[y0:y1, x0:x1] = (color.r, color.g, color.b)
+            ci = self._color_index(color)
+            self.canvas[y0:y1, x0:x1] = ci
 
     def stroke_rect(self, x: float, y: float, w: float, h: float, color: Color,
                     width: float = 1.0) -> None:
-        """1px (or thicker) rectangle outline.
+        """1px (or thicker) rectangle outline: four edge fills.
 
         Negative extents are normalized exactly like :meth:`fill_rect`, so
         the four edges always land on the sides of the normalized
         rectangle instead of producing a torn outline.
         """
-        if w < 0:
-            x, w = x + w, -w
-        if h < 0:
-            y, h = y + h, -h
-        t = max(1, _snap(width))
-        x0, y0 = _snap(x), _snap(y)
-        x1, y1 = _snap(x + w), _snap(y + h)
-        self.fill_rect(x0, y0, x1 - x0, t, color)                 # top
-        self.fill_rect(x0, y1 - t, x1 - x0, t, color)             # bottom
-        self.fill_rect(x0, y0, t, y1 - y0, color)                 # left
-        self.fill_rect(x1 - t, y0, t, y1 - y0, color)             # right
+        for edge in _stroke_edges(x, y, w, h, width):
+            self.fill_rect(*edge, color)
 
     def draw_line(self, x0: float, y0: float, x1: float, y1: float, color: Color,
                   width: float = 1.0) -> None:
@@ -109,13 +166,9 @@ class RasterImage:
         of the requested thickness along the walk, so thick diagonal
         dependency edges no longer render hairline.
         """
-        if abs(y1 - y0) < 0.5:  # horizontal
-            lo, hi = sorted((x0, x1))
-            self.fill_rect(lo, y0 - width / 2, hi - lo + 1, max(width, 1.0), color)
-            return
-        if abs(x1 - x0) < 0.5:  # vertical
-            lo, hi = sorted((y0, y1))
-            self.fill_rect(x0 - width / 2, lo, max(width, 1.0), hi - lo + 1, color)
+        box = _axis_line(x0, y0, x1, y1, width)
+        if box is not None:
+            self.fill_rect(*box, color)
             return
         steps = int(max(abs(x1 - x0), abs(y1 - y0))) + 1
         xs = np.floor(np.linspace(x0, x1, steps) + 0.5).astype(np.intp)
@@ -128,7 +181,8 @@ class RasterImage:
             ys = np.broadcast_to(
                 ys[:, None, None] + off[None, None, :], (steps, t, t)).ravel()
         keep = (xs >= 0) & (xs < self.width) & (ys >= 0) & (ys < self.height)
-        self.pixels[ys[keep], xs[keep]] = (color.r, color.g, color.b)
+        ci = self._color_index(color)
+        self.canvas[ys[keep], xs[keep]] = ci
 
     def text_extent(self, text: str, size: float) -> tuple[int, int]:
         """(width, height) in pixels of a string at the given em size."""
@@ -151,11 +205,7 @@ class RasterImage:
         if not text:
             return
         scale = max(1, int(round(size / font5x7.GLYPH_HEIGHT)))
-        bitmap = font5x7.text_bitmap(text)
-        if rotated:
-            bitmap = np.rot90(bitmap)  # 90 deg CCW: reads bottom-to-top
-        if scale > 1:
-            bitmap = np.kron(bitmap, np.ones((scale, scale), dtype=bool))
+        bitmap = font5x7.text_bitmap(text, scale=scale, rotated=rotated)
         bh, bw = bitmap.shape
         if halign is HAlign.CENTER:
             x -= bw / 2
@@ -174,44 +224,29 @@ class RasterImage:
         if sx1 <= sx0 or sy1 <= sy0:
             return
         region = bitmap[sy0:sy1, sx0:sx1]
-        target = self.pixels[dy0:dy0 + region.shape[0], dx0:dx0 + region.shape[1]]
-        target[region] = (color.r, color.g, color.b)
+        ci = self._color_index(color)
+        target = self.canvas[dy0:dy0 + region.shape[0], dx0:dx0 + region.shape[1]]
+        target[region] = ci
 
     # ------------------------------------------------------------- queries
     def pixel(self, x: int, y: int) -> Color:
-        r, g, b = self.pixels[y, x]
-        return Color(int(r), int(g), int(b))
+        return self.colors[self.canvas[y, x]]
 
     def count_color(self, color: Color) -> int:
         """Number of pixels exactly matching ``color`` (test helper)."""
-        match = np.all(self.pixels == np.array([color.r, color.g, color.b]), axis=-1)
-        return int(match.sum())
+        ci = self._index.get(color)
+        return 0 if ci is None else int(np.count_nonzero(self.canvas == ci))
 
 
-# ------------------------------------------------------------ batched fills
+# ------------------------------------------------------------- the painter
 
-#: below this run length the per-item ``fill_rect`` path is cheaper than
-#: setting up the array arithmetic.
-_BATCH_MIN = 8
-
-#: a run at least this fraction of the canvas pixel count (in rect count)
-#: pays for the whole-canvas index-compositing pass.
-_SCRATCH_DIVISOR = 64
-
-
-def _rect_bounds(img: RasterImage, rects: list[Rect]):
+def _box_bounds(xs, ys, ws, hs, width: int, height: int):
     """Vectorized :meth:`RasterImage.fill_rect` coordinate pass.
 
-    Returns integer ``(x0, y0, x1, y1)`` bound arrays for the visible rects
-    of the run plus ``(inv, palette)`` — per-rect indices into the run's
-    distinct-color palette — applying the same normalize / half-up snap /
-    clip / sub-pixel-bump rules as the scalar method.
+    Returns integer ``(x0, y0, x1, y1)`` bound arrays and the mask of the
+    boxes that paint, applying the same normalize / half-up snap / clip /
+    sub-pixel-bump rules as the scalar method.
     """
-    n = len(rects)
-    xs = np.fromiter((r.x for r in rects), np.float64, count=n)
-    ys = np.fromiter((r.y for r in rects), np.float64, count=n)
-    ws = np.fromiter((r.w for r in rects), np.float64, count=n)
-    hs = np.fromiter((r.h for r in rects), np.float64, count=n)
     neg = ws < 0
     if neg.any():
         xs = np.where(neg, xs + ws, xs)
@@ -220,120 +255,122 @@ def _rect_bounds(img: RasterImage, rects: list[Rect]):
     if neg.any():
         ys = np.where(neg, ys + hs, ys)
         hs = np.abs(hs)
-    iw, ih = img.width, img.height
-    visible = (xs + ws > 0) & (ys + hs > 0) & (xs < iw) & (ys < ih)
+    visible = (xs + ws > 0) & (ys + hs > 0) & (xs < width) & (ys < height)
     x0 = np.maximum(np.floor(xs + 0.5), 0).astype(np.int64)
     y0 = np.maximum(np.floor(ys + 0.5), 0).astype(np.int64)
-    x1 = np.minimum(np.floor(xs + ws + 0.5), iw).astype(np.int64)
-    y1 = np.minimum(np.floor(ys + hs + 0.5), ih).astype(np.int64)
-    bump = (ws > 0) & (x1 <= x0) & (x0 < iw)
+    x1 = np.minimum(np.floor(xs + ws + 0.5), width).astype(np.int64)
+    y1 = np.minimum(np.floor(ys + hs + 0.5), height).astype(np.int64)
+    bump = (ws > 0) & (x1 <= x0) & (x0 < width)
     x1[bump] = x0[bump] + 1
-    bump = (hs > 0) & (y1 <= y0) & (y0 < ih)
+    bump = (hs > 0) & (y1 <= y0) & (y0 < height)
     y1[bump] = y0[bump] + 1
     visible &= (x1 > x0) & (y1 > y0)
-
-    # Distinct fill colors -> palette indices.  Keyed by object identity
-    # (layouts reuse a handful of Color instances); two equal colors behind
-    # different objects merely get two palette rows, which is harmless.
-    memo: dict[int, int] = {}
-    rows: list[tuple[int, int, int]] = []
-    inv_list: list[int] = []
-    append = inv_list.append
-    for r in rects:
-        f = r.fill
-        ci = memo.get(id(f))
-        if ci is None:
-            memo[id(f)] = ci = len(rows)
-            rows.append((f.r, f.g, f.b))
-        append(ci)
-    inv = np.array(inv_list, np.int64)
-    palette = np.array(rows, np.uint8)
-    if not visible.all():
-        idx = np.flatnonzero(visible)
-        x0, y0, x1, y1, inv = x0[idx], y0[idx], x1[idx], y1[idx], inv[idx]
-    return x0, y0, x1, y1, inv, palette
+    return x0, y0, x1, y1, visible
 
 
-def _paint_scratch(img: RasterImage, x0, y0, x1, y1, inv, palette) -> None:
-    """Whole-canvas index compositing for big runs.
+def _color_indices(img: RasterImage, colors) -> np.ndarray:
+    """Palette index per colour, -1 for None.
 
-    Rect palette indices are painted into a scalar int32 scratch canvas
-    (a scalar slice assignment is several times cheaper than broadcasting
-    an RGB triple), then resolved to pixels in one gather + masked copy.
-    The last index written to a pixel wins, so z-order is exact even for
-    overlapping runs.
+    Memoized by object identity: layouts reuse a handful of ``Color``
+    instances, so this is a few dict hits per rect.
     """
-    scratch = np.zeros((img.height, img.width), np.int32)
-    # Shift indices by one so 0 can mean "not painted by this run".
-    for b0, b1, a0, a1, ci in zip(y0.tolist(), y1.tolist(),
-                                  x0.tolist(), x1.tolist(),
-                                  (inv + 1).tolist()):
-        scratch[b0:b1, a0:a1] = ci
-    palette_ext = np.empty((len(palette) + 1, 3), np.uint8)
-    palette_ext[1:] = palette
-    np.copyto(img.pixels, palette_ext[scratch],
-              where=(scratch != 0)[:, :, None])
+    memo: dict[int, int] = {id(None): -1}
+    out = []
+    append = out.append
+    for c in colors:
+        ci = memo.get(id(c))
+        if ci is None:
+            memo[id(c)] = ci = img._color_index(c)
+        append(ci)
+    return np.array(out, np.int64)
 
 
-def _paint_ordered(img: RasterImage, x0, y0, x1, y1, inv, palette) -> None:
-    """In-order paint over precomputed integer bounds (exact z-order)."""
-    px = img.pixels
-    rgbs = list(palette)
-    for b0, b1, a0, a1, ci in zip(y0.tolist(), y1.tolist(),
-                                  x0.tolist(), x1.tolist(), inv.tolist()):
-        px[b0:b1, a0:a1] = rgbs[ci]
+def _boxes(img: RasterImage, rects: list[Rect]):
+    """The boxes of a z-ordered run of rects: each rect's fill, then its
+    four stroke edges.
 
+    Returns ``(boxes, before)``.  ``boxes`` yields ``(y0, y1, x0, x1,
+    index)`` for every box that paints, in drawing order; ``before[i]`` is
+    the number of those boxes that ``rects[:i]`` contribute.
+    """
+    n = len(rects)
+    xs = np.fromiter((r.x for r in rects), np.float64, count=n)
+    ys = np.fromiter((r.y for r in rects), np.float64, count=n)
+    ws = np.fromiter((r.w for r in rects), np.float64, count=n)
+    hs = np.fromiter((r.h for r in rects), np.float64, count=n)
+    fills = _color_indices(img, (r.fill for r in rects))
+    strokes = _color_indices(img, (r.stroke for r in rects))
 
-def _fill_rects(img: RasterImage, rects: list[Rect]) -> None:
-    """Paint a run of fill-only rects, batched when the run is long enough."""
-    if len(rects) < _BATCH_MIN:
-        for r in rects:
-            img.fill_rect(r.x, r.y, r.w, r.h, r.fill)
-        return
-    x0, y0, x1, y1, inv, palette = _rect_bounds(img, rects)
-    if len(inv) == 0:
-        return
-    if len(inv) >= max(_BATCH_MIN, img.width * img.height // _SCRATCH_DIVISOR):
-        _paint_scratch(img, x0, y0, x1, y1, inv, palette)
-    else:
-        _paint_ordered(img, x0, y0, x1, y1, inv, palette)
+    # Box slots: a rect's fill (if any) comes first, then its four edges.
+    filled = fills >= 0
+    stroked = strokes >= 0
+    per_rect = filled + 4 * stroked
+    first = np.cumsum(per_rect) - per_rect
+    total = int(per_rect.sum())
+    bx, by = np.empty(total), np.empty(total)
+    bw, bh = np.empty(total), np.empty(total)
+    bc = np.empty(total, np.int64)
+    at = first[filled]
+    bx[at], by[at], bw[at], bh[at] = xs[filled], ys[filled], ws[filled], hs[filled]
+    bc[at] = fills[filled]
+    if stroked.any():
+        widths = np.fromiter((r.stroke_width for r in rects), np.float64,
+                             count=n)[stroked]
+        base = first[stroked] + filled[stroked]
+        edges = _stroke_edges(xs[stroked], ys[stroked], ws[stroked],
+                              hs[stroked], widths)
+        for k, (ex, ey, ew, eh) in enumerate(edges):
+            at = base + k
+            bx[at], by[at], bw[at], bh[at] = ex, ey, ew, eh
+            bc[at] = strokes[stroked]
+
+    x0, y0, x1, y1, visible = _box_bounds(bx, by, bw, bh, img.width, img.height)
+    painted = np.concatenate(([0], np.cumsum(visible)))
+    keep = np.flatnonzero(visible)
+    boxes = zip(y0[keep].tolist(), y1[keep].tolist(), x0[keep].tolist(),
+                x1[keep].tolist(), bc[keep].tolist())
+    return boxes, painted[np.append(first, total)].tolist()
 
 
 def rasterize(drawing: Drawing) -> RasterImage:
     """Render a :class:`Drawing` into a raster image.
 
-    Output is pixel-identical to dispatching every primitive one by one in
-    z-order; consecutive fill-only rects are merely painted through the
-    batched path above.
+    Every axis-aligned primitive becomes boxes of one batch; each diagonal
+    line and text is painted where it falls in z-order, after the boxes
+    before it and before the boxes after it.  Output is pixel-identical to
+    dispatching every primitive one by one in z-order.
     """
     img = RasterImage(drawing.width, drawing.height, drawing.background)
     with _obs.span("render.rasterize", primitives=len(drawing)):
-        batch: list[Rect] = []
+        rects: list[Rect] = []
+        #: (rects before it, primitive) for each diagonal line and text
+        others: list[tuple[int, Line | Text]] = []
         for item in drawing:
             if isinstance(item, Rect):
-                if item.stroke is None:
-                    if item.fill is not None:
-                        batch.append(item)
-                    continue
-                if batch:
-                    _fill_rects(img, batch)
-                    batch = []
-                if item.fill is not None:
-                    img.fill_rect(item.x, item.y, item.w, item.h, item.fill)
-                img.stroke_rect(item.x, item.y, item.w, item.h, item.stroke,
-                                item.stroke_width)
-                continue
-            if batch:
-                _fill_rects(img, batch)
-                batch = []
+                rects.append(item)
+            elif isinstance(item, Line):
+                box = _axis_line(item.x0, item.y0, item.x1, item.y1,
+                                 item.width)
+                if box is None:
+                    others.append((len(rects), item))
+                else:
+                    rects.append(Rect(*box, fill=item.color))
+            elif isinstance(item, Text):
+                others.append((len(rects), item))
+            else:  # pragma: no cover - new primitive types must be handled here
+                raise TypeError(f"unknown primitive {type(item).__name__}")
+
+        boxes, before = _boxes(img, rects)
+        done = 0
+        for at, item in [*others, (len(rects), None)]:
+            canvas = img.canvas  # a new colour may have widened it
+            for b0, b1, a0, a1, ci in islice(boxes, before[at] - done):
+                canvas[b0:b1, a0:a1] = ci
+            done = before[at]
             if isinstance(item, Line):
                 img.draw_line(item.x0, item.y0, item.x1, item.y1, item.color,
                               item.width)
             elif isinstance(item, Text):
                 img.draw_text(item.x, item.y, item.text, item.color, item.size,
                               item.halign, item.valign, item.rotated)
-            else:  # pragma: no cover - new primitive types must be handled here
-                raise TypeError(f"unknown primitive {type(item).__name__}")
-        if batch:
-            _fill_rects(img, batch)
     return img

@@ -169,23 +169,26 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # ------------------------------------------------------------- helpers
-    def _send_json(self, status: int, doc: dict,
-                   headers: dict | None = None) -> None:
-        body = json.dumps(doc).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: dict | None = None) -> None:
+        """Write one reply: status line, headers and body in one write."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would write the buffered headers on their own; on
+        # a kept-alive connection the body's second write then waits out
+        # Nagle plus the client's delayed ACK, about 40 ms.  (HTTP/0.9
+        # replies have no headers, hence no buffer.)
+        head = getattr(self, "_headers_buffer", None)
+        self._headers_buffer = []
+        self.wfile.write(b"".join([*head, b"\r\n", body]) if head else body)
 
-    def _send_bytes(self, status: int, data: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def _send_json(self, status: int, doc: dict,
+                   headers: dict | None = None) -> None:
+        self._send(status, json.dumps(doc).encode("utf-8"),
+                   "application/json", headers)
 
     def _read_body(self) -> bytes | None:
         try:
@@ -205,8 +208,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/statz":
             self._send_json(200, self.app.statz_payload())
         elif path == "/metricz":
-            self._send_bytes(200, self.app.metricz_text().encode("utf-8"),
-                             "text/plain; version=0.0.4; charset=utf-8")
+            self._send(200, self.app.metricz_text().encode("utf-8"),
+                       "text/plain; version=0.0.4; charset=utf-8")
         elif path.startswith("/jobs/"):
             parts = path.split("/")
             if len(parts) == 3:
@@ -226,7 +229,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif len(parts) == 4 and parts[3] == "result":
                 status, payload, ctype = self.app.job_result(parts[2])
                 if isinstance(payload, bytes):
-                    self._send_bytes(status, payload, ctype)
+                    self._send(status, payload, ctype)
                 else:
                     self._send_json(status, payload)
             elif len(parts) == 4 and parts[3] == "trace":

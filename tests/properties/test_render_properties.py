@@ -5,14 +5,16 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.colormap import Color
 from repro.core.model import Cluster, Configuration, Schedule, Task
 from repro.core.timeframe import ViewMode
 from repro.render.backends.svg import render_svg
-from repro.render.geometry import Rect
+from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
 from repro.render.layout import LayoutOptions, layout_schedule
 from repro.render.png_codec import decode_png, encode_png
 from repro.render.backends.png import render_png
 from repro.render.raster import rasterize
+from tests.render.test_raster import reference_rasterize
 
 
 @st.composite
@@ -96,6 +98,79 @@ def test_codec_roundtrip_random_images(h, w, seed):
     img = np.random.default_rng(seed).integers(0, 256, (h, w, 3),
                                                dtype=np.uint8)
     assert np.array_equal(decode_png(encode_png(img)), img)
+
+
+# ---------------------------------------------------------------------------
+# The batched painter against the one-call-per-primitive reference walk.
+
+_COLORS = (Color(200, 30, 30), Color(0, 0, 0), Color(30, 160, 60),
+           Color(255, 255, 255))
+_COORD = st.one_of(st.integers(-30, 90),
+                   st.integers(-60, 180).map(lambda v: v / 2),
+                   st.floats(-30, 90, allow_nan=False))
+_EXTENT = st.one_of(st.just(0.0), st.floats(0.01, 0.99),
+                    st.integers(-20, 100).map(lambda v: v / 2),
+                    st.floats(-40, 120, allow_nan=False))
+
+
+def _rect(x, y, w, h, **style) -> Rect:
+    """A Rect that may have the negative extents ``Rect()`` rejects; the
+    painter normalizes them as ``fill_rect`` and ``stroke_rect`` do."""
+    rect = Rect(x, y, abs(w), abs(h), **style)
+    object.__setattr__(rect, "w", w)
+    object.__setattr__(rect, "h", h)
+    return rect
+
+
+@st.composite
+def _primitive(draw, colors):
+    color = st.sampled_from(colors)
+    kind = draw(st.sampled_from(["fill", "stroke", "both", "hline", "vline",
+                                 "line", "text"]))
+    x, y = draw(_COORD), draw(_COORD)
+    if kind in ("fill", "stroke", "both"):
+        return _rect(x, y, draw(_EXTENT), draw(_EXTENT),
+                     fill=None if kind == "stroke" else draw(color),
+                     stroke=None if kind == "fill" else draw(color),
+                     stroke_width=draw(st.one_of(st.sampled_from([1, 2, 3, 4]),
+                                                 st.floats(1, 4))))
+    width = draw(st.one_of(st.sampled_from([1, 2, 3]), st.floats(0.5, 4)))
+    nudge = st.floats(-0.49, 0.49)
+    if kind == "hline":
+        return Line(x, y, draw(_COORD), y + draw(nudge), draw(color), width)
+    if kind == "vline":
+        return Line(x, y, x + draw(nudge), draw(_COORD), draw(color), width)
+    if kind == "line":
+        return Line(x, y, draw(_COORD), draw(_COORD), draw(color), width)
+    return Text(x, y, draw(st.text("Ab1 ?-é", max_size=6)),
+                size=draw(st.floats(3, 30)), color=draw(color),
+                halign=draw(st.sampled_from(list(HAlign))),
+                valign=draw(st.sampled_from(list(VAlign))),
+                rotated=draw(st.booleans()))
+
+
+@st.composite
+def drawings(draw) -> Drawing:
+    """Small drawings of every primitive kind.  A crowd of 1-px rects in
+    distinct colours puts some canvases past 256 colours and others just
+    under."""
+    crowd = draw(st.sampled_from([0, 0, 250, 300]))
+    lo = 20 if crowd else 1
+    d = Drawing(draw(st.integers(lo, 60)), draw(st.integers(lo, 40)),
+                background=draw(st.sampled_from(_COLORS)))
+    crowd_colors = [Color(i % 256, 100 + i // 256, 77) for i in range(crowd)]
+    for i, c in enumerate(crowd_colors):
+        d.add(Rect(i % d.width, i // d.width % d.height, 1, 1, fill=c))
+    colors = list(_COLORS) + crowd_colors[:3]
+    d.extend(draw(st.lists(_primitive(colors), max_size=25)))
+    return d
+
+
+@given(drawings())
+@settings(max_examples=200, deadline=None)
+def test_batched_painter_matches_reference_walk(drawing):
+    assert np.array_equal(rasterize(drawing).pixels,
+                          reference_rasterize(drawing).pixels)
 
 
 @given(render_schedules())

@@ -23,11 +23,49 @@ def test_signature_and_chunks():
     assert b"IHDR" in data and b"IDAT" in data and data.rstrip().endswith(b"IEND" + data[-4:].rstrip())
 
 
+def _ihdr(data: bytes) -> tuple[int, int, int, int]:
+    """(width, height, bit depth, colour type) of an encoded PNG."""
+    at = data.index(b"IHDR") + 4
+    return struct.unpack(">IIBB", data[at:at + 10])
+
+
+def _chunk_payload(data: bytes, kind: bytes) -> bytes | None:
+    pos = 8
+    while pos + 8 <= len(data):
+        (length,) = struct.unpack(">I", data[pos:pos + 4])
+        if data[pos + 4:pos + 8] == kind:
+            return data[pos + 8:pos + 8 + length]
+        pos += 12 + length
+    return None
+
+
 def test_ihdr_fields():
-    data = encode_png(np.zeros((7, 13, 3), dtype=np.uint8))
-    ihdr_at = data.index(b"IHDR") + 4
-    w, h, depth, ctype = struct.unpack(">IIBB", data[ihdr_at:ihdr_at + 10])
-    assert (w, h, depth, ctype) == (13, 7, 8, 2)
+    """One colour encodes as indexed colour (type 3), noise of more than
+    256 colours as truecolour (type 2); both at bit depth 8."""
+    assert _ihdr(encode_png(np.zeros((7, 13, 3), dtype=np.uint8))) == (13, 7, 8, 3)
+    assert _ihdr(encode_png(_random_image(17, 31))) == (31, 17, 8, 2)
+
+
+@pytest.mark.parametrize("colors, ctype", [(256, 3), (257, 2)])
+def test_palette_limit_picks_the_colour_type(colors, ctype):
+    """Up to 256 colours fit a PLTE, listed in ascending RGB order."""
+    rng = np.random.default_rng(colors)
+    keys = rng.choice(1 << 24, size=colors, replace=False)
+    rgb = (np.stack([keys >> 16, keys >> 8, keys], axis=-1) & 0xFF).astype(np.uint8)
+    index = rng.integers(0, colors, (20, 40))
+    index.flat[:colors] = np.arange(colors)  # every colour appears
+    img = rgb[index]
+    data = encode_png(img)
+    assert _ihdr(data)[3] == ctype
+    assert np.array_equal(decode_png(data), img)
+    plte = _chunk_payload(data, b"PLTE")
+    if ctype == 2:
+        assert plte is None
+    else:
+        entries = [tuple(e) for e in
+                   np.frombuffer(plte, np.uint8).reshape(-1, 3).tolist()]
+        assert len(entries) == colors
+        assert entries == sorted(entries)
 
 
 def test_roundtrip_solid():
@@ -64,6 +102,8 @@ def test_bad_input_shape_rejected():
         encode_png(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(RenderError):
         encode_png(np.zeros((4, 4, 3), dtype=np.float64))
+    with pytest.raises(RenderError):  # PNG has no empty images
+        encode_png(np.zeros((0, 4, 3), dtype=np.uint8))
 
 
 def test_decode_rejects_non_png():
@@ -122,17 +162,18 @@ def _make_chunk(kind: bytes, payload: bytes) -> bytes:
             + struct.pack(">I", zlib.crc32(kind + payload) & 0xFFFFFFFF))
 
 
-def _unfilter_reference(rows, w):
-    """Scalar reference unfiltering straight from the PNG spec pseudocode."""
-    stride = w * 3
+def _unfilter_reference(rows, w, bpp=3):
+    """Scalar reference unfiltering straight from the PNG spec pseudocode;
+    ``bpp`` bytes per pixel (3 for RGB, 1 for palette indices)."""
+    stride = w * bpp
     prev = [0] * stride
     out = []
     for ftype, payload in rows:
         line = list(payload)
         for x in range(stride):
-            left = line[x - 3] if x >= 3 else 0
+            left = line[x - bpp] if x >= bpp else 0
             up = prev[x]
-            ul = prev[x - 3] if x >= 3 else 0
+            ul = prev[x - bpp] if x >= bpp else 0
             if ftype == 0:
                 pred = 0
             elif ftype == 1:
@@ -148,21 +189,48 @@ def _unfilter_reference(rows, w):
             line[x] = (line[x] + pred) & 0xFF
         prev = line
         out.append(line)
-    return np.array(out, dtype=np.uint8).reshape(len(rows), w, 3)
+    return np.array(out, dtype=np.uint8).reshape(len(rows), w, bpp)
 
 
-@pytest.mark.parametrize("ftype", [3, 4])
-def test_decode_average_paeth_match_reference(ftype):
-    """Filters 3 (Average) and 4 (Paeth) against a scalar reference."""
+def _fixture_png(w: int, rows, ctype: int = 2, plte: bytes | None = None) -> bytes:
+    """A hand-built 8-bit PNG of pre-filtered ``(ftype, payload)`` rows."""
+    raw = b"".join(bytes([f]) + payload for f, payload in rows)
+    ihdr = struct.pack(">IIBBBBB", w, len(rows), 8, ctype, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + _make_chunk(b"IHDR", ihdr)
+            + (_make_chunk(b"PLTE", plte) if plte is not None else b"")
+            + _make_chunk(b"IDAT", zlib.compress(raw)) + _make_chunk(b"IEND", b""))
+
+
+def _random_rows(rng, ftypes, nbytes):
+    return [(f, bytes(rng.integers(0, 256, nbytes, dtype=np.uint8).tolist()))
+            for f in ftypes]
+
+
+#: a full 256-entry palette, so every unfiltered index byte is valid
+_PLTE = np.random.default_rng(256).integers(0, 256, 768, dtype=np.uint8).tobytes()
+
+
+def _indexed_reference(rows, w):
+    palette = np.frombuffer(_PLTE, np.uint8).reshape(256, 3)
+    return palette[_unfilter_reference(rows, w, bpp=1)[..., 0]]
+
+
+@pytest.mark.parametrize("ftype, ctype", [
+    pytest.param(3, 2, id="3"), pytest.param(4, 2, id="4"),
+    pytest.param(3, 3, id="indexed-3"), pytest.param(4, 3, id="indexed-4")])
+def test_decode_average_paeth_match_reference(ftype, ctype):
+    """Filters 3 (Average) and 4 (Paeth) against a scalar reference, over
+    RGB (3-byte left neighbour) and palette indices (1-byte)."""
     rng = np.random.default_rng(ftype)
     w, nrows = 5, 4
-    rows = [(ftype, bytes(rng.integers(0, 256, w * 3, dtype=np.uint8).tolist()))
-            for _ in range(nrows)]
-    raw = b"".join(bytes([f]) + payload for f, payload in rows)
-    ihdr = struct.pack(">IIBBBBB", w, nrows, 8, 2, 0, 0, 0)
-    data = (b"\x89PNG\r\n\x1a\n" + _make_chunk(b"IHDR", ihdr)
-            + _make_chunk(b"IDAT", zlib.compress(raw)) + _make_chunk(b"IEND", b""))
-    assert np.array_equal(decode_png(data), _unfilter_reference(rows, w))
+    if ctype == 2:
+        rows = _random_rows(rng, [ftype] * nrows, w * 3)
+        want = _unfilter_reference(rows, w)
+    else:
+        rows = _random_rows(rng, [ftype] * nrows, w)
+        want = _indexed_reference(rows, w)
+    plte = _PLTE if ctype == 3 else None
+    assert np.array_equal(decode_png(_fixture_png(w, rows, ctype, plte)), want)
 
 
 def _idat_filter_bytes(data: bytes, height: int, stride: int) -> set[int]:
@@ -198,14 +266,33 @@ def test_decode_mixed_filters_match_reference():
     """Every filter type interleaved in one foreign-encoder image."""
     rng = np.random.default_rng(5)
     w = 7
-    ftypes = [0, 4, 3, 2, 1, 3, 4, 0, 2]
-    rows = [(f, bytes(rng.integers(0, 256, w * 3, dtype=np.uint8).tolist()))
-            for f in ftypes]
-    raw = b"".join(bytes([f]) + payload for f, payload in rows)
-    ihdr = struct.pack(">IIBBBBB", w, len(rows), 8, 2, 0, 0, 0)
-    data = (b"\x89PNG\r\n\x1a\n" + _make_chunk(b"IHDR", ihdr)
-            + _make_chunk(b"IDAT", zlib.compress(raw)) + _make_chunk(b"IEND", b""))
-    assert np.array_equal(decode_png(data), _unfilter_reference(rows, w))
+    rows = _random_rows(rng, [0, 4, 3, 2, 1, 3, 4, 0, 2], w * 3)
+    assert np.array_equal(decode_png(_fixture_png(w, rows)),
+                          _unfilter_reference(rows, w))
+
+
+def test_decode_indexed_mixed_filters_match_reference():
+    """The same for an indexed image: every filter over 1-byte indices,
+    then the palette gather."""
+    rng = np.random.default_rng(6)
+    w = 9
+    rows = _random_rows(rng, [0, 1, 2, 3, 4, 4, 3, 2, 1, 0, 1], w)
+    img = decode_png(_fixture_png(w, rows, 3, _PLTE))
+    assert img.shape == (11, 9, 3)
+    assert np.array_equal(img, _indexed_reference(rows, w))
+
+
+@pytest.mark.parametrize("plte, match", [
+    pytest.param(None, "indexed PNG without PLTE", id="no-plte"),
+    pytest.param(bytes(7), "not a multiple of 3", id="ragged-plte"),
+    pytest.param(bytes(3 * 257), "257 entries", id="long-plte"),
+    pytest.param(bytes(3 * 2), "index 2 is past the 2-entry PLTE",
+                 id="index-past-plte"),
+])
+def test_decode_rejects_bad_palette(plte, match):
+    rows = [(0, bytes([0, 1, 2, 1])), (2, bytes([0, 0, 0, 0]))]
+    with pytest.raises(RenderError, match=match):
+        decode_png(_fixture_png(4, rows, 3, plte))
 
 
 def test_roundtrip_non_contiguous_input():

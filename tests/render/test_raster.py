@@ -46,6 +46,34 @@ class TestFont:
             g = font5x7.glyph_bitmap(ch)
             assert g.shape == (7, 5)
 
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4])
+    def test_cached_glyph_scalings_equal_kron(self, scale, rotated):
+        """Every glyph's cached scaling is np.kron of its 7x5 bitmap."""
+        block = np.ones((scale, scale), dtype=bool)
+        for ch in [*font5x7._RAW, "é"]:
+            bitmap = font5x7.text_bitmap(ch)
+            if rotated:
+                bitmap = np.rot90(bitmap)
+            assert np.array_equal(font5x7.glyph_bitmap(ch, scale, rotated),
+                                  np.kron(bitmap, block)), ch
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_scaled_text_bitmap_equals_kron(self, scale, rotated):
+        text = "Task 42: ok?"
+        bitmap = font5x7.text_bitmap(text)
+        if rotated:
+            bitmap = np.rot90(bitmap)
+        assert np.array_equal(
+            font5x7.text_bitmap(text, scale=scale, rotated=rotated),
+            np.kron(bitmap, np.ones((scale, scale), dtype=bool)))
+
+    def test_glyph_cache_is_keyed_by_glyph(self):
+        """Unknown characters share the replacement glyph's entry."""
+        assert font5x7.glyph_bitmap("é", 2) is font5x7.glyph_bitmap("ß", 2)
+        assert not font5x7.glyph_bitmap("A", 3, True).flags.writeable
+
 
 class TestRasterImage:
     def test_background(self):
@@ -217,6 +245,30 @@ class TestRasterImage:
         with pytest.raises(ValueError):
             RasterImage(0, 10)
 
+    def test_canvas_holds_palette_indices(self):
+        img = RasterImage(6, 4, WHITE)
+        img.fill_rect(1, 1, 2, 2, RED)
+        img.fill_rect(4, 0, 1, 4, RED)
+        img.draw_line(0, 3, 5, 3, BLACK)
+        assert img.canvas.dtype == np.uint8 and img.canvas.shape == (4, 6)
+        assert img.colors == [WHITE, RED, BLACK]
+        assert img.canvas[1, 1] == 1 and img.canvas[3, 0] == 2
+        assert np.array_equal(img.pixels[1, 1], [255, 0, 0])
+
+    def test_canvas_widens_past_256_colours(self):
+        """The 257th colour widens the canvas to uint16; earlier indices
+        and the gathered pixels keep their values."""
+        img = RasterImage(30, 20, WHITE)
+        colors = [Color(i % 256, i // 256, 7) for i in range(300)]
+        for i, c in enumerate(colors):
+            img.fill_rect(i % 30, i // 30, 1, 1, c)
+            assert img.canvas.dtype == (np.uint8 if i < 255 else np.uint16)
+        px = img.pixels
+        for i, c in enumerate(colors):
+            assert tuple(px[i // 30, i % 30]) == (c.r, c.g, c.b)
+            assert img.pixel(i % 30, i // 30) == c
+        assert img.count_color(WHITE) == 30 * 20 - 300
+
 
 def reference_rasterize(drawing: Drawing) -> RasterImage:
     """The naive one-Python-call-per-primitive z-order walk."""
@@ -238,12 +290,11 @@ def reference_rasterize(drawing: Drawing) -> RasterImage:
 
 
 class TestBatchedRasterize:
-    """Batched fill runs must be pixel-identical to the per-item walk."""
+    """The batched painter must be pixel-identical to the per-item walk."""
 
     GREEN = Color(0, 160, 0)
 
     def test_overlapping_colors_keep_z_order(self):
-        # Below the scratch threshold: exercises the in-order bounds path.
         d = Drawing(200, 120)
         for i in range(40):
             d.add(Rect(3 * i, 2 * i % 60, 30, 25,
@@ -252,8 +303,8 @@ class TestBatchedRasterize:
                               reference_rasterize(d).pixels)
 
     def test_scratch_path_keeps_z_order(self):
-        # A small canvas pushes a 60-rect run over the whole-canvas
-        # compositing threshold; overlaps make order observable.
+        # Named after a whole-canvas pass that is gone; the case stays:
+        # heavy overlap on a small canvas, later boxes win every pixel.
         d = Drawing(40, 40)
         for i in range(60):
             d.add(Rect((7 * i) % 30, (5 * i) % 30, 12, 9,
@@ -283,6 +334,34 @@ class TestBatchedRasterize:
         d.add(Line(0, 0, 119, 79, RED, 3))
         assert np.array_equal(rasterize(d).pixels,
                               reference_rasterize(d).pixels)
+
+    def test_text_and_diagonal_keep_their_place_in_z_order(self):
+        d = Drawing(80, 40)
+        d.add(Rect(0, 0, 80, 40, fill=self.GREEN, stroke=BLACK))
+        d.add(Text(40, 20, "ABC", size=14, color=RED, halign=HAlign.CENTER,
+                   valign=VAlign.MIDDLE))
+        d.add(Rect(30, 10, 20, 20, fill=BLACK))  # over the text
+        d.add(Line(0, 0, 79, 39, WHITE, 2))
+        d.add(Rect(5, 5, 10, 30, fill=RED, stroke=self.GREEN,
+                   stroke_width=3))               # over the line
+        d.add(Line(60, 2, 60, 38, RED, 2))       # axis-aligned: a box
+        d.add(Text(2, 39, "x", color=BLACK))
+        assert np.array_equal(rasterize(d).pixels,
+                              reference_rasterize(d).pixels)
+
+    def test_text_in_the_257th_colour_widens_mid_paint(self):
+        """Boxes after a text that widened the canvas land on the new
+        canvas.  The background, 254 box colours and red fill the uint8
+        palette before painting starts; the text's colour is the 257th."""
+        d = Drawing(40, 20)
+        for i in range(254):
+            d.add(Rect(i % 40, i // 40, 1, 1, fill=Color(i, 0, 9)))
+        d.add(Text(2, 19, "W", size=7, color=Color(1, 2, 3)))
+        d.add(Rect(20, 10, 10, 5, fill=RED))
+        img = rasterize(d)
+        assert img.canvas.dtype == np.uint16
+        assert np.array_equal(img.pixels, reference_rasterize(d).pixels)
+        assert img.count_color(RED) == 50
 
     def test_half_up_snapping_matches_scalar_path(self):
         # *.5 edges through the vectorized bounds == scalar _snap

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import socket
+import statistics
 import sys
 import threading
 import time
@@ -372,6 +374,38 @@ def test_result_of_unfinished_job_is_409(tmp_path, simple_schedule):
         assert status == 409 and body["error"]["code"] == "not-finished"
         server.resume_dispatch()
         client.wait(job["id"])
+
+
+def test_kept_alive_replies_are_not_held_back(tmp_path):
+    """A reply goes out in one write.  Written as headers, then body, on
+    a kept-alive TCP connection the body waits out Nagle plus the
+    client's delayed ACK, about 40 ms per reply."""
+    with serving(cache_dir=str(tmp_path / "cache")) as server:
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        took = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read())
+                took.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+    assert statistics.median(took) < 0.020, took
+
+
+def test_http09_request_gets_a_bare_body(tmp_path):
+    """An HTTP/0.9 request line has no version: the reply is the body
+    alone, with no status line or headers."""
+    with serving(cache_dir=str(tmp_path / "cache")) as server:
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    assert json.loads(reply)["workers"] == 1
 
 
 def test_statz_counters_and_latency(tmp_path, simple_schedule):
