@@ -9,11 +9,10 @@ processes "hundreds or thousands of schedules").
 
 from __future__ import annotations
 
-from conftest import persist, report
+from conftest import pinned, report
 
 from repro.core.model import Schedule
 from repro.io import jedule_xml
-from repro.obs.bench import time_min_of_k
 
 FIGURE1_DOC = """\
 <jedule version="1.0">
@@ -70,9 +69,8 @@ def test_figure1_document_parses_exactly(benchmark):
     def roundtrip():
         return jedule_xml.loads(text)
 
-    persist("f01_xml", "roundtrip_2000_tasks",
-            timings_s={"roundtrip": time_min_of_k(roundtrip)},
-            metrics={"tasks": len(big), "document_bytes": len(text)})
+    assert {"tasks": len(big), "document_bytes": len(text)} == pinned(
+        {"tasks": 2000, "document_bytes": 971471})
 
     back = benchmark(roundtrip)
     assert len(back) == len(big)

@@ -13,7 +13,7 @@ the figure shows, renders both schedules, and verifies the MCPA2 fix.
 
 from __future__ import annotations
 
-from conftest import report
+from conftest import pinned, report
 
 from repro.core.stats import low_utilization_windows, utilization
 from repro.dag.generators import imbalanced_layer_dag
@@ -50,13 +50,19 @@ def test_figure4_cpa_vs_mcpa(benchmark, artifacts_dir):
          mcpa2.mapping.meta["mcpa2_branch"]),
         ("MCPA2 makespan", f"== CPA ({cpa.makespan:.2f})",
          f"{mcpa2.makespan:.2f} s"),
-    ], suite="f04_cpa_mcpa", entry="figure4",
-       metrics={"cpa_makespan": cpa.makespan,
-                "mcpa_makespan": mcpa.makespan,
-                "mcpa2_makespan": mcpa2.makespan,
-                "cpa_utilization": utilization(cpa.schedule),
-                "mcpa_utilization": utilization(mcpa.schedule),
-                "mcpa_idle_holes": len(holes)})
+    ])
+    assert {"cpa_makespan": cpa.makespan,
+            "mcpa_makespan": mcpa.makespan,
+            "mcpa2_makespan": mcpa2.makespan,
+            "cpa_utilization": utilization(cpa.schedule),
+            "mcpa_utilization": utilization(mcpa.schedule),
+            "mcpa_idle_holes": len(holes)} == pinned(
+        {"cpa_makespan": 4.173606968328024,
+         "mcpa_makespan": 8.420077988095805,
+         "mcpa2_makespan": 4.173606968328024,
+         "cpa_utilization": 0.7066379176536801,
+         "mcpa_utilization": 0.3287543578937428,
+         "mcpa_idle_holes": 1})
 
     assert mcpa.makespan > 1.5 * cpa.makespan
     assert utilization(mcpa.schedule) < utilization(cpa.schedule)

@@ -13,7 +13,7 @@ quantified."
 
 from __future__ import annotations
 
-from conftest import report
+from conftest import pinned, report
 
 from repro.core.colormap import auto_colormap
 from repro.core.stats import idle_area, per_host_busy_time
@@ -104,13 +104,19 @@ def test_figure5_cra_work(benchmark, artifacts_dir):
         ("backfill on loose schedule", "recovers slack, delays 0",
          f"makespan {loose.schedule.makespan:.2f} -> "
          f"{recompacted.schedule.makespan:.2f} s, delayed {loose_delayed}"),
-    ], suite="f05_cra", entry="figure5",
-       metrics={"constraint_violations": violations,
-                "max_stretch": max(app_stretches),
-                "jain_fairness": jain_fairness(app_stretches),
-                "idle_before_backfill": idle_before,
-                "idle_after_backfill": idle_after,
-                "backfill_delayed_tasks": delayed})
+    ])
+    assert {"constraint_violations": violations,
+            "max_stretch": max(app_stretches),
+            "jain_fairness": jain_fairness(app_stretches),
+            "idle_before_backfill": idle_before,
+            "idle_after_backfill": idle_after,
+            "backfill_delayed_tasks": delayed} == pinned(
+        {"constraint_violations": 0,
+         "max_stretch": 3.832599151158383,
+         "jain_fairness": 0.9709089717248571,
+         "idle_before_backfill": 32.709052829038356,
+         "idle_after_backfill": 32.709052829038356,
+         "backfill_delayed_tasks": 0})
 
     assert violations == 0
     assert min(tail_busy) < mean_busy

@@ -18,7 +18,6 @@ from conftest import report
 
 from repro.core.stats import utilization
 from repro.render.api import export_schedule
-from repro.workloads.stats import workload_metrics
 from repro.workloads.bridge import HIGHLIGHT_TYPE, workload_colormap, workload_schedule
 from repro.workloads.scheduler import simulate_jobs
 from repro.workloads.thunder import (
@@ -51,13 +50,7 @@ def test_figure13_thunder_day(benchmark, artifacts_dir):
          f"{THUNDER_USER} ({len(highlighted)} jobs)"),
         ("day utilization", "(busy cluster)",
          f"{utilization(schedule):.2f}"),
-    ], suite="f13_thunder", entry="figure13",
-       metrics={"jobs": len(schedule),
-                "lowest_used_node": min_node,
-                "highlighted_jobs": len(highlighted),
-                "day_utilization": utilization(schedule),
-                **{f"wl_{k}": v
-                   for k, v in workload_metrics(scheduled).items()}})
+    ])
 
     assert len(schedule) == 834
     assert min_node >= 20

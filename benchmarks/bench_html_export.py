@@ -1,16 +1,13 @@
-"""Interactive HTML export — payload build + page emit at trace scale.
+"""Interactive HTML export — page size and embed decisions at trace scale.
 
 The data-driven HTML backend must stay a *small* export at any schedule
 size: past the task threshold it embeds LOD cell-run tiers (bounded by
 the grid and the run budget, not the task count) instead of raw task
-rectangles.  This benchmark times payload construction and full-page
-emission at 2k/20k/100k synthetic jobs and hard-fails if the headline
-size claim regresses: a 100k-job page must embed tiers, no raw tasks,
-and stay under 1.5 MB.
-
-Deterministic quality metrics (tier/run counts, embed decisions, the
-size budget) land in ``BENCH_html.json`` and are compared against the
-committed baseline by ``python -m repro.obs.regress`` in CI.
+rectangles.  This benchmark emits pages at 2k/20k/100k synthetic jobs
+and hard-fails if the headline size claim regresses: a 100k-job page
+must embed tiers, no raw tasks, and stay under 1.5 MB.  The tier/run
+counts and embed decisions are pinned; payload build and page emit
+times are ``perfbench``'s ``render.html.payload_s`` and ``emit_s``.
 """
 
 from __future__ import annotations
@@ -19,10 +16,9 @@ import json
 import re
 
 from bench_lod_scaling import synthetic_trace
-from conftest import persist, render_bytes, report
+from conftest import pinned, render_bytes, report
 
-from repro.obs.bench import time_min_of_k
-from repro.render.html_payload import build_payload, validate_payload
+from repro.render.html_payload import validate_payload
 
 SIZES = (2_000, 20_000, 100_000)
 SIZE_BUDGET = 1_500_000  # bytes, the "< 1.5 MB at 100k jobs" claim
@@ -40,17 +36,10 @@ def _embedded_payload(page: bytes) -> dict:
 def test_html_export_scaling(benchmark, artifacts_dir):
     schedules = {n: synthetic_trace(n) for n in SIZES}
 
-    rows = []
-    pages: dict[int, bytes] = {}
-    for n, s in schedules.items():
-        t_payload = time_min_of_k(lambda s=s: build_payload(s))
-        t_page = time_min_of_k(lambda s=s: render_bytes(s, "html"))
-        pages[n] = render_bytes(s, "html")
-        persist("html", f"export_{n}",
-                timings_s={"build_payload": t_payload, "emit_page": t_page})
-        rows.append((f"{n} jobs", f"{min(t_page) * 1e3:.0f} ms",
-                     f"{len(pages[n]) / 1e3:.0f} kB"))
-    report("HTML export (payload + page emit)", rows)
+    pages = {n: render_bytes(s, "html") for n, s in schedules.items()}
+    report("HTML export (page size, < 1.5 MB at 100k jobs)", [
+        (f"{n} jobs", "-", f"{len(page) / 1e3:.0f} kB")
+        for n, page in pages.items()])
 
     small = _embedded_payload(pages[SIZES[0]])
     big = _embedded_payload(pages[SIZES[-1]])
@@ -63,13 +52,15 @@ def test_html_export_scaling(benchmark, artifacts_dir):
     tier_runs = sum(len(band["runs"])
                     for tier in big["lod"]["tiers"]
                     for band in tier["clusters"])
-    persist("html", "quality", metrics={
+    assert {
         "raw_embedded_2k": int(small["tasks"] is not None),
         "raw_embedded_100k": int(big["tasks"] is not None),
         "tiers_100k": len(big["lod"]["tiers"]),
         "tier_runs_100k": tier_runs,
         "page_under_budget_100k": int(len(pages[SIZES[-1]]) < SIZE_BUDGET),
-    })
+    } == pinned({"raw_embedded_2k": 1, "raw_embedded_100k": 0,
+                 "tiers_100k": 2, "tier_runs_100k": 27364,
+                 "page_under_budget_100k": 1})
 
     (artifacts_dir / "html_export_100k.html").write_bytes(pages[SIZES[-1]])
 

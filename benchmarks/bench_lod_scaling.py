@@ -15,12 +15,11 @@ synthetic traces at three scales, renders each with ``lod="off"`` and
 from __future__ import annotations
 
 import random
+import timeit
 
 from conftest import render_bytes, report
 
 from repro.core.model import Schedule
-from repro.core.stats import utilization
-from repro.obs.bench import time_min_of_k
 from repro.render.layout import layout_schedule
 from repro.render.lod import LOD_REF_PREFIX
 
@@ -47,13 +46,12 @@ def synthetic_trace(n_jobs: int, hosts: int = HOSTS, seed: int = 7) -> Schedule:
 def test_lod_scaling(benchmark, artifacts_dir):
     schedules = {n: synthetic_trace(n) for n in SIZES}
 
-    timings: dict[int, tuple[float, float]] = {}
-    runs: dict[int, tuple[list[float], list[float]]] = {}
-    for n, s in schedules.items():
-        off = time_min_of_k(lambda s=s: render_bytes(s, "png", lod="off"))
-        auto = time_min_of_k(lambda s=s: render_bytes(s, "png", lod="auto"))
-        timings[n] = (min(off), min(auto))
-        runs[n] = (off, auto)
+    def best_render_s(s: Schedule, lod: str) -> float:
+        return min(timeit.repeat(lambda: render_bytes(s, "png", lod=lod),
+                                 number=1, repeat=3))
+
+    timings = {n: (best_render_s(s, "off"), best_render_s(s, "auto"))
+               for n, s in schedules.items()}
 
     big = schedules[SIZES[-1]]
     d = layout_schedule(big, lod="auto")
@@ -67,19 +65,6 @@ def test_lod_scaling(benchmark, artifacts_dir):
     rows.append((f"rects at {SIZES[-1]} jobs", f"{SIZES[-1]} tasks",
                  f"{lod_rects} aggregated"))
     report("LOD scaling (full vs aggregated rendering)", rows)
-
-    # persist the trajectory: noisy timings per size, deterministic
-    # geometry/quality metrics that the regression gate hard-fails on
-    from conftest import persist
-    for n in SIZES:
-        persist("lod_scaling", f"render_{n}",
-                timings_s={"render_off": runs[n][0],
-                           "render_auto": runs[n][1]})
-    persist("lod_scaling", "quality",
-            metrics={"lod_rects_100k": lod_rects,
-                     "makespan_100k": big.makespan,
-                     "utilization_100k": utilization(big),
-                     "tasks_100k": len(big)})
 
     # Small inputs stay on the exact per-task path: identical output bytes.
     small = schedules[SIZES[0]]

@@ -2,18 +2,17 @@
 
 Every scheduler of the online/OS families runs on the same seeded Poisson
 arrival trace through the registry; the resulting makespan, flow/stretch
-and fairness metrics are persisted to ``BENCH_sched_zoo.json`` so the
-regression gate catches any behavioural drift in the policies.  Two
-ablations ride along: the round-robin quantum sweep (smaller quanta →
-fairer but choppier) and the MLFQ feedback-level sweep.
+and fairness metrics are pinned at their recorded values, so any
+behavioural drift in the policies fails here.  Two ablations ride along:
+the round-robin quantum sweep (smaller quanta → fairer but choppier) and
+the MLFQ feedback-level sweep.
 """
 
 from __future__ import annotations
 
-from conftest import persist, report
+from conftest import pinned, report
 
 from repro.core.slices import validate_slices
-from repro.obs.bench import time_min_of_k
 from repro.render.api import export_schedule
 from repro.sched.registry import JobsProblem, run_scheduler
 from repro.workloads.arrivals import poisson_arrivals
@@ -30,6 +29,56 @@ ZOO = {
 
 _KEEP = ("makespan", "mean_flow", "max_flow", "mean_stretch", "max_stretch",
          "jain_fairness", "preemptions", "slices", "shrunk_jobs")
+
+#: recorded metrics, per scheduler (or sweep point) and metric name
+ZOO_PINNED = {
+    "rr": dict(makespan=172.553696634, mean_flow=23.204039701,
+               max_flow=61.049218082, mean_stretch=1.936213676,
+               max_stretch=4.218966594, jain_fairness=0.787765399,
+               preemptions=0, slices=62),
+    "sjf": dict(makespan=172.553696634, mean_flow=16.549179892,
+                max_flow=69.737737709, mean_stretch=1.25854685,
+                max_stretch=3.12330581, jain_fairness=0.82952406,
+                preemptions=6, slices=30),
+    "mlfq": dict(makespan=172.553696634, mean_flow=24.59580362,
+                 max_flow=62.318453017, mean_stretch=2.052839843,
+                 max_stretch=4.179967355, jain_fairness=0.78285126,
+                 preemptions=11, slices=70),
+    "cfs": dict(makespan=172.553696634, mean_flow=24.382613416,
+                max_flow=71.156375167, mean_stretch=1.994335964,
+                max_stretch=3.414331876, jain_fairness=0.805859172,
+                preemptions=6, slices=87),
+    "online-list": dict(makespan=164.246299071, mean_flow=6.821545903,
+                        max_flow=13.11757895, mean_stretch=1.255231729,
+                        max_stretch=2.169445714, jain_fairness=0.925075698),
+    "moldable-list": dict(makespan=351.290820306, mean_flow=73.950913971,
+                          max_flow=253.092558967, mean_stretch=5.217770036,
+                          max_stretch=16.086754996, jain_fairness=0.622969387,
+                          shrunk_jobs=11),
+}
+QUANTUM_PINNED = {
+    "q1": dict(makespan=172.553696634, mean_stretch=1.982777737, slices=195),
+    "q2": dict(makespan=172.553696634, mean_stretch=1.994369709, slices=110),
+    "q4": dict(makespan=172.553696634, mean_stretch=1.936213676, slices=62),
+    "q8": dict(makespan=172.553696634, mean_stretch=1.969156564, slices=38),
+    "q16": dict(makespan=172.553696634, mean_stretch=1.847139135, slices=28),
+}
+LEVELS_PINNED = {
+    "levels1": dict(makespan=172.553696634, mean_stretch=1.994369709,
+                    preemptions=0),
+    "levels2": dict(makespan=172.553696634, mean_stretch=1.879352219,
+                    preemptions=12),
+    "levels3": dict(makespan=172.553696634, mean_stretch=2.243302875,
+                    preemptions=12),
+    "levels4": dict(makespan=172.553696634, mean_stretch=2.196188034,
+                    preemptions=11),
+}
+
+
+def _flat(table: dict) -> dict:
+    """``{"rr": {"makespan": x}}`` as ``{"rr.makespan": x}``."""
+    return {f"{row}.{key}": value
+            for row, values in table.items() for key, value in values.items()}
 
 
 def _problem() -> JobsProblem:
@@ -58,12 +107,8 @@ def test_zoo_metrics(artifacts_dir):
     # SRPT is flow-optimal on one machine; on 2 CPUs it must still beat RR
     assert metrics["sjf.mean_flow"] < metrics["rr.mean_flow"]
 
-    mlfq_runs = time_min_of_k(
-        lambda: run_scheduler("mlfq", problem, **ZOO["mlfq"]), k=5)
-    report("Scheduler zoo (online + OS pack)", rows,
-           suite="sched_zoo", entry="zoo",
-           timings_s={"mlfq_run": mlfq_runs},
-           metrics=metrics)
+    report("Scheduler zoo (online + OS pack)", rows)
+    assert metrics == pinned(_flat(ZOO_PINNED))
 
 
 def test_quantum_ablation(artifacts_dir):
@@ -79,7 +124,7 @@ def test_quantum_ablation(artifacts_dir):
         metrics[f"{key}.slices"] = result.metrics["slices"]
         slices_by_q.append(result.metrics["slices"])
     assert slices_by_q == sorted(slices_by_q, reverse=True)
-    persist("sched_zoo", "ablation_quantum", metrics=metrics)
+    assert metrics == pinned(_flat(QUANTUM_PINNED))
 
 
 def test_mlfq_levels_ablation(artifacts_dir):
@@ -100,4 +145,4 @@ def test_mlfq_levels_ablation(artifacts_dir):
     rr = run_scheduler("rr", problem, cpus=2, quantum=2.0)
     assert stretch_by_levels[1] == rr.metrics["mean_stretch"], \
         "1-level MLFQ must degenerate to round-robin"
-    persist("sched_zoo", "ablation_levels", metrics=metrics)
+    assert metrics == pinned(_flat(LEVELS_PINNED))

@@ -10,19 +10,19 @@ content-addressed cache — and measures:
 * cold throughput: N distinct jobs (same schedule, distinct render
   options) through a 2-worker server, jobs/second;
 * warm throughput: the same N jobs again, all served from the cache;
-* request latency percentiles (p50/p95/p99) as reported by ``/statz``,
-  persisted into ``BENCH_serve.json`` and gated (warn-only on timings)
-  by ``repro.obs.regress`` against the committed baseline.
+* request latency percentiles (p50/p95/p99) as reported by ``/statz``.
 
-Job counts and cache outcomes are deterministic and gate hard; wall-clock
-numbers vary with runner hardware and gate as warnings.
+Job counts and cache outcomes are deterministic and pinned; wall-clock
+numbers vary with runner hardware, so only "warm beats cold" is asserted
+on them (``perfbench`` ``serve_mix`` measures serve latency with
+per-layer attribution).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
-from conftest import report
+from conftest import pinned, report
 
 from bench_lod_scaling import synthetic_trace
 
@@ -85,14 +85,12 @@ def test_serve_throughput_and_latency(tmp_path):
         ("latency p95", "-", f"{latency['p95'] * 1e3:.1f} ms"),
         ("latency p99", "-", f"{latency['p99'] * 1e3:.1f} ms"),
         ("warm cache hits", str(N_JOBS), str(warm_hits)),
-    ], suite="serve", entry="throughput",
-       timings_s={"cold_wave": [cold_s], "warm_wave": [warm_s],
-                  "p50": [latency["p50"]], "p95": [latency["p95"]],
-                  "p99": [latency["p99"]]},
-       metrics={"jobs": N_JOBS, "cold_ok": cold_done,
-                "warm_hits": warm_hits,
-                "failed": int(stats["counters"].get("serve.jobs.failed", 0)),
-                "restarts": stats["workers"]["restarts"]})
+    ])
+    assert {"jobs": N_JOBS, "cold_ok": cold_done, "warm_hits": warm_hits,
+            "failed": int(stats["counters"].get("serve.jobs.failed", 0)),
+            "restarts": stats["workers"]["restarts"]} == pinned(
+        {"jobs": 16, "cold_ok": 16, "warm_hits": 16, "failed": 0,
+         "restarts": 0})
 
     assert cold_done == N_JOBS
     assert warm_hits == N_JOBS
@@ -132,8 +130,8 @@ def test_serve_backpressure_is_bounded(tmp_path):
         ("accepted", "4", str(accepted)),
         ("rejected (429)", str(N_JOBS - 4), str(rejected)),
         ("submit burst", "-", f"{elapsed * 1e3:.1f} ms"),
-    ], suite="serve", entry="backpressure",
-       timings_s={"submit_burst": [elapsed]},
-       metrics={"accepted": accepted, "rejected": rejected})
+    ])
+    assert {"accepted": accepted, "rejected": rejected} == pinned(
+        {"accepted": 4, "rejected": 12})
     assert accepted == 4
     assert rejected == N_JOBS - 4

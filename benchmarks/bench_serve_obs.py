@@ -9,16 +9,16 @@ and costs < 3% wall-clock on a render-bound stream of jobs.
 Two identical servers, caches off so every job really renders: one with
 ``trace_jobs=True`` (stitching + /metricz live, the default), one with
 ``trace_jobs=False``.  The same wave of jobs goes through both; the
-overhead ratio is persisted warn-only (wall clock varies per runner)
-while job counts, stage-histogram totals and the /metricz parse-back gate
-hard.
+overhead ratio is printed and bounded only loosely (wall clock varies per
+runner) while job counts, stage-histogram totals and the /metricz
+parse-back are asserted.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
-from conftest import report
+from conftest import pinned, report
 
 from bench_lod_scaling import synthetic_trace
 
@@ -94,12 +94,12 @@ def test_tracing_and_metrics_overhead():
         ("stage samples (worker)", str(total_jobs),
          str(int(stage_counts.get("worker", 0)))),
         ("/metricz families", ">= 8", str(len(parsed))),
-    ], suite="serve_obs", entry="overhead",
-       timings_s={"bare_wave": [bare_s], "traced_wave": [traced_s],
-                  "overhead_ratio": [overhead]},
-       metrics={"jobs": N_JOBS, "traced_ok": traced_ok, "bare_ok": bare_ok,
-                "metricz_jobs_ok": int(jobs_ok),
-                "stage_samples": int(stage_counts.get("worker", 0))})
+    ])
+    assert {"jobs": N_JOBS, "traced_ok": traced_ok, "bare_ok": bare_ok,
+            "metricz_jobs_ok": int(jobs_ok),
+            "stage_samples": int(stage_counts.get("worker", 0))} == pinned(
+        {"jobs": 12, "traced_ok": 12, "bare_ok": 12, "metricz_jobs_ok": 24,
+         "stage_samples": 24})
 
     assert traced_ok == N_JOBS and bare_ok == N_JOBS
     assert jobs_ok == float(total_jobs)
@@ -107,5 +107,5 @@ def test_tracing_and_metrics_overhead():
     for stage in ("queue_wait", "worker", "total"):
         assert stage_counts.get(stage) == float(total_jobs), \
             (stage, stage_counts)
-    # wall-clock ratio is advisory here; the regress gate warns on drift
+    # the wall-clock ratio is advisory; only a blow-up fails
     assert overhead < 2.0, f"tracing overhead blew up: {overhead:.2f}x"

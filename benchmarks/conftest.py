@@ -3,17 +3,13 @@
 Every ``bench_fNN_*.py`` regenerates one figure of the paper: it builds the
 experiment, prints the quantities the figure conveys (paper claim vs. what
 we measure), asserts the *shape* of the result, renders the figure to
-``benchmarks/artifacts/``, and times the computational core with
-pytest-benchmark.
+``benchmarks/artifacts/`` (not tracked), and times the computational core
+with pytest-benchmark.
 
-Results are no longer print-only: :func:`report` (and the lower-level
-:func:`persist`) also feed the ``repro.obs`` run registry.  At session end
-every touched suite is written as ``benchmarks/artifacts/BENCH_<suite>.json``
-and appended to ``benchmarks/artifacts/runlog.jsonl``, giving each
-benchmark run a persisted, environment-stamped record.  Committed
-snapshots live in ``benchmarks/baselines/`` and
-``python -m repro.obs.regress`` compares the two (see
-``docs/observability.md``).
+Deterministic quality numbers (makespans, fairness, job counts, painted
+pixels) are asserted in the test that computes them, against recorded
+values through :func:`pinned`.  End-to-end and per-layer timings of the
+paths a user waits on live in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -22,13 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.bench import BenchSuite
-
 ARTIFACTS = Path(__file__).parent / "artifacts"
-BASELINES = Path(__file__).parent / "baselines"
-RUNLOG = ARTIFACTS / "runlog.jsonl"
-
-_suites: dict[str, BenchSuite] = {}
 
 
 @pytest.fixture(scope="session")
@@ -49,44 +39,17 @@ def render_bytes(schedule, format: str = "png", **options) -> bytes:
         RenderRequest(output_format=format, **options), schedule)
 
 
-def persist(suite: str, entry: str, *, timings_s: dict | None = None,
-            metrics: dict | None = None, rows: list | None = None) -> None:
-    """Queue one benchmark record; flushed to disk at session end.
-
-    ``timings_s`` values may be run lists (min-of-k compares bests);
-    ``metrics`` must be deterministic — the regression gate hard-fails on
-    their drift.
-    """
-    bucket = _suites.setdefault(suite, BenchSuite(suite))
-    bucket.record(entry, timings_s=timings_s, metrics=metrics, rows=rows)
+def pinned(expected: dict):
+    """``expected`` (metric name -> recorded value) as a comparison that a
+    dict of measured metrics must equal: the same keys, and each value
+    within 5 % of the recorded one (a recorded 0 must stay 0)."""
+    return pytest.approx(expected, rel=0.05)
 
 
-def report(figure: str, rows: list[tuple[str, str, str]], *,
-           suite: str | None = None, entry: str | None = None,
-           timings_s: dict | None = None,
-           metrics: dict | None = None) -> None:
-    """Print a paper-vs-measured table for one figure; persist it if asked.
-
-    With ``suite`` given the table rows ride along into the suite's
-    ``BENCH_<suite>.json`` record together with any machine-readable
-    ``timings_s`` / ``metrics``.
-    """
+def report(figure: str, rows: list[tuple[str, str, str]]) -> None:
+    """Print a paper-vs-measured table for one figure."""
     print(f"\n=== {figure} ===")
     width = max((len(r[0]) for r in rows), default=20)
     print(f"{'quantity':<{width}}  {'paper':>24}  {'measured':>24}")
     for name, paper, measured in rows:
         print(f"{name:<{width}}  {paper:>24}  {measured:>24}")
-    if suite is not None:
-        persist(suite, entry or figure, timings_s=timings_s, metrics=metrics,
-                rows=[list(r) for r in rows])
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Flush every touched suite to BENCH_*.json + the JSONL run log."""
-    if not _suites:
-        return
-    ARTIFACTS.mkdir(exist_ok=True)
-    for bucket in _suites.values():
-        path = bucket.write(ARTIFACTS, runlog=RUNLOG)
-        print(f"\nbench records: wrote {path}")
-    _suites.clear()

@@ -5,13 +5,13 @@ simulation engine, layout/LOD/encode, the CLI) with near-zero overhead
 when disabled.  See :mod:`repro.obs.core` for collection,
 :mod:`repro.obs.export` for the Chrome-trace / summary / Gantt exporters,
 :mod:`repro.obs.log` for structured JSONL logging,
-:mod:`repro.obs.runlog` / :mod:`repro.obs.bench` for the persistent
-cross-run registry, :mod:`repro.obs.regress` for the regression gate and
+:mod:`repro.obs.runlog` for the persistent cross-run registry,
+:mod:`repro.obs.regress` for the regression check over it (run as
+``python -m repro.obs.regress``, so the package does not import it) and
 :mod:`repro.obs.report` for the rendered dashboard, plus
 ``docs/observability.md`` for a walkthrough.
 """
 
-from repro.obs.bench import BenchSuite, load_bench, time_min_of_k
 from repro.obs.core import (
     Histogram,
     SpanRecord,
@@ -39,7 +39,6 @@ from repro.obs.export import (
     validate_chrome_events,
 )
 from repro.obs.log import JsonlLogger, log_to
-from repro.obs.regress import Regression, compare_bench, compare_runlog
 from repro.obs.report import build_report, export_report, report_from_runlog
 from repro.obs.runlog import (
     RunLog,
@@ -51,10 +50,8 @@ from repro.obs.runlog import (
 )
 
 __all__ = [
-    "BenchSuite",
     "Histogram",
     "JsonlLogger",
-    "Regression",
     "RunLog",
     "RunRecord",
     "SpanRecord",
@@ -62,8 +59,6 @@ __all__ = [
     "add",
     "build_report",
     "capture",
-    "compare_bench",
-    "compare_runlog",
     "current_trace",
     "disable",
     "enable",
@@ -72,7 +67,6 @@ __all__ = [
     "gauge",
     "graft_trace_doc",
     "is_enabled",
-    "load_bench",
     "log_to",
     "merge_chrome_traces",
     "observe",
@@ -83,7 +77,6 @@ __all__ = [
     "span",
     "stage_summary",
     "summary_table",
-    "time_min_of_k",
     "to_chrome_events",
     "to_chrome_json",
     "trace_from_doc",

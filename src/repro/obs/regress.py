@@ -1,23 +1,18 @@
-"""Regression detection over the persisted perf trajectory.
+"""Regression detection over the persisted run registry.
 
-Two comparison modes, one severity model:
-
-* **BENCH vs. baseline** — :func:`compare_bench` diffs a freshly written
-  ``BENCH_<suite>.json`` against a committed baseline snapshot.
-* **Rolling run-log baseline** — :func:`compare_runlog` checks the latest
-  record of each (suite, name) series against the best of the previous
-  ``window`` records in the JSONL registry.
+:func:`compare_runlog` checks the latest record of each (suite, name)
+series in a JSONL run log against the best of the previous ``window``
+records.
 
 Timings are noisy, so they are compared min-of-k against min-of-k and
 only *slowdowns* beyond ``time_threshold`` are flagged; with
-``timing_warn_only`` they demote to warnings (the CI default — runner
-hardware varies).  Schedule-quality metrics are deterministic, so *any*
-relative drift beyond ``metric_threshold`` — makespan up, utilization
-down, LOD cell count changed — is a hard failure.
+``timing_warn_only`` they demote to warnings.  Schedule-quality metrics
+are deterministic, so *any* relative drift beyond ``metric_threshold`` —
+makespan up, utilization down, LOD cell count changed — is a hard
+failure.
 
 CLI (exits non-zero on failures)::
 
-    python -m repro.obs.regress CURRENT_DIR --baseline BASELINE_DIR
     python -m repro.obs.regress --runlog runs.jsonl --window 5
 """
 
@@ -26,12 +21,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.obs.bench import load_bench
 from repro.obs.runlog import RunLog, RunRecord
 
-__all__ = ["Regression", "compare_bench", "compare_runlog", "main"]
+__all__ = ["Regression", "compare_runlog", "main"]
 
 DEFAULT_TIME_THRESHOLD = 0.25
 DEFAULT_METRIC_THRESHOLD = 0.05
@@ -43,7 +36,7 @@ class Regression:
 
     suite: str
     entry: str
-    kind: str  # "timing" | "metric" | "missing"
+    kind: str  # "timing" | "metric"
     key: str
     baseline: float
     current: float
@@ -54,9 +47,6 @@ class Regression:
         return self.current / self.baseline if self.baseline else float("inf")
 
     def __str__(self) -> str:
-        if self.kind == "missing":
-            return (f"[{self.severity}] {self.suite}/{self.entry}: "
-                    f"{self.key} present in baseline but missing now")
         arrow = f"{self.baseline:g} -> {self.current:g}"
         if self.kind == "timing":
             return (f"[{self.severity}] {self.suite}/{self.entry}: "
@@ -71,49 +61,6 @@ def _best(value) -> float:
     if isinstance(value, (list, tuple)):
         return min(float(v) for v in value) if value else 0.0
     return float(value)
-
-
-def compare_bench(
-    baseline: dict,
-    current: dict,
-    *,
-    time_threshold: float = DEFAULT_TIME_THRESHOLD,
-    metric_threshold: float = DEFAULT_METRIC_THRESHOLD,
-    timing_warn_only: bool = False,
-) -> list[Regression]:
-    """Diff two BENCH documents (as loaded by :func:`load_bench`)."""
-    suite = str(baseline.get("suite", "?"))
-    out: list[Regression] = []
-    timing_severity = "warn" if timing_warn_only else "fail"
-    current_entries = current.get("entries", {})
-    for entry_name, base_entry in baseline.get("entries", {}).items():
-        cur_entry = current_entries.get(entry_name)
-        if cur_entry is None:
-            out.append(Regression(suite, entry_name, "missing", "entry",
-                                  0.0, 0.0, "fail"))
-            continue
-        for key, base_runs in base_entry.get("timings_s", {}).items():
-            cur_runs = cur_entry.get("timings_s", {}).get(key)
-            if cur_runs is None:
-                out.append(Regression(suite, entry_name, "missing", key,
-                                      _best(base_runs), 0.0, timing_severity))
-                continue
-            base_best, cur_best = _best(base_runs), _best(cur_runs)
-            if base_best > 0 and cur_best > base_best * (1 + time_threshold):
-                out.append(Regression(suite, entry_name, "timing", key,
-                                      base_best, cur_best, timing_severity))
-        for key, base_value in base_entry.get("metrics", {}).items():
-            cur_value = cur_entry.get("metrics", {}).get(key)
-            if cur_value is None:
-                out.append(Regression(suite, entry_name, "missing", key,
-                                      float(base_value), 0.0, "fail"))
-                continue
-            base_value, cur_value = float(base_value), float(cur_value)
-            scale = max(abs(base_value), 1e-12)
-            if abs(cur_value - base_value) > metric_threshold * scale:
-                out.append(Regression(suite, entry_name, "metric", key,
-                                      base_value, cur_value, "fail"))
-    return out
 
 
 def compare_runlog(
@@ -184,26 +131,14 @@ def compare_runlog(
     return out
 
 
-def _bench_pairs(current_dir: Path, baseline_dir: Path) -> list[tuple[Path, Path]]:
-    """Matching (baseline, current) BENCH files, keyed by file name."""
-    pairs: list[tuple[Path, Path]] = []
-    for base_path in sorted(baseline_dir.glob("BENCH_*.json")):
-        cur_path = current_dir / base_path.name
-        pairs.append((base_path, cur_path))
-    return pairs
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.regress",
-        description="Detect perf/quality regressions in persisted run records.")
-    parser.add_argument("current", nargs="?",
-                        help="directory holding freshly written BENCH_*.json")
-    parser.add_argument("--baseline",
-                        help="directory holding committed baseline BENCH_*.json")
-    parser.add_argument("--runlog", help="JSONL run registry to self-compare")
+        description="Detect perf/quality regressions in a JSONL run log.")
+    parser.add_argument("--runlog", required=True,
+                        help="JSONL run registry to self-compare")
     parser.add_argument("--window", type=int, default=5,
-                        help="rolling-baseline depth for --runlog (default 5)")
+                        help="rolling-baseline depth (default 5)")
     parser.add_argument("--time-threshold", type=float,
                         default=DEFAULT_TIME_THRESHOLD,
                         help="relative slowdown tolerated before flagging "
@@ -217,45 +152,20 @@ def main(argv: list[str] | None = None) -> int:
                              "(metric drift still fails)")
     args = parser.parse_args(argv)
 
-    if not args.runlog and not (args.current and args.baseline):
-        parser.error("need CURRENT and --baseline, or --runlog")
-
-    findings: list[Regression] = []
-    compared = 0
-    if args.current and args.baseline:
-        current_dir, baseline_dir = Path(args.current), Path(args.baseline)
-        if not baseline_dir.is_dir():
-            print(f"error: baseline directory {baseline_dir} not found",
-                  file=sys.stderr)
-            return 2
-        for base_path, cur_path in _bench_pairs(current_dir, baseline_dir):
-            if not cur_path.exists():
-                print(f"warning: no current results for {base_path.name} "
-                      f"(expected {cur_path})", file=sys.stderr)
-                continue
-            compared += 1
-            findings.extend(compare_bench(
-                load_bench(base_path), load_bench(cur_path),
-                time_threshold=args.time_threshold,
-                metric_threshold=args.metric_threshold,
-                timing_warn_only=args.timing_warn_only))
-    if args.runlog:
-        records = RunLog(args.runlog).records()
-        compared += 1 if records else 0
-        findings.extend(compare_runlog(
-            records, window=args.window,
-            time_threshold=args.time_threshold,
-            metric_threshold=args.metric_threshold,
-            timing_warn_only=args.timing_warn_only))
-
-    if compared == 0:
+    records = RunLog(args.runlog).records()
+    if not records:
         print("error: nothing to compare", file=sys.stderr)
         return 2
+    findings = compare_runlog(
+        records, window=args.window,
+        time_threshold=args.time_threshold,
+        metric_threshold=args.metric_threshold,
+        timing_warn_only=args.timing_warn_only)
     for f in findings:
         print(str(f))
     failures = [f for f in findings if f.severity == "fail"]
     warnings = [f for f in findings if f.severity == "warn"]
-    print(f"regress: {compared} comparison(s), {len(failures)} failure(s), "
+    print(f"regress: {len(records)} record(s), {len(failures)} failure(s), "
           f"{len(warnings)} warning(s)")
     return 1 if failures else 0
 

@@ -38,7 +38,7 @@ class SchedResult:
     """What running any scheduler through the registry yields.
 
     ``metrics`` values must be deterministic for a given problem + options
-    (the benchmark regression gate hard-fails on their drift); ``meta``
+    (``benchmarks/bench_sched_zoo.py`` pins them); ``meta``
     carries free-form strings (policy names, option echoes).  Both are
     exposed as read-only mapping proxies.
     """

@@ -6,83 +6,14 @@ slowdown and on a seeded makespan drift.
 
 from __future__ import annotations
 
-import copy
-import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.obs.bench import BenchSuite
-from repro.obs.regress import Regression, compare_bench, compare_runlog, main
+from repro.obs.regress import Regression, compare_runlog, main
 from repro.obs.runlog import RunLog, RunRecord
-
-
-def bench_doc(*, render=0.1, makespan=10.0) -> dict:
-    suite = BenchSuite("demo")
-    suite.record("figure", timings_s={"render": [render, render * 1.1]},
-                 metrics={"makespan": makespan})
-    return suite.to_json()
-
-
-class TestCompareBench:
-    def test_identical_is_clean(self):
-        doc = bench_doc()
-        assert compare_bench(doc, copy.deepcopy(doc)) == []
-
-    def test_injected_2x_slowdown_flagged(self):
-        findings = compare_bench(bench_doc(render=0.1), bench_doc(render=0.2))
-        (f,) = findings
-        assert (f.kind, f.key, f.severity) == ("timing", "render", "fail")
-        assert f.ratio == pytest.approx(2.0)
-        assert "2.00x slower" in str(f)
-
-    def test_timing_compared_min_of_k(self):
-        base = bench_doc(render=0.1)
-        cur = bench_doc(render=0.1)
-        # one noisy outlier run must not trip the gate: min-of-k absorbs it
-        cur["entries"]["figure"]["timings_s"]["render"] = [0.5, 0.101]
-        assert compare_bench(base, cur) == []
-
-    def test_speedup_never_flagged(self):
-        assert compare_bench(bench_doc(render=0.2), bench_doc(render=0.1)) == []
-
-    def test_timing_warn_only_demotes(self):
-        findings = compare_bench(bench_doc(render=0.1), bench_doc(render=0.2),
-                                 timing_warn_only=True)
-        assert [f.severity for f in findings] == ["warn"]
-
-    def test_makespan_drift_hard_fails_even_warn_only(self):
-        findings = compare_bench(bench_doc(makespan=10.0),
-                                 bench_doc(makespan=11.0),
-                                 timing_warn_only=True)
-        (f,) = findings
-        assert (f.kind, f.key, f.severity) == ("metric", "makespan", "fail")
-        assert "+10.0%" in str(f)
-
-    def test_metric_drift_symmetric(self):
-        # utilization *dropping* is as much a regression as makespan rising
-        findings = compare_bench(bench_doc(makespan=10.0), bench_doc(makespan=9.0))
-        assert [f.kind for f in findings] == ["metric"]
-
-    def test_drift_within_threshold_tolerated(self):
-        assert compare_bench(bench_doc(makespan=10.0),
-                             bench_doc(makespan=10.4)) == []
-
-    def test_missing_entry_and_key_flagged(self):
-        base = bench_doc()
-        gone_entry = copy.deepcopy(base)
-        gone_entry["entries"] = {}
-        assert [f.kind for f in compare_bench(base, gone_entry)] == ["missing"]
-        gone_metric = copy.deepcopy(base)
-        del gone_metric["entries"]["figure"]["metrics"]["makespan"]
-        (f,) = compare_bench(base, gone_metric)
-        assert (f.kind, f.severity) == ("missing", "fail")
-        assert "missing now" in str(f)
-
-    def test_thresholds_configurable(self):
-        base, cur = bench_doc(render=0.1), bench_doc(render=0.12)
-        assert compare_bench(base, cur) == []  # 20% < default 25%
-        findings = compare_bench(base, cur, time_threshold=0.1)
-        assert [f.kind for f in findings] == ["timing"]
 
 
 def record(suite="cli", name="render", *, render=None, makespan=None) -> RunRecord:
@@ -129,40 +60,81 @@ class TestCompareRunlog:
         records = [record(suite="a", render=0.1), record(suite="b", render=0.5)]
         assert compare_runlog(records) == []
 
+    def test_identical_is_clean(self):
+        same = record(render=0.1, makespan=10.0)
+        assert compare_runlog([same, same]) == []
+
+    def test_injected_2x_slowdown_flagged(self):
+        (f,) = compare_runlog([record(render=0.1), record(render=0.2)])
+        assert (f.kind, f.key, f.severity) == ("timing", "render", "fail")
+        assert f.ratio == pytest.approx(2.0)
+        assert "2.00x slower" in str(f)
+
+    def test_timing_compared_min_of_k(self):
+        # one noisy outlier run must not trip the check: min-of-k absorbs it
+        latest = record()
+        latest.timings_s = {"render": [0.5, 0.101]}
+        assert compare_runlog([record(render=0.1), latest]) == []
+
+    def test_speedup_never_flagged(self):
+        assert compare_runlog([record(render=0.2), record(render=0.1)]) == []
+
+    def test_timing_warn_only_demotes(self):
+        findings = compare_runlog([record(render=0.1), record(render=0.2)],
+                                  timing_warn_only=True)
+        assert [f.severity for f in findings] == ["warn"]
+
+    def test_makespan_drift_hard_fails_even_warn_only(self):
+        (f,) = compare_runlog([record(makespan=10.0), record(makespan=11.0)],
+                              timing_warn_only=True)
+        assert (f.kind, f.key, f.severity) == ("metric", "makespan", "fail")
+        assert "+10.0%" in str(f)
+
+    def test_metric_drift_symmetric(self):
+        # utilization *dropping* is as much a regression as makespan rising
+        findings = compare_runlog([record(makespan=10.0), record(makespan=9.0)])
+        assert [f.kind for f in findings] == ["metric"]
+
+    def test_drift_within_threshold_tolerated(self):
+        assert compare_runlog([record(makespan=10.0),
+                               record(makespan=10.4)]) == []
+
+    def test_thresholds_configurable(self):
+        records = [record(render=0.1), record(render=0.12)]
+        assert compare_runlog(records) == []  # 20% < default 25%
+        findings = compare_runlog(records, time_threshold=0.1)
+        assert [f.kind for f in findings] == ["timing"]
+
 
 class TestMainCli:
-    def write(self, doc: dict, directory) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "BENCH_demo.json").write_text(json.dumps(doc))
+    def write(self, path, *records: RunRecord) -> str:
+        log = RunLog(path)
+        for rec in records:
+            log.append(rec)
+        return str(path)
 
     def test_clean_run_exits_zero(self, tmp_path, capsys):
-        self.write(bench_doc(), tmp_path / "base")
-        self.write(bench_doc(), tmp_path / "cur")
-        rc = main([str(tmp_path / "cur"), "--baseline", str(tmp_path / "base")])
-        assert rc == 0
+        runlog = self.write(tmp_path / "runs.jsonl",
+                            record(render=0.1), record(render=0.1))
+        assert main(["--runlog", runlog]) == 0
         assert "0 failure(s)" in capsys.readouterr().out
 
     def test_injected_2x_slowdown_exits_nonzero(self, tmp_path, capsys):
-        self.write(bench_doc(render=0.1), tmp_path / "base")
-        self.write(bench_doc(render=0.2), tmp_path / "cur")
-        rc = main([str(tmp_path / "cur"), "--baseline", str(tmp_path / "base")])
-        assert rc == 1
+        runlog = self.write(tmp_path / "runs.jsonl",
+                            record(render=0.1), record(render=0.2))
+        assert main(["--runlog", runlog]) == 1
         assert "2.00x slower" in capsys.readouterr().out
 
     def test_seeded_makespan_drift_exits_nonzero(self, tmp_path, capsys):
-        self.write(bench_doc(makespan=10.0), tmp_path / "base")
-        self.write(bench_doc(makespan=12.0), tmp_path / "cur")
-        rc = main([str(tmp_path / "cur"), "--baseline", str(tmp_path / "base"),
-                   "--timing-warn-only"])
-        assert rc == 1
+        runlog = self.write(tmp_path / "runs.jsonl",
+                            record(makespan=10.0), record(makespan=12.0))
+        assert main(["--runlog", runlog, "--timing-warn-only"]) == 1
         assert "makespan" in capsys.readouterr().out
 
     def test_timing_warn_only_exits_zero_on_timing(self, tmp_path, capsys):
-        self.write(bench_doc(render=0.1), tmp_path / "base")
-        self.write(bench_doc(render=0.2), tmp_path / "cur")
-        rc = main([str(tmp_path / "cur"), "--baseline", str(tmp_path / "base"),
-                   "--timing-warn-only"])
-        assert rc == 0
+        runlog = self.write(tmp_path / "runs.jsonl",
+                            record(render=0.1), record(render=0.2))
+        assert main(["--runlog", runlog, "--timing-warn-only"]) == 0
         assert "1 warning(s)" in capsys.readouterr().out
 
     def test_runlog_mode(self, tmp_path, capsys):
@@ -172,17 +144,28 @@ class TestMainCli:
         assert main(["--runlog", str(tmp_path / "runs.jsonl")]) == 1
         assert "makespan" in capsys.readouterr().out
 
-    def test_missing_baseline_dir_is_usage_error(self, tmp_path, capsys):
-        assert main([str(tmp_path), "--baseline", str(tmp_path / "nope")]) == 2
-        assert "not found" in capsys.readouterr().err
-
     def test_empty_comparison_is_usage_error(self, tmp_path, capsys):
-        (tmp_path / "base").mkdir()
-        assert main([str(tmp_path), "--baseline", str(tmp_path / "base")]) == 2
+        assert main(["--runlog", str(tmp_path / "empty.jsonl")]) == 2
+        assert "nothing to compare" in capsys.readouterr().err
 
     def test_no_args_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_module_run_imports_itself_once(self, tmp_path):
+        """``python -m repro.obs.regress`` runs without runpy's warning
+        that the package had already imported the module."""
+        runlog = self.write(tmp_path / "runs.jsonl",
+                            record(makespan=10.0), record(makespan=12.0))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.obs.regress", "--runlog", runlog],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "regress: 2 record(s)" in proc.stdout
 
 
 class TestRegressionDataclass:

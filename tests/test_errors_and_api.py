@@ -82,7 +82,9 @@ def test_package_all_resolves():
 
 def test_removed_shims_stay_gone():
     """Schedulers run through the registry or their family submodule;
-    schedules render through a RenderRequest."""
+    schedules render through a RenderRequest; benchmarks keep no BENCH
+    snapshots."""
+    import repro.obs
     import repro.render.api
     import repro.sched
 
@@ -91,6 +93,10 @@ def test_removed_shims_stay_gone():
     with pytest.raises(ImportError):
         from repro.sched import HeftResult  # noqa: F401
     assert not hasattr(repro.render.api, "render_schedule")
+    with pytest.raises(ImportError):
+        import repro.obs.bench  # noqa: F401
+    for name in ("BenchSuite", "load_bench", "time_min_of_k", "compare_bench"):
+        assert not hasattr(repro.obs, name), name
 
 
 def test_version():
