@@ -1,11 +1,11 @@
 """Content-addressed on-disk cache for rendered schedule images.
 
 A cache entry is keyed by the SHA-256 of everything that determines the
-output bytes: the *canonical* schedule content (sorted-key compact JSON of
-:func:`repro.io.json_fmt.to_dict`, so XML/JSON/CSV encodings of the same
-schedule share entries), the render options fingerprint of the
-:class:`~repro.render.api.RenderRequest` (style, layout, LOD, colormap,
-filters), and the output format.  Regenerating the paper's figure set
+output bytes: the *canonical* schedule content
+(:func:`repro.serve.protocol.canonical_schedule_bytes`, so XML/JSON/CSV
+encodings of the same schedule share entries), the render options
+fingerprint of the :class:`~repro.render.api.RenderRequest` (style,
+layout, LOD, colormap, filters), and the output format.  Regenerating the paper's figure set
 therefore re-renders only schedules whose content or styling actually
 changed — the rest is a file copy.
 
@@ -43,16 +43,11 @@ CACHE_SCHEMA = 1
 
 
 def schedule_digest(schedule: Schedule) -> str:
-    """SHA-256 of the canonical schedule bytes.
+    """SHA-256 of :func:`repro.serve.protocol.canonical_schedule_bytes`,
+    so load order, file format and whitespace do not matter."""
+    from repro.serve.protocol import canonical_schedule_bytes
 
-    Canonical = compact JSON with sorted keys over the structure-preserving
-    dict form, so load order, file format and whitespace do not matter.
-    """
-    from repro.io.json_fmt import to_dict
-
-    payload = json.dumps(to_dict(schedule), sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(canonical_schedule_bytes(schedule)).hexdigest()
 
 
 def cache_key_from_digest(digest: str, request) -> str:

@@ -1,15 +1,17 @@
 """Parallel batch renderer: fan render requests out across warm workers.
 
 The paper's command-line mode exists to mass-produce figures; this runner
-makes that cheap and repeatable.  Each :class:`~repro.render.api.RenderRequest`
-is executed by a worker of the process-wide **warm pool**
-(:func:`repro.serve.pool.shared_pool`) — resident processes that
+makes that cheap and repeatable.  Every batch, ``jobs=1`` and one-job
+batches included, runs on the process-wide **warm pool**
+(:func:`repro.serve.pool.shared_pool`): resident processes that
 pre-import the render stack once and receive jobs over pipes as plain
-JSON payloads, not pickled object graphs — consulting the
-content-addressed :class:`~repro.batch.cache.RenderCache` first: a hit is
-a file copy, a miss renders and populates the cache.  Repeated batch runs
-in one process (a test session, a notebook, the render service) reuse the
-same workers, so spawn + import cost is paid exactly once.
+JSON payloads, not pickled object graphs, so a request must have a wire
+form.  Each worker consults the content-addressed
+:class:`~repro.batch.cache.RenderCache` first: a hit is a file copy, a
+miss renders and populates the cache.  Repeated batch runs in one
+process (a test session, a notebook, the render service) reuse the same
+workers, so spawn + import cost is paid exactly once; a format
+registered after the pool has started is not seen by its workers.
 
 Robustness rules:
 
@@ -21,9 +23,10 @@ Robustness rules:
   backoff, for transient failures (NFS hiccups, OOM-killed workers —
   a crashed warm worker is restarted within its bounded budget).
 
-The parent process owns observability: per-job spans
-(``batch.job``), cache hit/miss counters (``batch.cache.hit`` /
-``batch.cache.miss``) and — via :func:`batch_record` — one run-registry
+The parent process owns observability: the ``batch.run`` and
+``batch.retry`` spans, with each job's worker-side spans grafted on a
+lane of their own; cache hit/miss counters (``batch.cache.hit`` /
+``batch.cache.miss``); and — via :func:`batch_record` — one run-registry
 record per batch.
 """
 
@@ -74,6 +77,36 @@ def _finished(request: RenderRequest, data: bytes, cache: str,
     )
 
 
+def failed_result(request: RenderRequest | None, error: str, *,
+                  cache_dir: str | None, started: float,
+                  attempts: int = 1) -> RenderResult:
+    """The result of a request that produced no output, ``error`` saying
+    why; ``request`` is ``None`` when it could not even be decoded.
+
+    The one failure path of a render job, whether a worker caught the
+    error or the pool gave up on the job (crash, timeout, no worker).
+    The format is best effort, and the cache outcome is ``"miss"`` when
+    the job had a cache to consult.  ``started`` is the
+    :func:`time.perf_counter` instant the job's handling began.
+    """
+    fmt = "?"
+    if request is not None:
+        try:
+            fmt = request.resolved_output_format()
+        except ReproError:
+            pass
+    return RenderResult(
+        input_path=getattr(request, "input_path", None),
+        output_path=getattr(request, "output_path", None),
+        format=fmt,
+        nbytes=0,
+        duration_s=perf_counter() - started,
+        cache="off" if cache_dir is None else "miss",
+        error=error,
+        attempts=attempts,
+    )
+
+
 def cached_result(request: RenderRequest, cache: RenderCache, key: str, *,
                   started: float) -> RenderResult | None:
     """The render cache's answer to ``request``, or ``None`` on a miss.
@@ -94,8 +127,8 @@ def execute_with_cache(request: RenderRequest,
                        schedule_bytes: bytes | None = None) -> RenderResult:
     """Execute one request through the content-addressed cache.
 
-    This is the warm-worker entry point, but it is just as happy running
-    inline (``jobs=1``).  With ``cache_dir=None`` it degrades to a plain
+    This is the warm-worker entry point, and it runs just as well
+    in-process.  With ``cache_dir=None`` it degrades to a plain
     :func:`~repro.render.api.execute_request`.
 
     ``schedule_bytes`` is an in-memory schedule as JSON bytes: the bytes
@@ -144,34 +177,6 @@ def execute_with_cache(request: RenderRequest,
     rendered = render_request_bytes(request, schedule)
     cache.put(key, rendered)
     return _finished(request, rendered, "miss", started)
-
-
-def _fmt(request: RenderRequest) -> str:
-    """Best-effort output format for report rows (never raises)."""
-    try:
-        return request.resolved_output_format()
-    except ReproError:
-        return "?"
-
-
-def _worker(request: RenderRequest, cache_dir: str | None) -> RenderResult:
-    """Pool entry point: never raises; failures come back as results."""
-    started = perf_counter()
-    try:
-        return execute_with_cache(request, cache_dir)
-    except ReproError as exc:
-        error = str(exc)
-    except Exception as exc:  # defensive: a worker crash must stay a report row
-        error = f"{type(exc).__name__}: {exc}"
-    return RenderResult(
-        input_path=request.input_path,
-        output_path=request.output_path,
-        format=_fmt(request),
-        nbytes=0,
-        duration_s=perf_counter() - started,
-        cache="off" if cache_dir is None else "miss",
-        error=error,
-    )
 
 
 @dataclass
@@ -229,15 +234,6 @@ class BatchReport:
         }
 
 
-def _run_serial(requests, cache_dir, report: BatchReport) -> None:
-    for request in requests:
-        with _obs.span("batch.job", input=str(request.input_path)) as sp:
-            result = _worker(request, cache_dir)
-            sp.set(cache=result.cache, ok=result.ok)
-        report.results.append(result)
-        _record_result(result)
-
-
 def _record_result(result: RenderResult) -> None:
     if result.cache == "hit":
         _obs.add("batch.cache.hit")
@@ -253,8 +249,8 @@ def _run_pool(requests, cache_dir, jobs, timeout_s,
     The pool outlives this batch: repeated runs reuse the same resident
     workers (the fix for per-invocation spawn + import cost).  A worker
     stuck past the batch deadline is killed and respawned; a crashed
-    worker fails only its own job, which the retry rounds above may
-    still rescue.
+    worker fails only its own job, which the retry rounds of
+    :func:`run_batch` may still rescue.
     """
     from repro.serve.pool import shared_pool
 
@@ -284,7 +280,7 @@ def _graft_worker_segments(results) -> None:
     trace = _obs.current_trace()
     lane = 2  # lane 1 is the parent's own timeline
     for result in results:
-        if result is None or result.worker_obs is None:
+        if result.worker_obs is None:
             continue
         try:
             graft_trace_doc(trace, result.worker_obs, tid=lane)
@@ -329,10 +325,7 @@ def run_batch(
     started = perf_counter()
     with _obs.span("batch.run", jobs=len(requests), workers=jobs,
                    cache=cache or "off"):
-        if jobs == 1 or len(requests) == 1:
-            _run_serial(requests, cache, report)
-        else:
-            _run_pool(requests, cache, jobs, timeout_s, report)
+        _run_pool(requests, cache, jobs, timeout_s, report)
 
         round_no = 0
         while not report.ok and round_no < retries:
@@ -344,10 +337,7 @@ def run_batch(
             sub = BatchReport(workers=jobs, cache_dir=cache)
             with _obs.span("batch.retry", round=round_no,
                            jobs=len(retry_requests)):
-                if jobs == 1 or len(retry_requests) == 1:
-                    _run_serial(retry_requests, cache, sub)
-                else:
-                    _run_pool(retry_requests, cache, jobs, timeout_s, sub)
+                _run_pool(retry_requests, cache, jobs, timeout_s, sub)
             for slot, result in zip(retry_idx, sub.results):
                 report.results[slot] = dc_replace(
                     result, attempts=report.results[slot].attempts + 1)

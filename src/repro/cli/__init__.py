@@ -1,6 +1,1 @@
 """Command-line and interactive terminal modes."""
-
-from repro.cli.interactive import InteractiveViewer
-from repro.cli.main import build_parser, main
-
-__all__ = ["InteractiveViewer", "build_parser", "main"]

@@ -29,7 +29,6 @@ from repro.obs.core import (
 )
 from repro.obs.export import (
     graft_trace_doc,
-    merge_chrome_traces,
     summary_table,
     to_chrome_events,
     to_chrome_json,
@@ -68,7 +67,6 @@ __all__ = [
     "graft_trace_doc",
     "is_enabled",
     "log_to",
-    "merge_chrome_traces",
     "observe",
     "record_from_trace",
     "report_from_runlog",

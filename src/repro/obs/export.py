@@ -7,8 +7,6 @@ Four ways out of a :class:`~repro.obs.core.Trace`:
   Perfetto.  :func:`validate_chrome_events` checks the structural
   invariants (sorted ``ts``, stack-matched B/E pairs) and is what the CI
   smoke job runs against a real CLI render.
-  :func:`merge_chrome_traces` folds several per-request trace documents
-  into one timeline (one ``tid`` per request).
 * :func:`summary_table` — a plain-text per-span aggregation with
   counters, gauges and histograms, for ``--stats``.
 * :func:`trace_to_schedule` — the dog-food path: the span tree becomes a
@@ -35,7 +33,6 @@ from repro.obs.core import SpanRecord, Trace
 __all__ = [
     "to_chrome_events",
     "to_chrome_json",
-    "merge_chrome_traces",
     "validate_chrome_events",
     "summary_table",
     "trace_to_schedule",
@@ -163,24 +160,6 @@ def to_chrome_json(trace: Trace, *, indent: int | None = None) -> str:
     """Serialize a trace as a Chrome trace-event JSON document."""
     doc = {"traceEvents": to_chrome_events(trace), "displayTimeUnit": "ms"}
     return json.dumps(doc, indent=indent) + "\n"
-
-
-def merge_chrome_traces(docs: list[dict]) -> dict:
-    """Merge Chrome trace documents into one, each on its own ``tid``.
-
-    Overlapping requests cannot share a ``tid`` — their B/E pairs would
-    interleave — so document ``i`` gets ``tid i+1``.  Events are then
-    stable-sorted by ``ts``: per-tid event order is preserved (each input
-    stream is already internally ordered) while the merged stream
-    satisfies the global sorted-``ts`` invariant
-    :func:`validate_chrome_events` checks.
-    """
-    events: list[dict] = []
-    for tid, doc in enumerate(docs, start=1):
-        for ev in doc.get("traceEvents", []):
-            events.append({**ev, "tid": tid})
-    events.sort(key=lambda ev: ev.get("ts", 0.0))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def validate_chrome_events(events: list[dict]) -> None:

@@ -12,41 +12,45 @@ pre-imports the render stack, then sits in a loop receiving jobs over a
   which :class:`~repro.serve.client.ServeClient` writes with
   :func:`repro.serve.protocol.canonical_schedule_bytes`.
 
-Nothing is pickled across the boundary on the plain-payload path;
-requests that carry in-memory style/colormap objects fall back to an
-explicit pickle frame (same machine, same codebase — safe, just not
-plain JSON).
+Nothing is pickled across the boundary.  A request must have a wire
+form (:func:`~repro.serve.protocol.request_to_payload`); one that holds
+an in-memory style, colormap, viewport or ``LodOptions`` fails as its
+own job, with an error naming the field.
 
 A worker hashes the schedule bytes as they are for the content-addressed
 cache key, so a cache hit costs no parse of the schedule.  The render
 service answers hits at admission and sends a worker only the jobs it
 could not answer there (see :mod:`repro.serve.server`).
 
-Crash handling: a worker that dies mid-job (OOM killer, segfault, power
-user) is detected by the broken pipe, restarted within a bounded
-per-worker restart budget, and the failure is surfaced to the caller as
-:class:`WorkerCrash` so job-level policy (retry once, then report) stays
-with the caller.  A worker that exceeds a job timeout is killed and
-restarted the same way (:class:`WorkerTimeout`).
-
-Both the render service (:mod:`repro.serve.server`) and the batch runner
-(:mod:`repro.batch.runner`, via :func:`shared_pool`) run on this pool.
+Every job runs through :meth:`WorkerPool.run_on`, which owns the job's
+failure policy.  A worker found dead between jobs (OOM killer, an
+external kill) is restarted before the job runs.  A worker that dies
+mid-job is detected by the broken pipe, restarted, and the job retried
+:data:`CRASH_RETRIES` time(s) on it; a worker that exceeds the job's
+timeout is killed and restarted, and the job fails.  Restarts come out
+of a bounded per-worker budget, and a crash, a timeout or an exhausted
+budget comes back as a failed result, never as an exception.  The
+render service's dispatcher threads (:mod:`repro.serve.server`) each
+own one worker slot; the batch runner (:mod:`repro.batch.runner`, via
+:func:`shared_pool`) borrows any idle one through
+:meth:`WorkerPool.run_request`.
 """
 
 from __future__ import annotations
 
 import atexit
-import base64
 import json
 import multiprocessing as mp
 import os
-import pickle
 import queue as _queue
 import threading
 import time
 import uuid
+from collections.abc import Callable
+from dataclasses import replace as dc_replace
 from time import perf_counter
 
+from repro.batch.runner import execute_with_cache, failed_result
 from repro.errors import ReproError, ServeError
 from repro.obs import core as _obs
 from repro.render.api import RenderRequest, RenderResult
@@ -79,8 +83,8 @@ _PREIMPORT = (
 
 _EXIT_CRASH_HOOK = 23  # worker exit code for the test-only crash hook
 
-#: times a job whose worker crashed is retried on a restarted worker
-#: before the crash is reported (the pool's and the render service's policy)
+#: times :meth:`WorkerPool.run_on` retries a job whose worker crashed, on
+#: the restarted worker, before it reports the crash
 CRASH_RETRIES = 1
 
 
@@ -101,39 +105,20 @@ class WorkerTimeout(ServeError):
 # --------------------------------------------------------------- worker side
 def _execute_job(header: dict, schedule_bytes: bytes | None):
     """Run one job inside a worker; returns (meta dict, data bytes|None)."""
-    from repro.batch.runner import execute_with_cache
-
     started = perf_counter()
+    cache_dir = header.get("cache_dir")
     request = None
     try:
-        if "pickle" in header:
-            request = pickle.loads(base64.b64decode(header["pickle"]))
-        else:
-            request = request_from_payload(header["request"])
-        result = execute_with_cache(request, header.get("cache_dir"),
+        request = request_from_payload(header["request"])
+        result = execute_with_cache(request, cache_dir,
                                     schedule_bytes=schedule_bytes)
     except ReproError as exc:
-        result = _error_result(request, str(exc), started,
-                               header.get("cache_dir"))
+        result = failed_result(request, str(exc), cache_dir=cache_dir,
+                               started=started)
     except Exception as exc:  # a worker must answer, whatever happened
-        result = _error_result(request, f"{type(exc).__name__}: {exc}",
-                               started, header.get("cache_dir"))
+        result = failed_result(request, f"{type(exc).__name__}: {exc}",
+                               cache_dir=cache_dir, started=started)
     return result_to_payload(result), result.data
-
-
-def _error_result(request, error: str, started: float,
-                  cache_dir) -> RenderResult:
-    fmt = "?"
-    if request is not None:
-        try:
-            fmt = request.resolved_output_format()
-        except ReproError:
-            pass
-    return RenderResult(
-        input_path=getattr(request, "input_path", None),
-        output_path=getattr(request, "output_path", None),
-        format=fmt, nbytes=0, duration_s=perf_counter() - started,
-        cache="off" if cache_dir is None else "miss", error=error)
 
 
 def _worker_main(conn, debug_hooks: bool = False) -> None:
@@ -273,16 +258,15 @@ def _default_start_method() -> str:
 class WorkerPool:
     """A fixed-size pool of :class:`WarmWorker` with crash replacement.
 
-    Two usage patterns:
+    :meth:`run_on` runs one job on one worker slot.  The serve
+    dispatcher threads each own a slot and call it directly;
+    :meth:`run_request` borrows any idle slot for it (the batch runner's
+    fan-out, via :meth:`map_requests`).
 
-    * *acquire-based* — :meth:`run_request` grabs any idle worker
-      (the batch runner's fan-out path, via :meth:`map_requests`);
-    * *bound* — a caller owns one worker index outright and calls
-      :meth:`run_once_on` (the serve dispatcher threads).
-
-    ``max_restarts`` bounds restarts *per worker*; a worker whose budget
-    is exhausted stays dead, and when every worker is dead the pool
-    raises instead of hanging.
+    ``max_restarts`` bounds restarts *per worker*.  A dead worker whose
+    budget is exhausted is :meth:`retired` and stays dead; once every
+    worker is retired the pool is no longer :attr:`usable`, and jobs
+    fail at once instead of hanging.
     """
 
     def __init__(self, workers: int, *, max_restarts: int = 3,
@@ -298,7 +282,6 @@ class WorkerPool:
             for i in range(workers)]
         self._idle: _queue.Queue[int] = _queue.Queue()
         self._lock = threading.Lock()
-        self._dead = 0
         self.total_restarts = 0
         self._started = False
 
@@ -350,128 +333,130 @@ class WorkerPool:
                 except _queue.Empty:
                     break
 
+    def retired(self, index: int) -> bool:
+        """Whether slot ``index`` is dead for good: its worker is not
+        running and its restart budget is spent."""
+        worker = self._workers[index]
+        return worker.restarts >= self.max_restarts and not worker.alive
+
     @property
     def usable(self) -> bool:
-        return self._started and self._dead < self.size
+        return self._started and not all(
+            self.retired(i) for i in range(self.size))
 
     def restart_worker(self, index: int) -> bool:
         """Kill + respawn one worker, within its restart budget.
 
-        Returns False (and leaves the slot dead) once the budget is
-        exhausted — a render input that reliably kills workers must not
-        be allowed to respawn-loop the whole pool.
+        Returns False (and leaves the slot dead, :meth:`retired`) once
+        the budget is exhausted — a render input that reliably kills
+        workers must not be allowed to respawn-loop the whole pool.
         """
         worker = self._workers[index]
         worker.kill()
-        if worker.restarts >= self.max_restarts:
-            with self._lock:
-                self._dead += 1
-            return False
-        worker.restarts += 1
         with self._lock:
+            if worker.restarts >= self.max_restarts:
+                return False
+            worker.restarts += 1
             self.total_restarts += 1
         worker.start()
         return True
 
     # ------------------------------------------------------------ job plumbing
-    def job_header(self, request: RenderRequest, *,
-                   cache_dir: str | None = None,
-                   has_schedule: bool = False,
-                   trace_id: str | None = None) -> dict:
-        """The frame-1 header for one render job.
+    def run_on(self, index: int, request: RenderRequest, *,
+               cache_dir: str | None = None,
+               schedule_bytes: bytes | None = None,
+               timeout: float | None = None,
+               trace_id: str | None = None,
+               debug: dict | None = None,
+               on_lost: Callable[[ServeError], object] | None = None
+               ) -> RenderResult:
+        """Run one job on worker slot ``index``; never raises for a job
+        failure.
 
-        Canonical JSON payload when the request is wire-representable;
-        explicit pickle frame otherwise (same-machine fallback for
-        requests carrying in-memory style/colormap objects).
+        A dead worker is restarted first, within its budget.  A worker
+        that dies during the job is restarted and the job retried
+        :data:`CRASH_RETRIES` time(s) on it; one that gives no answer
+        within ``timeout`` seconds is killed and restarted, and the job
+        fails.  Each lost attempt's :class:`WorkerCrash` or
+        :class:`WorkerTimeout` is passed to ``on_lost`` once the slot
+        has been restarted.  A timeout, a repeat crash, an exhausted
+        restart budget or a request with no wire form comes back as a
+        failed result whose ``attempts`` counts the attempts made.
+
         ``trace_id`` asks the worker to run the job under a local obs
-        trace and return its span segment alongside the result.
+        trace and return its span segment with the result; ``debug``
+        adds test-only keys (``x_crash``, ``x_sleep_s``) to the job
+        header.
         """
-        header: dict[str, object] = {"op": "render", "cache_dir": cache_dir,
-                                     "schedule": has_schedule}
+        started = perf_counter()
+
+        def failed(error: str, attempts: int = 1) -> RenderResult:
+            return failed_result(request, error, cache_dir=cache_dir,
+                                 started=started, attempts=attempts)
+
+        try:
+            payload = request_to_payload(request)
+        except ValueError as exc:
+            return failed(str(exc))
+        header = {"op": "render", "cache_dir": cache_dir,
+                  "schedule": schedule_bytes is not None,
+                  "request": payload, **(debug or {})}
         if trace_id is not None:
             header["trace_id"] = trace_id
-        try:
-            header["request"] = request_to_payload(request)
-        except ValueError:
-            header["pickle"] = base64.b64encode(
-                pickle.dumps(request)).decode("ascii")
-        return header
-
-    def run_once_on(self, index: int, request: RenderRequest, *,
-                    cache_dir: str | None = None,
-                    schedule_bytes: bytes | None = None,
-                    timeout: float | None = None,
-                    header: dict | None = None) -> RenderResult:
-        """Run one job on one specific worker (no acquire, no retry).
-
-        On crash or timeout the worker is killed and restarted (budget
-        permitting) and the original exception propagates — retry policy
-        belongs to the caller.
-        """
         worker = self._workers[index]
-        if not worker.alive:
-            raise WorkerCrash(f"worker {index} is not running")
-        if header is None:
-            header = self.job_header(request, cache_dir=cache_dir,
-                                     has_schedule=schedule_bytes is not None)
-        try:
-            meta, data = worker.run(header, schedule_bytes, timeout=timeout)
-        except (WorkerCrash, WorkerTimeout):
-            self.restart_worker(index)
-            raise
-        return result_from_payload(meta, data)
+        if not worker.alive and not self.restart_worker(index):
+            return failed(f"worker {index} is gone: its restart budget of "
+                          f"{self.max_restarts} is exhausted")
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                meta, data = worker.run(header, schedule_bytes,
+                                        timeout=timeout)
+            except (WorkerCrash, WorkerTimeout) as exc:
+                restarted = self.restart_worker(index)
+                if on_lost is not None:
+                    on_lost(exc)
+                if isinstance(exc, WorkerTimeout):
+                    return failed(f"timed out after {timeout:g}s "
+                                  f"(worker killed)", attempt)
+                if restarted and attempt <= CRASH_RETRIES:
+                    continue
+                return failed(f"{exc} (after {attempt} attempt(s))", attempt)
+            result = result_from_payload(meta, data)
+            return result if attempt == 1 \
+                else dc_replace(result, attempts=attempt)
 
     def run_request(self, request: RenderRequest, *,
                     cache_dir: str | None = None,
                     schedule_bytes: bytes | None = None,
                     timeout: float | None = None,
                     trace_id: str | None = None) -> RenderResult:
-        """Run one job on any idle worker; never raises for job failures.
+        """Run one job through :meth:`run_on` on any idle worker; never
+        raises for job failures.
 
-        A crashed worker fails the attempt; the job is retried
-        :data:`CRASH_RETRIES` times on a (restarted) worker before the crash
-        is reported as an error result.  When the caller is capturing an
-        obs trace, a per-job trace id is minted automatically so the
-        result carries the worker's span segment (``worker_obs``).
+        When the caller is capturing an obs trace, a per-job trace id is
+        minted automatically so the result carries the worker's span
+        segment (``worker_obs``).
         """
         if trace_id is None and _obs.is_enabled():
             trace_id = uuid.uuid4().hex[:12]
-        header = self.job_header(request, cache_dir=cache_dir,
-                                 has_schedule=schedule_bytes is not None,
-                                 trace_id=trace_id)
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                index = self._acquire(timeout=timeout)
-            except _queue.Empty:
-                return self._failure(request, cache_dir,
-                                     f"no idle worker within {timeout:g}s")
-            except ServeError as exc:  # pool broken: every worker is dead
-                return self._failure(request, cache_dir, str(exc),
-                                     attempts=attempt)
-            try:
-                result = self.run_once_on(
-                    index, request, schedule_bytes=schedule_bytes,
-                    timeout=timeout, header=header)
-            except WorkerTimeout:
-                return self._failure(
-                    request, cache_dir,
-                    f"timed out after {timeout:g}s (worker killed)")
-            except WorkerCrash as exc:
-                if attempt <= CRASH_RETRIES and self.usable:
-                    continue
-                return self._failure(
-                    request, cache_dir,
-                    f"{exc} (after {attempt} attempt(s))", attempts=attempt)
-            finally:
-                if self._workers[index].alive:
-                    self._idle.put(index)
-            if attempt > 1:
-                from dataclasses import replace as dc_replace
-
-                result = dc_replace(result, attempts=attempt)
-            return result
+        started = perf_counter()
+        try:
+            index = self._acquire(timeout=timeout)
+        except _queue.Empty:
+            return failed_result(request,
+                                 f"no idle worker within {timeout:g}s",
+                                 cache_dir=cache_dir, started=started)
+        except ServeError as exc:  # pool broken: every worker is retired
+            return failed_result(request, str(exc), cache_dir=cache_dir,
+                                 started=started)
+        try:
+            return self.run_on(index, request, cache_dir=cache_dir,
+                               schedule_bytes=schedule_bytes,
+                               timeout=timeout, trace_id=trace_id)
+        finally:
+            self._idle.put(index)
 
     def map_requests(self, requests, *, cache_dir: str | None = None,
                      deadline_s: float | None = None,
@@ -500,9 +485,9 @@ class WorkerPool:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        results[i] = self._failure(
-                            requests[i], cache_dir,
-                            f"timed out after {deadline_s:g}s")
+                        results[i] = failed_result(
+                            requests[i], f"timed out after {deadline_s:g}s",
+                            cache_dir=cache_dir, started=perf_counter())
                         continue
                 results[i] = self.run_request(
                     requests[i], cache_dir=cache_dir, timeout=remaining)
@@ -516,7 +501,8 @@ class WorkerPool:
         for t in threads:
             t.join()
         return [r if r is not None else
-                self._failure(requests[i], cache_dir, "internal: job dropped")
+                failed_result(requests[i], "internal: job dropped",
+                              cache_dir=cache_dir, started=perf_counter())
                 for i, r in enumerate(results)]
 
     # ------------------------------------------------------------ internals
@@ -532,26 +518,9 @@ class WorkerPool:
                 if timeout is not None:
                     raise
                 continue  # poll usability again, then keep waiting
-            if self._workers[index].alive:
+            if not self.retired(index):
                 return index
-            # the worker died *between* jobs (external kill, OOM): the
-            # crash was never observed by run_once_on, so restart here
-            if self.restart_worker(index):
-                return index
-            # restart budget exhausted: token dropped, look again
-
-    def _failure(self, request: RenderRequest, cache_dir, error: str,
-                 *, attempts: int = 1) -> RenderResult:
-        fmt = "?"
-        try:
-            fmt = request.resolved_output_format()
-        except ReproError:
-            pass
-        return RenderResult(
-            input_path=request.input_path, output_path=request.output_path,
-            format=fmt, nbytes=0, duration_s=0.0,
-            cache="off" if cache_dir is None else "miss",
-            error=error, attempts=attempts)
+            # a retired slot's token is dropped: look again
 
 
 # ------------------------------------------------------------- shared pool

@@ -75,9 +75,10 @@ def _bad(message: str, *, code: str = "bad-request",
 def request_to_payload(request: RenderRequest) -> dict:
     """Plain-JSON payload of a request.
 
-    Raises ``ValueError`` when the request carries in-memory objects
-    (style/cmap/viewport instances) that have no wire representation —
-    callers with such requests fall back to a same-machine transport.
+    Raises ``ValueError``, naming the field, when the request carries
+    in-memory objects (style/cmap/viewport instances, a ``LodOptions``)
+    that have no wire representation; such a request cannot be sent to
+    a warm worker.
     """
     for key in ("style", "cmap", "viewport"):
         if getattr(request, key) is not None:
@@ -241,10 +242,9 @@ def split_submission(body: bytes) -> tuple[dict, bytes | None]:
 def canonical_schedule_bytes(schedule: Schedule) -> bytes:
     """The canonical byte form of a schedule.
 
-    Compact, sorted-keys JSON over :func:`repro.io.json_fmt.to_dict` —
-    byte-identical to what :func:`repro.batch.cache.schedule_digest`
-    hashes, so a worker holding these bytes can compute the cache key
-    without parsing them.
+    Compact, sorted-keys JSON over :func:`repro.io.json_fmt.to_dict`:
+    the bytes :func:`repro.batch.cache.schedule_digest` hashes, so a
+    worker holding them can compute the cache key without parsing them.
     """
     from repro.io.json_fmt import to_dict
 

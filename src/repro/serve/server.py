@@ -46,7 +46,7 @@ import socketserver
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -61,7 +61,7 @@ from repro.obs.export import to_chrome_events, trace_from_doc, trace_to_doc
 from repro.render.api import RenderRequest, RenderResult
 from repro.serve.jobqueue import FairQueue, QueueClosed, QueueFull
 from repro.serve.metrics import Metrics
-from repro.serve.pool import CRASH_RETRIES, WorkerCrash, WorkerPool, WorkerTimeout
+from repro.serve.pool import WorkerPool, WorkerTimeout
 from repro.serve.protocol import (
     TRACE_HEADER,
     request_from_payload,
@@ -381,9 +381,6 @@ class RenderServer:
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._jobs_lock = threading.Lock()
         self._seq = 0
-        # incremental status -> count snapshot (updated on every job state
-        # transition) so /statz and /metricz never walk the jobs dict
-        self._job_states: dict[str, int] = {}
 
         self._started_at = time.time()
         self.metrics = self._build_metrics()
@@ -509,6 +506,14 @@ class RenderServer:
 
     # ------------------------------------------------------------ dispatch
     def _dispatch(self, index: int) -> None:
+        """Feed worker slot ``index`` from the queue until drained.
+
+        A slot whose restart budget is spent leaves the queue to the
+        live ones.  Once no slot is left, the last dispatcher stays and
+        every job it takes fails at once (``run_on`` answers for a
+        retired slot), so no admitted job waits for a worker that will
+        never come.
+        """
         while True:
             if not self._gate.is_set():
                 with self._parked_cv:
@@ -517,6 +522,8 @@ class RenderServer:
                 self._gate.wait()
                 with self._parked_cv:
                     self._parked -= 1
+            if self._pool.retired(index) and self._pool.usable:
+                return
             try:
                 job = self._queue.get(timeout=0.2)
             except QueueClosed:
@@ -531,41 +538,16 @@ class RenderServer:
                 with self._busy_cv:
                     self._busy -= 1
                     self._busy_cv.notify_all()
-            if not self._pool.worker(index).alive:
-                return  # restart budget exhausted; slot is gone
 
     def _run_job(self, index: int, job: Job) -> None:
         job.started_at = time.time()
-        self._transition(job, "running")
+        job.status = "running"
         self._observe("queue_wait", job.started_at - job.submitted_at)
-        header = self._pool.job_header(
-            job.request, cache_dir=self.cache_dir,
-            has_schedule=job.schedule_bytes is not None,
-            trace_id=job.trace_id)
-        if job.debug:
-            header.update(job.debug)
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                result = self._pool.run_once_on(
-                    index, job.request, schedule_bytes=job.schedule_bytes,
-                    timeout=self.job_timeout_s, header=header)
-                if attempts > 1:
-                    result = dc_replace(result, attempts=attempts)
-                break
-            except WorkerTimeout as exc:
-                self._count("serve.worker.timeout")
-                result = self._failure(job, str(exc), attempts)
-                break
-            except WorkerCrash as exc:
-                self._count("serve.worker.crash")
-                if attempts <= CRASH_RETRIES and \
-                        self._pool.worker(index).alive:
-                    continue
-                result = self._failure(
-                    job, f"{exc} (after {attempts} attempt(s))", attempts)
-                break
+        result = self._pool.run_on(
+            index, job.request, cache_dir=self.cache_dir,
+            schedule_bytes=job.schedule_bytes, timeout=self.job_timeout_s,
+            trace_id=job.trace_id, debug=job.debug,
+            on_lost=self._count_lost_attempt)
         job.finished_at = time.time()
         self._observe("worker", job.finished_at - job.started_at)
         self._finish(job, result)
@@ -593,7 +575,7 @@ class RenderServer:
             self._stitch(job, status, result)
         # publish last: a client that sees the final status must find
         # the trace and the counters that go with it
-        self._transition(job, status)
+        job.status = status
         job.published.set()
 
     def _observe(self, stage: str, seconds: float) -> None:
@@ -620,18 +602,9 @@ class RenderServer:
                 self._observe(s.name, s.duration)
         job.trace_doc = trace_to_doc(trace)
 
-    def _failure(self, job: Job, error: str, attempts: int) -> RenderResult:
-        fmt = "?"
-        try:
-            fmt = job.request.resolved_output_format()
-        except ReproError:
-            pass
-        return RenderResult(
-            input_path=job.request.input_path,
-            output_path=job.request.output_path, format=fmt, nbytes=0,
-            duration_s=0.0,
-            cache="off" if self.cache_dir is None else "miss",
-            error=error, attempts=attempts)
+    def _count_lost_attempt(self, exc: Exception) -> None:
+        self._count("serve.worker.timeout" if isinstance(exc, WorkerTimeout)
+                    else "serve.worker.crash")
 
     def _count(self, name: str) -> None:
         family, labels = _METRIC_MAP[name]
@@ -688,16 +661,6 @@ class RenderServer:
         """The /metricz body (Prometheus text exposition format)."""
         return self.metrics.render()
 
-    def _transition(self, job: Job, status: str) -> None:
-        """Move a job between states, keeping the O(1) count snapshot."""
-        with self._jobs_lock:
-            old = job.status
-            job.status = status
-            counts = self._job_states
-            if counts.get(old, 0) > 0:
-                counts[old] -= 1
-            counts[status] = counts.get(status, 0) + 1
-
     # ------------------------------------------------------------ endpoints
     def submit_payload(self, body: bytes | None, *, received_at: float,
                        client: str | None = None,
@@ -744,12 +707,6 @@ class RenderServer:
                   admit_cache=admit_cache,
                   trace_id=trace_id if self.trace_jobs else None,
                   debug=dict(debug) if isinstance(debug, dict) else None)
-        # count the queued state first: a dispatcher may pull the job (and
-        # transition it) the instant it lands in the queue, and a hit
-        # moves from queued to done in _finish
-        with self._jobs_lock:
-            self._job_states["queued"] = \
-                self._job_states.get("queued", 0) + 1
         if hit is not None:
             job.started_at = job.finished_at = admitted
             self._finish(job, hit)
@@ -758,8 +715,6 @@ class RenderServer:
             try:
                 depth = self._queue.put(job, client=job.client)
             except (QueueFull, QueueClosed) as exc:
-                with self._jobs_lock:
-                    self._job_states["queued"] -= 1
                 if isinstance(exc, QueueFull):
                     self._count("serve.rejected.queue_full")
                     return (429, {"error": exc.to_payload()},
@@ -809,9 +764,7 @@ class RenderServer:
             return
         for job_id in [j.id for j in self._jobs.values()
                        if j.finished][:excess]:
-            dropped = self._jobs.pop(job_id)
-            if self._job_states.get(dropped.status, 0) > 0:
-                self._job_states[dropped.status] -= 1
+            del self._jobs[job_id]
 
     def _retry_after(self) -> int:
         total = self.metrics.stage_histogram(STAGE_FAMILY, "total")
@@ -895,9 +848,8 @@ class RenderServer:
     def statz_payload(self) -> dict:
         stages = {stage: self._stage_summary(stage)
                   for stage in SERVER_STAGES}
-        with self._jobs_lock:
-            # O(1) snapshot kept by _transition — never walks the dict
-            states = {k: v for k, v in self._job_states.items() if v}
+        with self._jobs_lock:  # at most keep_jobs entries, plus in flight
+            states = Counter(job.status for job in self._jobs.values())
         return {
             "uptime_s": time.time() - self._started_at,
             "draining": self._draining,
@@ -912,7 +864,7 @@ class RenderServer:
                 "alive": self._pool.alive_count,
                 "restarts": self._pool.total_restarts,
             },
-            "jobs": states,
+            "jobs": dict(states),
             "counters": self.metrics.counter_values(_METRIC_MAP),
             "latency_s": stages["total"],
             "stages_s": stages,

@@ -14,6 +14,7 @@ from repro.errors import BatchError, ParseError
 from repro.io import colormap_xml, save_schedule
 from repro.io.registry import register_format
 from repro.render.api import RenderRequest, execute_request
+from repro.serve.pool import shutdown_shared_pool
 
 
 def _requests(tmp_path, schedule, n=3, fmt="svg"):
@@ -98,6 +99,7 @@ def test_retry_recovers_transient_failure(tmp_path, simple_schedule):
         return jedule_xml.load(tmp_path / "real.jed")
 
     register_format("flaky", (".flaky",), flaky_loader, overwrite=True)
+    shutdown_shared_pool()  # the next batch forks workers that know it
     (tmp_path / "s.flaky").write_text("ignored")
     request = RenderRequest(input_path=tmp_path / "s.flaky",
                             output_path=tmp_path / "out.svg")
@@ -169,3 +171,44 @@ def test_cached_render_sees_colormap_file_edits(tmp_path, simple_schedule):
     assert edited.cache == "miss"
     assert edited.data == execute_request(request).data != cold.data
     json.dumps(request.fingerprint())   # the colormap token is plain JSON
+
+
+def test_timeout_bounds_a_one_job_serial_batch(tmp_path, simple_schedule):
+    """``timeout_s`` holds for ``jobs=1`` and one-job batches too: the
+    stuck worker is killed by the deadline, not awaited."""
+    save_schedule(simple_schedule, tmp_path / "real.jed")
+
+    def slow_loader(path):
+        import time
+
+        from repro.io import jedule_xml
+
+        time.sleep(3.0)
+        return jedule_xml.load(tmp_path / "real.jed")
+
+    register_format("slow", (".slow",), slow_loader, overwrite=True)
+    shutdown_shared_pool()  # the next batch forks workers that know it
+    (tmp_path / "s.slow").write_text("ignored")
+    request = RenderRequest(input_path=tmp_path / "s.slow",
+                            output_path=tmp_path / "out.svg")
+    report = run_batch([request], jobs=1, use_cache=False, timeout_s=0.5,
+                       retries=0)
+    assert not report.ok
+    assert "timed out after" in report.results[0].error
+    assert "worker killed" in report.results[0].error
+    assert report.elapsed_s < 2.0
+
+
+def test_in_memory_style_is_a_per_job_error(tmp_path, simple_schedule):
+    """A request must have a wire form; one holding a ``Style`` object
+    fails as its own job, and the error names the field."""
+    from repro.render.style import Style
+
+    reqs = _requests(tmp_path, simple_schedule, n=2)
+    reqs.append(RenderRequest(input_path=reqs[0].input_path,
+                              output_path=tmp_path / "out" / "styled.svg",
+                              style=Style()))
+    report = run_batch(reqs, jobs=1, use_cache=False, retries=0)
+    assert [r.ok for r in report.results] == [True, True, False]
+    assert "'style'" in report.results[2].error
+    assert report.results[2].format == "svg"

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli.main import main
@@ -289,3 +293,18 @@ class TestReportCommand:
         rc = main(["report", str(registry), "-o", str(tmp_path / "dash.svg")])
         assert rc == 2
         assert "no matching run records" in capsys.readouterr().err
+
+
+class TestModuleRun:
+    def test_module_run_imports_itself_once(self):
+        """``python -m repro.cli.main`` runs without runpy's warning that
+        the package had already imported the module."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.cli.main", "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "batch" in proc.stdout

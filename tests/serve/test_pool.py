@@ -30,6 +30,12 @@ def _request():
     return RenderRequest(output_format="svg", width=320, height=240)
 
 
+def _raise(exc):
+    """An ``on_lost`` that stops :meth:`WorkerPool.run_on` at its first
+    lost attempt, once the slot has been restarted."""
+    raise exc
+
+
 def test_ping_roundtrip(pool):
     pids = {pool.worker(i).ping() for i in range(pool.size)}
     assert pids == set(pool.pids())
@@ -56,9 +62,9 @@ def test_workers_share_one_cache(pool, tmp_path, simple_schedule):
                      schedule_bytes=data)
     # force the job onto each worker: both must see the first one's blob
     for index in range(pool.size):
-        result = pool.run_once_on(index, request,
-                                  cache_dir=str(tmp_path / "c"),
-                                  schedule_bytes=data)
+        result = pool.run_on(index, request,
+                             cache_dir=str(tmp_path / "c"),
+                             schedule_bytes=data)
         assert result.cache == "hit"
 
 
@@ -76,13 +82,11 @@ def test_file_input_render(pool, tmp_path, simple_schedule):
 
 def test_crash_hook_raises_and_restarts(pool, tmp_path, simple_schedule):
     request = _request()
-    header = pool.job_header(request, cache_dir=None, has_schedule=True)
-    header["x_crash"] = True
     before = pool.worker(0).pid
     with pytest.raises(WorkerCrash):
-        pool.run_once_on(0, request,
-                         schedule_bytes=canonical_schedule_bytes(
-                             simple_schedule), header=header)
+        pool.run_on(0, request,
+                    schedule_bytes=canonical_schedule_bytes(simple_schedule),
+                    debug={"x_crash": True}, on_lost=_raise)
     assert pool.worker(0).alive
     assert pool.worker(0).pid != before
     assert pool.total_restarts == 1
@@ -90,14 +94,12 @@ def test_crash_hook_raises_and_restarts(pool, tmp_path, simple_schedule):
 
 def test_timeout_kills_and_restarts(pool, simple_schedule):
     request = _request()
-    header = pool.job_header(request, cache_dir=None, has_schedule=True)
-    header["x_sleep_s"] = 30.0
     before = pool.worker(1).pid
     started = time.monotonic()
     with pytest.raises(WorkerTimeout):
-        pool.run_once_on(1, request,
-                         schedule_bytes=canonical_schedule_bytes(
-                             simple_schedule), header=header, timeout=0.3)
+        pool.run_on(1, request,
+                    schedule_bytes=canonical_schedule_bytes(simple_schedule),
+                    debug={"x_sleep_s": 30.0}, timeout=0.3, on_lost=_raise)
     assert time.monotonic() - started < 10.0
     assert pool.worker(1).alive and pool.worker(1).pid != before
 
@@ -119,12 +121,13 @@ def test_restart_budget_exhaustion_reports_not_hangs(simple_schedule):
     try:
         request = _request()
         data = canonical_schedule_bytes(simple_schedule)
-        header = pool.job_header(request, cache_dir=None, has_schedule=True)
-        header["x_crash"] = True
+        crash = {"x_crash": True}
         with pytest.raises(WorkerCrash):
-            pool.run_once_on(0, request, schedule_bytes=data, header=header)
+            pool.run_on(0, request, schedule_bytes=data, debug=crash,
+                        on_lost=_raise)
         with pytest.raises(WorkerCrash):
-            pool.run_once_on(0, request, schedule_bytes=data, header=header)
+            pool.run_on(0, request, schedule_bytes=data, debug=crash,
+                        on_lost=_raise)
         assert not pool.usable  # the only worker stays dead
         result = pool.run_request(request, schedule_bytes=data, timeout=5.0)
         assert not result.ok

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import os
+import signal
 import socket
 import statistics
 import sys
@@ -193,6 +195,54 @@ def test_worker_crash_retried_once_then_reported(tmp_path, simple_schedule):
         ok = client.render(_request(), schedule=simple_schedule)
         assert ok["status"] == "done"
         assert server.statz_payload()["workers"]["restarts"] >= 2
+        # each lost attempt is counted once, on both surfaces
+        assert client.statz()["counters"]["serve.worker.crash"] == 2
+        metricz = parse_prometheus_text(client.metricz())
+        assert metricz["jedule_serve_worker_failures_total"][
+            (("kind", "crash"),)] == 2
+
+
+def test_worker_killed_between_jobs_is_restarted(tmp_path, simple_schedule):
+    with serving(cache_dir=None) as server:
+        client = ServeClient(server.url)
+        assert client.render(_request(),
+                             schedule=simple_schedule)["status"] == "done"
+        worker = server._pool.worker(0)
+        os.kill(worker.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while worker.alive and time.monotonic() < deadline:
+            time.sleep(0.01)
+        job = client.render(_request(), schedule=simple_schedule,
+                            timeout=30.0)
+        assert job["status"] == "done", job
+        assert server.statz_payload()["workers"] == {
+            "total": 1, "alive": 1, "restarts": 1}
+
+
+def test_broken_pool_fails_every_admitted_job(tmp_path, simple_schedule):
+    """Once crashes spend the last worker's restart budget, every job
+    still queued and every job admitted later ends failed, and a drain
+    leaves none queued or running."""
+    with serving(cache_dir=None, debug_hooks=True) as server:
+        client = ServeClient(server.url)
+        server.pause_dispatch()
+        crash = _body(simple_schedule, debug={"x_crash": True})
+        ids = [client.request("POST", "/render", crash)[2]["job"]["id"]
+               for _ in range(2)]
+        ids.append(client.submit(_request(), schedule=simple_schedule)["id"])
+        server.resume_dispatch()
+        jobs = [client.wait(job_id, timeout=30.0) for job_id in ids]
+        assert [job["status"] for job in jobs] == ["failed"] * 3
+        assert not server._pool.usable
+        started = time.monotonic()
+        later = client.render(_request(), schedule=simple_schedule,
+                              timeout=10.0)
+        assert later["status"] == "failed"
+        assert time.monotonic() - started < 5.0
+        for job in (jobs[2], later):
+            assert "restart budget" in job["result"]["error"], job
+    assert {job.status for job in server._jobs.values()} == {"failed"}
+    assert server.statz_payload()["jobs"] == {"failed": 4}
 
 
 def test_validation_errors_are_structured_400s(tmp_path, simple_schedule):
@@ -482,8 +532,7 @@ def test_drain_runlog_stage_timings_populated(tmp_path, simple_schedule):
 
 
 def test_statz_job_state_counts_incremental(tmp_path, simple_schedule):
-    """/statz job states come from the O(1) transition counters and stay
-    consistent with a full walk of the jobs dict."""
+    """/statz job states agree with a full walk of the jobs dict."""
     with serving(cache_dir=None) as server:
         client = ServeClient(server.url, client_id="states")
         for _ in range(3):
@@ -494,8 +543,8 @@ def test_statz_job_state_counts_incremental(tmp_path, simple_schedule):
             walked = {}
             for job in server._jobs.values():
                 walked[job.status] = walked.get(job.status, 0) + 1
-            live = {k: v for k, v in server._job_states.items() if v}
-            assert walked == live == {"done": 3}
+        live = server.statz_payload()["jobs"]
+        assert walked == live == {"done": 3}
 
 
 def test_job_state_counts_survive_prune(tmp_path, simple_schedule):

@@ -83,8 +83,10 @@ def test_package_all_resolves():
 def test_removed_shims_stay_gone():
     """Schedulers run through the registry or their family submodule;
     schedules render through a RenderRequest; benchmarks keep no BENCH
-    snapshots."""
+    snapshots; ``jedule submit --trace`` merges traces through
+    ``repro.serve.tracing``."""
     import repro.obs
+    import repro.obs.export
     import repro.render.api
     import repro.sched
 
@@ -95,8 +97,10 @@ def test_removed_shims_stay_gone():
     assert not hasattr(repro.render.api, "render_schedule")
     with pytest.raises(ImportError):
         import repro.obs.bench  # noqa: F401
-    for name in ("BenchSuite", "load_bench", "time_min_of_k", "compare_bench"):
+    for name in ("BenchSuite", "load_bench", "time_min_of_k", "compare_bench",
+                 "merge_chrome_traces"):
         assert not hasattr(repro.obs, name), name
+    assert not hasattr(repro.obs.export, "merge_chrome_traces")
 
 
 def test_version():
