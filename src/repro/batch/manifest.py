@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ParseError
+from repro.errors import ParseError, RenderError
 from repro.render.api import OUTPUT_FORMATS, RenderRequest, format_from_suffix
 
 __all__ = ["BatchManifest", "load_manifest", "manifest_requests"]
@@ -113,6 +113,13 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
     out_dir = base / doc.get("output_dir", ".")
 
     requests: list[RenderRequest] = []
+
+    def add(where: str, **options) -> None:
+        try:
+            requests.append(RenderRequest(**options))
+        except (RenderError, ValueError, TypeError) as exc:
+            raise ParseError(f"{where}: {exc}", source=source) from exc
+
     for i, entry in enumerate(jobs):
         where = f"jobs[{i}]"
         if not isinstance(entry, dict):
@@ -141,10 +148,9 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
                     raise ParseError(
                         f"{where}: unknown output format {fmt!r} (supported: "
                         f"{', '.join(sorted(OUTPUT_FORMATS))})", source=source)
-                requests.append(RenderRequest(
-                    input_path=input_path,
+                add(where, input_path=input_path,
                     output_path=str(out_dir / f"{stem}.{fmt}"),
-                    **{**options, "output_format": fmt}))
+                    **{**options, "output_format": fmt})
             continue
 
         if "output" in entry:
@@ -154,11 +160,7 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
             fmt = options.get("output_format") \
                 or format_from_suffix(input_path, default="svg")
             output_path = str(out_dir / f"{stem}.{fmt}")
-        try:
-            requests.append(RenderRequest(input_path=input_path,
-                                          output_path=output_path, **options))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}", source=source) from exc
+        add(where, input_path=input_path, output_path=output_path, **options)
     return requests
 
 

@@ -309,6 +309,7 @@ class Schedule:
         self._clusters: dict[str, Cluster] = {}
         self._tasks: dict[str, Task] = {}
         self._columns: np.recarray | None = None
+        self._types: tuple[str, ...] | None = None
         self.meta: dict[str, str] = dict(meta or {})
         for c in clusters:
             self.add_cluster(c)
@@ -345,7 +346,7 @@ class Schedule:
                     f"{conf.cluster_id!r} only has hosts 0..{cluster.num_hosts - 1}"
                 )
         self._tasks[task.id] = task
-        self._columns = None
+        self._columns = self._types = None
         return task
 
     def new_task(
@@ -385,7 +386,7 @@ class Schedule:
             task = self._tasks.pop(str(task_id))
         except KeyError:
             raise ScheduleError(f"no task with id {task_id!r}") from None
-        self._columns = None
+        self._columns = self._types = None
         return task
 
     # ------------------------------------------------------------------ access
@@ -442,11 +443,13 @@ class Schedule:
         return tuple(t for t in self._tasks.values() if t.type == type)
 
     def task_types(self) -> tuple[str, ...]:
-        """Distinct task types in first-appearance order."""
-        seen: dict[str, None] = {}
-        for t in self._tasks.values():
-            seen.setdefault(t.type, None)
-        return tuple(seen)
+        """Distinct task types in first-appearance order.
+
+        Cached until the next :meth:`add_task` or :meth:`remove_task`.
+        """
+        if self._types is None:
+            self._types = tuple(dict.fromkeys(t.type for t in self._tasks.values()))
+        return self._types
 
     @property
     def columns(self) -> np.recarray:
@@ -463,9 +466,9 @@ class Schedule:
         if self._columns is None:
             placement = {c.id: (i, self.cluster_offset(c.id))
                          for i, c in enumerate(self._clusters.values())}
-            type_ids: dict[str, int] = {}
+            type_ids = {t: i for i, t in enumerate(self.task_types())}
             table = np.fromiter(
-                ((ti, type_ids.setdefault(t.type, len(type_ids)), ci,
+                ((ti, type_ids[t.type], ci,
                   t.start_time, t.end_time, off + r.start, off + r.stop)
                  for ti, t in enumerate(self._tasks.values())
                  for conf in t.configurations

@@ -23,7 +23,6 @@ from repro.obs.core import (
     enable,
     gauge,
     is_enabled,
-    observe,
     reset,
     span,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "graft_trace_doc",
     "is_enabled",
     "log_to",
-    "observe",
     "record_from_trace",
     "report_from_runlog",
     "reset",

@@ -45,7 +45,6 @@ __all__ = [
     "span",
     "add",
     "gauge",
-    "observe",
     "enable",
     "disable",
     "is_enabled",
@@ -181,7 +180,7 @@ class SpanRecord:
 
 
 class Trace:
-    """Spans (in start order), counters, gauges and histograms of one run.
+    """Spans (in start order), counters and gauges of one run.
 
     ``epoch`` is the monotonic (``perf_counter``) zero of all span
     timestamps; ``epoch_wall`` is the wall-clock (``time.time``) instant
@@ -201,7 +200,6 @@ class Trace:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.gauge_peaks: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
         self._roots: list[int] = []
         self._children: list[list[int]] = []
         self._indexed = 0  # spans[:_indexed] are reflected in the index
@@ -252,13 +250,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.spans)
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        """The named histogram, created on first use."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram(**kwargs)
-        return hist
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Trace({len(self.spans)} spans, {len(self.counters)} counters, "
@@ -449,24 +440,6 @@ def gauge(name: str, value: float) -> None:
         if _state.sink is not None:
             event = {"event": "gauge", "name": name, "value": value,
                      "peak": trace.gauge_peaks[name],
-                     "span_id": _state.stack[-1] if _state.stack else None}
-            if trace.trace_id is not None:
-                event["trace_id"] = trace.trace_id
-            _state.sink(event)
-
-
-def observe(name: str, value: float) -> None:
-    """Record one sample into a named trace histogram (no-op when disabled).
-
-    The histogram is created on first use with the default latency
-    buckets (100 µs .. 1000 s, five per decade); callers needing custom
-    bounds pre-create it via ``current_trace().histogram(name, ...)``.
-    """
-    if _state.enabled:
-        trace = _state.trace
-        trace.histogram(name).observe(value)
-        if _state.sink is not None:
-            event = {"event": "observe", "name": name, "value": value,
                      "span_id": _state.stack[-1] if _state.stack else None}
             if trace.trace_id is not None:
                 event["trace_id"] = trace.trace_id

@@ -8,7 +8,7 @@ Four ways out of a :class:`~repro.obs.core.Trace`:
   invariants (sorted ``ts``, stack-matched B/E pairs) and is what the CI
   smoke job runs against a real CLI render.
 * :func:`summary_table` — a plain-text per-span aggregation with
-  counters, gauges and histograms, for ``--stats``.
+  counters and gauges, for ``--stats``.
 * :func:`trace_to_schedule` — the dog-food path: the span tree becomes a
   :class:`~repro.core.model.Schedule` (spans as tasks, pipeline stages as
   cluster bands, nesting depth as host rows), so the tool renders its own
@@ -247,15 +247,6 @@ def summary_table(trace: Trace, *, now: float | None = None) -> str:
         for name in sorted(trace.gauges):
             lines.append(f"  {name} = {trace.gauges[name]:g} / "
                          f"{trace.gauge_peaks.get(name, trace.gauges[name]):g}")
-    if trace.histograms:
-        lines.append("")
-        lines.append("histograms (count / mean / p50 / p95 / p99):")
-        for name in sorted(trace.histograms):
-            hist = trace.histograms[name]
-            lines.append(
-                f"  {name} = {hist.count} / {hist.mean:g} / "
-                f"{hist.percentile(0.50):g} / {hist.percentile(0.95):g} / "
-                f"{hist.percentile(0.99):g}")
     if open_count:
         lines.append("")
         lines.append(f"note: {open_count} span(s) still open at capture "

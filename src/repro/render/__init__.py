@@ -16,7 +16,7 @@ from repro.render.compose import compare_schedules, stack_drawings
 from repro.render.daglayout import export_dag, layout_dag
 from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
 from repro.render.layout import LayoutOptions, layout_schedule, nice_ticks
-from repro.render.lod import LOD_MODES, LodOptions
+from repro.render.lod import LOD_MODES
 from repro.render.profile import export_profile, layout_profile
 from repro.render.style import Style, load_style_file
 
@@ -26,7 +26,6 @@ __all__ = [
     "LOD_MODES",
     "LayoutOptions",
     "Line",
-    "LodOptions",
     "OUTPUT_FORMATS",
     "Rect",
     "RenderRequest",

@@ -44,7 +44,7 @@ from repro.render.html_payload import (
     MAX_HTML_TIERS,
 )
 from repro.render.layout import LayoutOptions, layout_schedule
-from repro.render.lod import LOD_MODES, LodOptions
+from repro.render.lod import check_lod_mode
 from repro.render.style import Style
 
 __all__ = [
@@ -136,10 +136,10 @@ def _as_str_tuple(value) -> tuple[str, ...] | None:
 class RenderRequest:
     """One fully-described render job.
 
-    Every field is a plain value (paths are strings, ``mode``/``lod`` are
-    strings or frozen dataclasses), so a request pickles cleanly across the
-    process-pool boundary of :mod:`repro.batch` and fingerprints
-    deterministically for the content-addressed render cache.
+    Every field is a plain value (paths and the ``mode``/``lod`` names are
+    strings), so a request pickles cleanly across the process-pool boundary
+    of :mod:`repro.batch` and fingerprints deterministically for the
+    content-addressed render cache.
 
     ``input_path`` may be omitted when the schedule is passed in-memory to
     :func:`execute_request`; ``output_path`` may be omitted to get the
@@ -157,7 +157,7 @@ class RenderRequest:
     height: int = 480
     mode: str = ViewMode.ALIGNED.value
     title: str | None = None
-    lod: str | LodOptions = "auto"
+    lod: str = "auto"
     style: Style | None = None
     style_path: str | None = None
     cmap: ColorMap | None = None
@@ -190,10 +190,7 @@ class RenderRequest:
             object.__setattr__(self, "mode", mode.value)
         else:
             object.__setattr__(self, "mode", ViewMode.parse(str(mode)).value)
-        if isinstance(self.lod, str) and self.lod not in LOD_MODES:
-            raise RenderError(
-                f"unknown lod mode {self.lod!r} (expected one of: "
-                f"{', '.join(LOD_MODES)})")
+        check_lod_mode(self.lod)
         object.__setattr__(self, "types", _as_str_tuple(self.types))
         object.__setattr__(self, "clusters", _as_str_tuple(self.clusters))
         if self.window is not None:
@@ -300,8 +297,7 @@ class RenderRequest:
             "height": self.height,
             "mode": self.mode,
             "title": self.title,
-            "lod": self.lod if isinstance(self.lod, str)
-                   else _dataclass_token(self.lod),
+            "lod": self.lod,
             "style": _dataclass_token(self.resolve_style()),
             "grayscale": self.grayscale,
             "auto_colors": self.auto_colors,
@@ -426,7 +422,6 @@ def _render_html_request(schedule: Schedule, request: RenderRequest) -> bytes:
     from repro.render.backends.html import render_html_interactive
     from repro.render.html_payload import build_payload
 
-    lod_mode = request.lod if isinstance(request.lod, str) else request.lod.mode
     with _obs.span("render.encode", format="html", tasks=len(schedule)):
         payload = build_payload(
             schedule,
@@ -434,7 +429,7 @@ def _render_html_request(schedule: Schedule, request: RenderRequest) -> bytes:
             title=request.title,
             threshold=request.html_threshold,
             tiers=request.html_tiers,
-            lod_mode=lod_mode,
+            lod_mode=request.lod,
             initial=request.resolve_viewport(schedule),
         )
         data = render_html_interactive(payload, width=request.width,

@@ -8,7 +8,7 @@ visible window from the data on every interaction.
 
 Past a task threshold the payload switches from raw tasks to
 level-of-detail cell tiers built with the same aggregation grid the
-raster path uses (:func:`repro.render.lod.band_cell_grid`), so a 100k-job
+raster path uses (:func:`repro.render.lod.cell_grid`), so a 100k-job
 trace ships a few tens of thousands of merged cell runs instead of 100k
 rectangles and the page stays well under the size budget.
 
@@ -55,7 +55,7 @@ from repro.core.model import Schedule
 from repro.core.timeframe import TimeFrame
 from repro.core.viewport import Viewport
 from repro.errors import RenderError
-from repro.render.lod import band_cell_grid, cell_runs
+from repro.render.lod import cell_grid, cell_runs, check_lod_mode
 
 __all__ = [
     "PAYLOAD_VERSION",
@@ -101,13 +101,14 @@ def build_tiers(schedule: Schedule, *, tiers: int = DEFAULT_HTML_TIERS,
     """LOD cell tiers, coarse to fine, within a total run budget.
 
     Each tier aggregates every cluster band over the global time frame
-    with :func:`repro.render.lod.band_cell_grid` — the exact grid the
-    raster LOD path rasterizes — and run-length encodes the dominant-type
+    with :func:`repro.render.lod.cell_grid` — the exact grid the raster
+    LOD path rasterizes — and run-length encodes the dominant-type
     cells.  A finer tier is only included when it fits the remaining run
     budget entirely, so the payload degrades to coarser tiers instead of
     truncating silently.
     """
     frame = _payload_frame(schedule)
+    cols = schedule.columns
     out: list[dict] = []
     spent = 0
     last_nx = 0
@@ -119,9 +120,10 @@ def build_tiers(schedule: Schedule, *, tiers: int = DEFAULT_HTML_TIERS,
         tier_clusters: list[dict] = []
         tier_runs = 0
         for ci, cluster in enumerate(schedule.clusters):
+            offset = schedule.cluster_offset(cluster.id)
             ny = min(cluster.num_hosts, _BASE_NY * (2 ** level))
-            _, cells = band_cell_grid(schedule, cluster.id, frame,
-                                      cluster.num_hosts, nx, ny)
+            cells = cell_grid(schedule, cols.cluster == ci, frame, offset,
+                              offset + cluster.num_hosts, nx, ny)
             runs = [list(run) for run in cell_runs(cells)]
             if not runs:
                 continue
@@ -191,8 +193,7 @@ def build_payload(
     if not 1 <= tiers <= MAX_HTML_TIERS:
         raise RenderError(
             f"html tiers must be in 1..{MAX_HTML_TIERS}, got {tiers}")
-    if lod_mode not in ("auto", "on", "off"):
-        raise RenderError(f"unknown lod mode {lod_mode!r}")
+    check_lod_mode(lod_mode)
     from repro.core.colormap import default_colormap
 
     cmap = cmap or default_colormap()

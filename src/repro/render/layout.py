@@ -27,22 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.colormap import Color, ColorMap, default_colormap
 from repro.core.model import Schedule, Task
-from repro.core.select import tasks_in_region
+from repro.core.select import rows_in_region
 from repro.core.slices import is_continuation, is_preempted, job_of
 from repro.core.timeframe import TimeFrame, ViewMode, cluster_frame, global_frame
 from repro.core.viewport import Viewport
 from repro.errors import RenderError
 from repro.obs import core as _obs
 from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
-from repro.render.lod import (
-    LodOptions,
-    aggregate_band,
-    aggregate_window,
-    lod_active,
-    resolve_lod,
-)
+from repro.render.lod import LOD_REF_PREFIX, aggregate, check_lod_mode, lod_active
 from repro.render.style import Style
 
 __all__ = ["LayoutOptions", "layout_schedule", "nice_ticks", "estimate_text_width"]
@@ -115,11 +111,13 @@ class LayoutOptions:
 
 @dataclass(frozen=True, slots=True)
 class _Band:
-    """One cluster band: its vertical extent and time frame."""
+    """One cluster band: its vertical extent, host rows and time frame."""
 
     cluster_id: str
+    index: int
     y: float
     height: float
+    row0: int
     rows: int
     frame: TimeFrame
 
@@ -142,13 +140,15 @@ def _cluster_bands(
     gframe = global_frame(schedule)
     bands: list[_Band] = []
     y = plot_y
-    for c in clusters:
+    row0 = 0
+    for i, c in enumerate(clusters):
         frame = gframe if mode is ViewMode.ALIGNED else cluster_frame(schedule, c.id)
         if frame.span == 0:  # empty or instantaneous cluster: give it a unit frame
             frame = TimeFrame(frame.start, frame.start + 1.0)
         h = row_h * c.num_hosts
-        bands.append(_Band(c.id, y, h, c.num_hosts, frame))
+        bands.append(_Band(c.id, i, y, h, row0, c.num_hosts, frame))
         y += h + style.cluster_gap + axis_gap
+        row0 += c.num_hosts
     return bands
 
 
@@ -225,7 +225,7 @@ def layout_schedule(
     style: Style | None = None,
     options: LayoutOptions | None = None,
     viewport: Viewport | None = None,
-    lod: str | LodOptions = "auto",
+    lod: str = "auto",
 ) -> Drawing:
     """Lay a schedule out as a :class:`Drawing`.
 
@@ -233,23 +233,23 @@ def layout_schedule(
     single shared axis (interactive view); otherwise the full schedule is
     drawn in the requested :class:`ViewMode`.
 
-    ``lod`` selects the level-of-detail aggregation for large schedules:
-    ``"auto"`` (default) aggregates only when tasks outnumber the available
-    pixels, ``"on"`` forces aggregation, ``"off"`` always draws one
-    rectangle per task configuration.  A :class:`LodOptions` tunes the
-    thresholds.
+    ``lod`` selects the level-of-detail aggregation for large schedules
+    (one of :data:`~repro.render.lod.LOD_MODES`, case and surrounding
+    blanks ignored): ``"auto"`` (default) aggregates only when tasks
+    outnumber the available pixels, ``"on"`` forces aggregation, ``"off"``
+    always draws one rectangle per task configuration.
     """
     cmap = cmap or default_colormap()
     style = (style or Style()).with_config(cmap.config)
     options = options or LayoutOptions()
-    lod_opts = resolve_lod(lod)
+    lod = check_lod_mode(str(lod).strip().lower())
     with _obs.span("render.layout", tasks=len(schedule),
                    windowed=viewport is not None):
         if viewport is not None:
             drawing = _layout_windowed(schedule, cmap, style, options,
-                                       viewport, lod_opts)
+                                       viewport, lod)
         else:
-            drawing = _layout_full(schedule, cmap, style, options, lod_opts)
+            drawing = _layout_full(schedule, cmap, style, options, lod)
     _obs.add("render.primitives", len(drawing))
     return drawing
 
@@ -295,10 +295,10 @@ def _host_labels(drawing: Drawing, band: _Band, style: Style, x: float) -> None:
 
 def _draw_band_tasks(drawing: Drawing, schedule: Schedule, band: _Band,
                      cmap: ColorMap, style: Style, x: float, w: float,
-                     lod_opts: LodOptions | None = None) -> None:
+                     aggregated: bool) -> None:
     """All task rectangles of one cluster band.
 
-    With ``lod_opts`` the per-task rectangles are replaced by aggregated
+    When ``aggregated`` the per-task rectangles are replaced by aggregated
     (host-band x time-bucket) cells — the band chrome stays identical.
     """
     row_h = band.height / band.rows
@@ -307,11 +307,12 @@ def _draw_band_tasks(drawing: Drawing, schedule: Schedule, band: _Band,
             gy = band.y + host * row_h
             drawing.add(Line(x, gy, x + w, gy, style.grid_color, 0.5))
     drawing.add(Rect(x, band.y, w, band.height, fill=None, stroke=style.axis_color))
-    if lod_opts is not None:
+    if aggregated:
         with _obs.span("render.lod", cluster=band.cluster_id):
-            cells = aggregate_band(schedule, band.cluster_id, band.frame,
-                                   band.rows, x, band.y, w, band.height,
-                                   cmap, lod_opts)
+            cells = aggregate(schedule, schedule.columns.cluster == band.index,
+                              band.frame, band.row0, band.row0 + band.rows,
+                              x, band.y, w, band.height, cmap,
+                              f"{LOD_REF_PREFIX}{band.cluster_id}")
             drawing.extend(cells)
             _obs.add("render.lod_cells", len(cells))
         return
@@ -338,17 +339,16 @@ def _draw_band_tasks(drawing: Drawing, schedule: Schedule, band: _Band,
 
 
 def _layout_full(schedule: Schedule, cmap: ColorMap, style: Style,
-                 options: LayoutOptions, lod_opts: LodOptions) -> Drawing:
+                 options: LayoutOptions, lod: str) -> Drawing:
     drawing = Drawing(options.width, options.height, style.background)
     x, y, w, h = _chrome(drawing, schedule, cmap, style, options)
     per_band_axis = options.mode is ViewMode.SCALED and len(schedule.clusters) > 1
     axis_gap = (style.font_size_axes + style.tick_length + 8) if per_band_axis else 0.0
     bands = _cluster_bands(schedule, style, y, h, options.mode, axis_gap)
-    aggregate = lod_active(lod_opts, len(schedule), w, h)
+    aggregated = lod_active(lod, len(schedule), w, h)
     for band in bands:
         _host_labels(drawing, band, style, x)
-        _draw_band_tasks(drawing, schedule, band, cmap, style, x, w,
-                         lod_opts if aggregate else None)
+        _draw_band_tasks(drawing, schedule, band, cmap, style, x, w, aggregated)
         if per_band_axis:
             _time_axis(drawing, style, x, w, band.y + band.height + 2, band.frame)
     if not per_band_axis:
@@ -359,7 +359,7 @@ def _layout_full(schedule: Schedule, cmap: ColorMap, style: Style,
 
 def _layout_windowed(schedule: Schedule, cmap: ColorMap, style: Style,
                      options: LayoutOptions, viewport: Viewport,
-                     lod_opts: LodOptions) -> Drawing:
+                     lod: str) -> Drawing:
     """Interactive view: draw exactly the viewport window, rows continuous."""
     drawing = Drawing(options.width, options.height, style.background)
     x, y, w, h = _chrome(drawing, schedule, cmap, style, options)
@@ -384,41 +384,44 @@ def _layout_windowed(schedule: Schedule, cmap: ColorMap, style: Style,
         offset += c.num_hosts
     drawing.add(Rect(x, y, w, h, fill=None, stroke=style.axis_color))
 
-    offsets = {c.id: schedule.cluster_offset(c.id) for c in schedule.clusters}
-    # Viewport culling: off-screen tasks never produce primitives (nor style
-    # lookups), so the zoom cost scales with what is visible.
-    visible = tasks_in_region(schedule, viewport.t0, viewport.t1,
-                              viewport.r0, viewport.r1)
-    if lod_active(lod_opts, len(visible), w, h):
-        with _obs.span("render.lod", visible=len(visible)):
-            cells = aggregate_window(schedule, viewport,
-                                     x, y, w, h, cmap, lod_opts)
+    # Viewport culling: off-screen host ranges never produce primitives (nor
+    # style lookups), so the zoom cost scales with what is visible.  The one
+    # mask feeds the task count, the aggregation and the per-task rects.
+    cols = schedule.columns
+    visible = rows_in_region(schedule, viewport.t0, viewport.t1,
+                             viewport.r0, viewport.r1)
+    n_visible = np.unique(cols.task[visible]).size
+    if lod_active(lod, n_visible, w, h):
+        with _obs.span("render.lod", visible=n_visible):
+            cells = aggregate(schedule, visible, frame, viewport.r0, viewport.r1,
+                              x, y, w, h, cmap, f"{LOD_REF_PREFIX}viewport")
             drawing.extend(cells)
             _obs.add("render.lod_cells", len(cells))
         _time_axis(drawing, style, x, w, y + h + 2, frame)
         return drawing
 
-    for task in visible:
-        fx0 = frame.fraction(frame.clamp(task.start_time))
-        fx1 = frame.fraction(frame.clamp(task.end_time))
-        rx, rw = x + fx0 * w, max((fx1 - fx0) * w, 0.0)
-        tstyle = cmap.style_for_task(task)
-        for conf in task.configurations:
-            base = offsets[conf.cluster_id]
-            for r in conf.host_ranges:
-                lo = max(float(base + r.start), viewport.r0)
-                hi = min(float(base + r.stop), viewport.r1)
-                if hi <= lo:
-                    continue
-                ry = ty(lo)
-                rh = ty(hi) - ry
-                drawing.add(Rect(rx, ry, rw, rh, fill=tstyle.bg,
-                                 stroke=style.task_border if style.draw_task_borders else None,
-                                 ref=f"task:{task.id}"))
-                if is_preempted(task):
-                    _preempt_mark(drawing, rx, ry, rw, rh, style)
-                if style.draw_labels:
-                    _task_label(drawing, task, rx, ry, rw, rh, style,
-                                tstyle.label_color())
+    tasks = schedule.tasks
+    current = None
+    for ti, row0, row1 in zip(cols.task[visible].tolist(),
+                              cols.row0[visible].tolist(),
+                              cols.row1[visible].tolist()):
+        if ti != current:
+            current, task = ti, tasks[ti]
+            fx0 = frame.fraction(frame.clamp(task.start_time))
+            fx1 = frame.fraction(frame.clamp(task.end_time))
+            rx, rw = x + fx0 * w, max((fx1 - fx0) * w, 0.0)
+            tstyle = cmap.style_for_task(task)
+        lo = max(float(row0), viewport.r0)
+        hi = min(float(row1), viewport.r1)
+        ry = ty(lo)
+        rh = ty(hi) - ry
+        drawing.add(Rect(rx, ry, rw, rh, fill=tstyle.bg,
+                         stroke=style.task_border if style.draw_task_borders else None,
+                         ref=f"task:{task.id}"))
+        if is_preempted(task):
+            _preempt_mark(drawing, rx, ry, rw, rh, style)
+        if style.draw_labels:
+            _task_label(drawing, task, rx, ry, rw, rh, style,
+                        tstyle.label_color())
     _time_axis(drawing, style, x, w, y + h + 2, frame)
     return drawing

@@ -30,29 +30,27 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.colormap import ColorMap
 from repro.core.model import Schedule
-from repro.core.select import rows_in_region
 from repro.core.timeframe import TimeFrame
-from repro.core.viewport import Viewport
 from repro.errors import RenderError
 from repro.render.geometry import Rect
 
 __all__ = [
     "LOD_MODES",
     "LOD_REF_PREFIX",
-    "LodOptions",
-    "resolve_lod",
+    "TASK_THRESHOLD",
+    "MIN_PIXELS_PER_TASK",
+    "TIME_BUCKET_PX",
+    "ROW_BUCKET_PX",
+    "check_lod_mode",
     "lod_active",
     "cell_grid",
-    "band_cell_grid",
     "cell_runs",
-    "aggregate_band",
-    "aggregate_window",
+    "aggregate",
 ]
 
 #: Valid values of the ``lod=`` rendering parameter / ``--lod`` CLI flag.
@@ -61,58 +59,40 @@ LOD_MODES = ("auto", "on", "off")
 #: ``ref`` prefix of aggregated rectangles.
 LOD_REF_PREFIX = "lod:"
 
+#: ``auto`` aggregates above this many (visible) tasks ...
+TASK_THRESHOLD = 4000
+#: ... or when the plot offers fewer pixels per task than this.
+MIN_PIXELS_PER_TASK = 1.0
 
-@dataclass(frozen=True, slots=True)
-class LodOptions:
-    """Knobs of the level-of-detail aggregation.
+#: Approximate aggregation cell size, in device pixels.
+TIME_BUCKET_PX = 2.0
+ROW_BUCKET_PX = 2.0
 
-    ``mode``:
-        ``"off"`` never aggregates, ``"on"`` always does, ``"auto"``
-        aggregates when the (visible) task count exceeds ``task_threshold``
-        or the plot offers fewer than ``min_pixels_per_task`` pixels per
-        task.
-    ``time_bucket_px`` / ``row_bucket_px``:
-        approximate cell size of the aggregation grid, in device pixels.
+
+def check_lod_mode(mode: str) -> str:
+    """Return ``mode`` when it is one of :data:`LOD_MODES`, else raise."""
+    if mode not in LOD_MODES:
+        raise RenderError(f"unknown lod mode {mode!r} (expected one of: "
+                          f"{', '.join(LOD_MODES)})")
+    return mode
+
+
+def lod_active(mode: str, n_tasks: int, plot_w: float, plot_h: float) -> bool:
+    """Decide whether aggregation should run for ``n_tasks`` in a plot area.
+
+    ``"off"`` never aggregates, ``"on"`` always does, ``"auto"`` does when
+    ``n_tasks`` exceeds :data:`TASK_THRESHOLD` or the plot offers fewer
+    than :data:`MIN_PIXELS_PER_TASK` pixels per task.
     """
-
-    mode: str = "auto"
-    task_threshold: int = 4000
-    min_pixels_per_task: float = 1.0
-    time_bucket_px: float = 2.0
-    row_bucket_px: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in LOD_MODES:
-            raise RenderError(
-                f"unknown lod mode {self.mode!r}; expected one of: {', '.join(LOD_MODES)}")
-        if self.task_threshold < 1:
-            raise RenderError(f"lod task threshold must be >= 1, got {self.task_threshold}")
-        if self.time_bucket_px <= 0 or self.row_bucket_px <= 0:
-            raise RenderError(
-                f"lod bucket sizes must be > 0, got "
-                f"{self.time_bucket_px}x{self.row_bucket_px}")
-
-
-def resolve_lod(lod: str | LodOptions | None) -> LodOptions:
-    """Normalize the ``lod=`` parameter to a :class:`LodOptions`."""
-    if lod is None:
-        return LodOptions()
-    if isinstance(lod, LodOptions):
-        return lod
-    return LodOptions(mode=str(lod).strip().lower())
-
-
-def lod_active(options: LodOptions, n_tasks: int, plot_w: float, plot_h: float) -> bool:
-    """Decide whether aggregation should run for ``n_tasks`` in a plot area."""
-    if options.mode == "off":
+    if mode == "off":
         return False
-    if options.mode == "on":
+    if mode == "on":
         return True
-    if n_tasks > options.task_threshold:
+    if n_tasks > TASK_THRESHOLD:
         return True
     if n_tasks <= 0:
         return False
-    return (plot_w * plot_h) / n_tasks < options.min_pixels_per_task
+    return (plot_w * plot_h) / n_tasks < MIN_PIXELS_PER_TASK
 
 
 def cell_runs(cells: np.ndarray) -> Iterable[tuple[int, int, int, int]]:
@@ -137,24 +117,6 @@ def cell_runs(cells: np.ndarray) -> Iterable[tuple[int, int, int, int]]:
                 yield iy, int(s), int(e), ti
 
 
-def _cells_to_rects(types: list[str], cells: np.ndarray, x: float, y: float,
-                    w: float, h: float, cmap: ColorMap, ref: str) -> list[Rect]:
-    """Merge horizontal runs of equally-typed cells into filled rects."""
-    ny, nx = cells.shape
-    cell_w = w / nx
-    cell_h = h / ny
-    fills = [cmap.style_for_type(t).bg for t in types]
-    return [Rect(x + s * cell_w, y + iy * cell_h, (e - s) * cell_w, cell_h,
-                 fill=fills[ti], ref=ref)
-            for iy, s, e, ti in cell_runs(cells)]
-
-
-def _grid_shape(options: LodOptions, w: float, h: float, rows: int) -> tuple[int, int]:
-    nx = max(1, int(w / options.time_bucket_px))
-    ny = max(1, min(rows, int(h / options.row_bucket_px)))
-    return nx, ny
-
-
 def cell_grid(
     schedule: Schedule,
     rows: np.ndarray,
@@ -170,8 +132,8 @@ def cell_grid(
     (task host ranges) that deposit; the grid covers ``frame``
     horizontally and the global host rows ``[row0, row1)`` vertically.
     ``cells[iy, ix]`` indexes :meth:`~repro.core.model.Schedule.task_types`
-    (-1 where nothing deposited).  The one grid behind cluster bands
-    (:func:`band_cell_grid`), viewports (:func:`aggregate_window`) and the
+    (-1 where nothing deposited).  The one grid behind the raster LOD
+    path (:func:`aggregate`, for cluster bands and viewports) and the
     HTML tiers (:mod:`repro.render.html_payload`).
     """
     cols = schedule.columns
@@ -230,75 +192,34 @@ def cell_grid(
     return cells
 
 
-def band_cell_grid(
+def aggregate(
     schedule: Schedule,
-    cluster_id: str,
+    rows: np.ndarray,
     frame: TimeFrame,
-    rows: int,
-    nx: int,
-    ny: int,
-) -> tuple[list[str], np.ndarray]:
-    """Dominant-type cell grid of one cluster band: ``(types, cells)``.
-
-    ``cells[iy, ix]`` indexes ``types``, the schedule's task types (-1
-    where nothing deposited); the grid covers ``frame`` horizontally and
-    the cluster-local host rows ``[0, rows)`` vertically.  Shared by the
-    raster LOD path (:func:`aggregate_band`) and the HTML tier exporter
-    (:mod:`repro.render.html_payload`).
-    """
-    offset = schedule.cluster_offset(cluster_id)
-    index = [c.id for c in schedule.clusters].index(str(cluster_id))
-    cells = cell_grid(schedule, schedule.columns.cluster == index, frame,
-                      offset, offset + rows, nx, ny)
-    return list(schedule.task_types()), cells
-
-
-def aggregate_band(
-    schedule: Schedule,
-    cluster_id: str,
-    frame: TimeFrame,
-    rows: int,
-    x: float,
-    band_y: float,
-    w: float,
-    band_h: float,
-    cmap: ColorMap,
-    options: LodOptions,
-) -> list[Rect]:
-    """Aggregated rectangles for one cluster band of the full layout.
-
-    Mirrors the geometry of the per-task path: time maps through ``frame``
-    onto ``[x, x+w]``, cluster-local host rows onto ``[band_y,
-    band_y+band_h]``.
-    """
-    nx, ny = _grid_shape(options, w, band_h, rows)
-    types, cells = band_cell_grid(schedule, cluster_id, frame, rows, nx, ny)
-    if not types:
-        return []
-    return _cells_to_rects(types, cells, x, band_y, w, band_h, cmap,
-                           f"{LOD_REF_PREFIX}{cluster_id}")
-
-
-def aggregate_window(
-    schedule: Schedule,
-    viewport: Viewport,
+    row0: float,
+    row1: float,
     x: float,
     y: float,
     w: float,
     h: float,
     cmap: ColorMap,
-    options: LodOptions,
+    ref: str,
 ) -> list[Rect]:
-    """Aggregated rectangles for the interactive (viewport) layout.
+    """Aggregated rectangles of one window of the schedule plane.
 
-    Deposits exactly the host ranges the viewport shows
-    (:func:`repro.core.select.rows_in_region`); rows are global
-    (flattened) resource indices as in the windowed layout.
+    The selected column ``rows`` deposit into a :func:`cell_grid` of
+    cells about :data:`TIME_BUCKET_PX` x :data:`ROW_BUCKET_PX` device
+    pixels (at most one per host row); time maps through ``frame`` onto
+    ``[x, x+w]`` and the host rows ``[row0, row1)`` onto ``[y, y+h]``.
+    Horizontal runs of equally-typed cells merge into one filled rect
+    tagged ``ref``.
     """
-    nx, ny = _grid_shape(options, w, h, max(1, math.ceil(viewport.resource_span)))
-    visible = rows_in_region(schedule, viewport.t0, viewport.t1,
-                             viewport.r0, viewport.r1)
-    cells = cell_grid(schedule, visible, viewport.time_frame,
-                      viewport.r0, viewport.r1, nx, ny)
-    return _cells_to_rects(list(schedule.task_types()), cells, x, y, w, h,
-                           cmap, f"{LOD_REF_PREFIX}viewport")
+    nx = max(1, int(w / TIME_BUCKET_PX))
+    ny = max(1, min(math.ceil(row1 - row0), int(h / ROW_BUCKET_PX)))
+    cells = cell_grid(schedule, rows, frame, row0, row1, nx, ny)
+    cell_w = w / nx
+    cell_h = h / ny
+    fills = [cmap.style_for_type(t).bg for t in schedule.task_types()]
+    return [Rect(x + s * cell_w, y + iy * cell_h, (e - s) * cell_w, cell_h,
+                 fill=fills[ti], ref=ref)
+            for iy, s, e, ti in cell_runs(cells)]

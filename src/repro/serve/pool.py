@@ -14,8 +14,8 @@ pre-imports the render stack, then sits in a loop receiving jobs over a
 
 Nothing is pickled across the boundary.  A request must have a wire
 form (:func:`~repro.serve.protocol.request_to_payload`); one that holds
-an in-memory style, colormap, viewport or ``LodOptions`` fails as its
-own job, with an error naming the field.
+an in-memory style, colormap or viewport fails as its own job, with an
+error naming the field.
 
 A worker hashes the schedule bytes as they are for the content-addressed
 cache key, so a cache hit costs no parse of the schedule.  The render
@@ -27,9 +27,10 @@ failure policy.  A worker found dead between jobs (OOM killer, an
 external kill) is restarted before the job runs.  A worker that dies
 mid-job is detected by the broken pipe, restarted, and the job retried
 :data:`CRASH_RETRIES` time(s) on it; a worker that exceeds the job's
-timeout is killed and restarted, and the job fails.  Restarts come out
-of a bounded per-worker budget, and a crash, a timeout or an exhausted
-budget comes back as a failed result, never as an exception.  The
+timeout is killed and restarted, and the job fails.  These restarts
+come out of a bounded per-worker budget (a reload's do not), and a
+crash, a timeout or an exhausted budget comes back as a failed result,
+never as an exception.  The
 render service's dispatcher threads (:mod:`repro.serve.server`) each
 own one worker slot; the batch runner (:mod:`repro.batch.runner`, via
 :func:`shared_pool`) borrows any idle one through
@@ -263,7 +264,8 @@ class WorkerPool:
     :meth:`run_request` borrows any idle slot for it (the batch runner's
     fan-out, via :meth:`map_requests`).
 
-    ``max_restarts`` bounds restarts *per worker*.  A dead worker whose
+    ``max_restarts`` bounds crash and timeout restarts *per worker*
+    (:meth:`reload` spends none of it).  A dead worker whose
     budget is exhausted is :meth:`retired` and stays dead; once every
     worker is retired the pool is no longer :attr:`usable`, and jobs
     fail at once instead of hanging.
@@ -360,6 +362,20 @@ class WorkerPool:
             self.total_restarts += 1
         worker.start()
         return True
+
+    def reload(self) -> None:
+        """Replace every live worker with a fresh process (SIGHUP).
+
+        A reload is not a crash: it neither spends nor refills any
+        worker's restart budget, and a dead worker stays as it is.  Each
+        replacement still counts in :attr:`total_restarts`.
+        """
+        for worker in self._workers:
+            if worker.alive:
+                worker.kill()
+                with self._lock:
+                    self.total_restarts += 1
+                worker.start()
 
     # ------------------------------------------------------------ job plumbing
     def run_on(self, index: int, request: RenderRequest, *,

@@ -49,9 +49,9 @@ PROTOCOL_VERSION = 1
 TRACE_HEADER = "X-Jedule-Trace"
 
 #: RenderRequest fields allowed on the wire (all plain JSON values).
-#: The in-memory-object fields (``style``, ``cmap``, ``viewport``, a
-#: ``LodOptions`` instance) are library-only conveniences; remote callers
-#: use the ``*_path`` variants instead.
+#: The in-memory-object fields (``style``, ``cmap``, ``viewport``) are
+#: library-only conveniences; remote callers use the ``*_path`` variants
+#: instead.
 REQUEST_FIELDS = frozenset({
     "input_path", "input_format", "output_path", "output_format",
     "width", "height", "mode", "title", "lod", "style_path", "cmap_path",
@@ -76,17 +76,13 @@ def request_to_payload(request: RenderRequest) -> dict:
     """Plain-JSON payload of a request.
 
     Raises ``ValueError``, naming the field, when the request carries
-    in-memory objects (style/cmap/viewport instances, a ``LodOptions``)
-    that have no wire representation; such a request cannot be sent to
-    a warm worker.
+    in-memory objects (style/cmap/viewport instances) that have no wire
+    representation; such a request cannot be sent to a warm worker.
     """
     for key in ("style", "cmap", "viewport"):
         if getattr(request, key) is not None:
             raise ValueError(f"request field {key!r} holds an in-memory "
                              f"object; not representable on the wire")
-    if not isinstance(request.lod, str):
-        raise ValueError("request field 'lod' holds a LodOptions object; "
-                         "not representable on the wire")
     payload: dict[str, object] = {}
     for key in sorted(REQUEST_FIELDS):
         value = getattr(request, key)

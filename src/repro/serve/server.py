@@ -476,8 +476,7 @@ class RenderServer:
             with self._busy_cv:
                 while self._busy:
                     self._busy_cv.wait()
-            for index in range(self._pool.size):
-                self._pool.restart_worker(index)
+            self._pool.reload()
             self._count("serve.worker.reload")
         finally:
             self.resume_dispatch()

@@ -56,6 +56,20 @@ def test_unknown_job_option_names_the_job(tmp_path):
         manifest_requests(doc, base_dir=tmp_path)
 
 
+@pytest.mark.parametrize("job", [
+    {"input": "a.jed", "width": 0},
+    {"input": "a.jed", "lod": "bogus"},
+    {"input": "a.jed", "format": "gif"},
+    {"input": "a.jed", "formats": ["svg"], "mode": "bogus"},
+], ids=["width", "lod", "format", "formats-mode"])
+def test_bad_job_value_names_the_job_and_manifest(tmp_path, job):
+    path = _write(tmp_path, {"jobs": [{"input": "ok.jed"}, job]})
+    with pytest.raises(ParseError, match=r"^jobs\[1\]: ") as err:
+        load_manifest(path)
+    assert err.value.source == str(path)
+    assert str(path) in str(err.value)
+
+
 def test_unknown_top_level_key_rejected(tmp_path):
     with pytest.raises(ParseError, match="unknown manifest key"):
         manifest_requests({"jbos": [], "jobs": [{"input": "a.jed"}]},

@@ -94,6 +94,16 @@ def test_batch_missing_manifest(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_batch_bad_job_value_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"jobs": [
+        {"input": "a.jed", "formats": ["svg"], "mode": "bogus"}]}))
+    assert main(["batch", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: jobs[0]: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_batch_jobs_flag(tmp_path, manifest):
     assert main(["batch", str(manifest), "--jobs", "2"]) == 0
     assert (tmp_path / "out" / "a.svg").exists()

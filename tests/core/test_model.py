@@ -301,3 +301,28 @@ class TestColumns:
         assert s.task_types() == ("transfer", "computation")
         assert s.columns.task.tolist() == [0, 0, 1]
         assert s.columns.type.tolist() == [0, 0, 1]
+
+    def test_task_types_cached_until_tasks_change(self, simple_schedule):
+        s = simple_schedule
+        types = s.task_types()
+        assert types == ("computation", "transfer")
+        assert s.task_types() is types
+        s.new_cluster(1, 2)  # clusters do not change the types
+        assert s.task_types() is types
+
+        def indexes_types():
+            cols = s.columns
+            return ([s.task_types()[i] for i in cols.type.tolist()]
+                    == [s.tasks[i].type for i in cols.task.tolist()])
+
+        s.new_task(3, "io", 1.0, 2.0, cluster=1, host_start=0, host_nb=2)
+        assert s.task_types() == ("computation", "transfer", "io")
+        assert s.task_types() is s.task_types()
+        assert indexes_types()
+        s.remove_task("1")
+        assert s.task_types() == ("transfer", "io")
+        assert indexes_types()
+        s.remove_task("2")
+        s.remove_task("3")
+        assert s.task_types() == ()
+        assert s.columns.type.size == 0

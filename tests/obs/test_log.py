@@ -149,7 +149,6 @@ class TestTraceIdInEvents:
                 with obs.span("work"):
                     obs.add("n", 1)
                     obs.gauge("g", 2.0)
-                    obs.observe("h.seconds", 0.01)
         finally:
             set_sink(None)
         assert events, "sink saw no events"

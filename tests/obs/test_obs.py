@@ -240,31 +240,6 @@ class TestChildIndex:
         assert trace.children(trace.spans[0]) == []
 
 
-class TestObserve:
-    def test_observe_feeds_named_histogram(self):
-        with obs.capture() as trace:
-            obs.observe("render.seconds", 0.005)
-            obs.observe("render.seconds", 0.2)
-            obs.observe("io.seconds", 1.5)
-        assert set(trace.histograms) == {"render.seconds", "io.seconds"}
-        hist = trace.histograms["render.seconds"]
-        assert hist.count == 2
-        assert hist.sum == pytest.approx(0.205)
-
-    def test_observe_disabled_is_noop(self):
-        obs.observe("never.seconds", 1.0)
-        assert obs.current_trace() is None
-
-    def test_histogram_created_once_with_custom_bounds(self):
-        with obs.capture() as trace:
-            custom = trace.histogram("q", lo=0.01, hi=1.0,
-                                     buckets_per_decade=1)
-            obs.observe("q", 0.5)  # reuses, does not re-create
-            assert trace.histogram("q") is custom
-        assert custom.bounds == pytest.approx([0.01, 0.1, 1.0])
-        assert custom.count == 1
-
-
 class TestTraceId:
     def test_capture_tags_trace(self):
         with obs.capture(trace_id="cafe0001") as trace:

@@ -253,16 +253,19 @@ def _filled(cells):
 @settings(max_examples=200, deadline=None)
 def test_band_grid_fills_exactly_the_touched_cells(schedule, data):
     from repro.core.timeframe import TimeFrame
-    from repro.render.lod import band_cell_grid
+    from repro.render.lod import cell_grid
 
-    cluster = data.draw(st.sampled_from(schedule.clusters))
+    index = data.draw(st.integers(0, len(schedule.clusters) - 1))
+    cluster = schedule.clusters[index]
+    offset = schedule.cluster_offset(cluster.id)
     f0 = data.draw(st.integers(-2, 8))
     span = data.draw(st.sampled_from([4, 8, 16, 32]))
     nx = data.draw(_POW2)
     ny = data.draw(st.sampled_from([n for n in (1, 2, 4, 8, 16)
                                     if n <= cluster.num_hosts]))
-    _, cells = band_cell_grid(schedule, cluster.id, TimeFrame(f0, f0 + span),
-                              cluster.num_hosts, nx, ny)
+    cells = cell_grid(schedule, schedule.columns.cluster == index,
+                      TimeFrame(f0, f0 + span), offset,
+                      offset + cluster.num_hosts, nx, ny)
     deposits = [(t.start_time, t.end_time, r.start, r.stop)
                 for t in schedule.tasks_in_cluster(cluster.id)
                 for r in t.configuration_for(cluster.id).host_ranges]
@@ -302,16 +305,119 @@ def test_fit_viewport_grid_is_the_full_view_band_grid(schedule, w, h):
     """One grid: on one cluster without zero-duration tasks, aggregating
     under ``Viewport.fit`` gives the full-view band's rects."""
     from repro.core.colormap import default_colormap
+    from repro.core.select import rows_in_region
     from repro.core.timeframe import global_frame
     from repro.core.viewport import Viewport
-    from repro.render.lod import LodOptions, aggregate_band, aggregate_window
+    from repro.render.lod import aggregate
 
-    cmap, opts = default_colormap(), LodOptions(mode="on")
+    cmap = default_colormap()
     cluster = schedule.clusters[0]
-    band = aggregate_band(schedule, cluster.id, global_frame(schedule),
-                          cluster.num_hosts, 10.0, 5.0, w, h, cmap, opts)
-    window = aggregate_window(schedule, Viewport.fit(schedule), 10.0, 5.0,
-                              w, h, cmap, opts)
+    band = aggregate(schedule, schedule.columns.cluster == 0,
+                     global_frame(schedule), 0, cluster.num_hosts,
+                     10.0, 5.0, w, h, cmap, "lod:0")
+    fit = Viewport.fit(schedule)
+    window = aggregate(schedule,
+                       rows_in_region(schedule, fit.t0, fit.t1, fit.r0, fit.r1),
+                       fit.time_frame, fit.r0, fit.r1, 10.0, 5.0, w, h, cmap,
+                       "lod:viewport")
     assert band
     assert ([(r.x, r.y, r.w, r.h, r.fill) for r in window]
             == [(r.x, r.y, r.w, r.h, r.fill) for r in band])
+
+
+# ---------------------------------------------------------------------------
+# The windowed (viewport) layout draws one rect per visible host range,
+# read off one rows_in_region mask; pinned against the per-task walk it
+# replaced, which stays here verbatim as the reference.
+
+@st.composite
+def window_schedules(draw) -> Schedule:
+    """Up to three clusters; tasks spanning clusters with scattered host
+    sets, zero-duration tasks and the ``job@k`` slices of preempted jobs."""
+    from repro.core.slices import slice_task
+
+    s = Schedule()
+    for c in range(draw(st.integers(1, 3))):
+        s.add_cluster(Cluster(str(c), draw(st.integers(1, 6))))
+    for i in range(draw(st.integers(1, 12))):
+        configs = []
+        for c in draw(st.lists(st.sampled_from([c.id for c in s.clusters]),
+                               min_size=1, unique=True)):
+            size = s.cluster(c).num_hosts
+            configs.append(Configuration.from_hosts(c, draw(st.sets(
+                st.integers(0, size - 1), min_size=1, max_size=size))))
+        start = draw(st.one_of(st.integers(-4, 36),
+                               st.floats(-4, 36, allow_nan=False)))
+        dur = draw(st.sampled_from([0, 0, 0.5, 1, 2.25, 5, 17, 40]))
+        kind = draw(st.sampled_from(["a", "b"]))
+        if draw(st.booleans()):
+            s.add_task(Task(str(i), kind, start, start + dur, configs))
+        else:
+            s.add_task(slice_task(f"j{i}", draw(st.integers(0, 2)), kind,
+                                  start, start + dur, configs,
+                                  preempted=draw(st.booleans())))
+    return s
+
+
+def _reference_windowed_rects(schedule, viewport, x, y, w, h):
+    """The windowed layout's per-task loop before the one-mask rewrite."""
+    from repro.core.select import tasks_in_region
+
+    out = []
+    frame = viewport.time_frame
+    rspan = viewport.resource_span
+
+    def ty(row: float) -> float:
+        return y + (row - viewport.r0) / rspan * h
+
+    offsets = {c.id: schedule.cluster_offset(c.id) for c in schedule.clusters}
+    visible = tasks_in_region(schedule, viewport.t0, viewport.t1,
+                              viewport.r0, viewport.r1)
+    for task in visible:
+        fx0 = frame.fraction(frame.clamp(task.start_time))
+        fx1 = frame.fraction(frame.clamp(task.end_time))
+        rx, rw = x + fx0 * w, max((fx1 - fx0) * w, 0.0)
+        for conf in task.configurations:
+            base = offsets[conf.cluster_id]
+            for r in conf.host_ranges:
+                lo = max(float(base + r.start), viewport.r0)
+                hi = min(float(base + r.stop), viewport.r1)
+                if hi <= lo:
+                    continue
+                ry = ty(lo)
+                rh = ty(hi) - ry
+                out.append((rx, ry, rw, rh, f"task:{task.id}"))
+    return out
+
+
+_EDGE = st.one_of(st.integers(-6, 40), st.integers(-12, 80).map(lambda v: v / 2),
+                  st.floats(-6, 40, allow_nan=False))
+
+
+@given(window_schedules(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_windowed_rects_match_the_per_task_walk(schedule, data):
+    from repro.core.colormap import default_colormap
+    from repro.core.viewport import Viewport
+    from repro.render.layout import _chrome
+    from repro.render.style import Style
+
+    t0 = data.draw(_EDGE)
+    t1 = t0 + data.draw(st.one_of(st.sampled_from([0.5, 1, 3, 10, 50]),
+                                  st.floats(0.01, 60)))
+    r0 = data.draw(st.one_of(
+        st.integers(-1, schedule.num_hosts),
+        st.floats(-1, schedule.num_hosts, allow_nan=False)))
+    r1 = r0 + data.draw(st.one_of(st.sampled_from([0.5, 1, 2.5, 4, 20]),
+                                  st.floats(0.01, 20)))
+    viewport = Viewport(t0, t1, r0, r1)
+    options = LayoutOptions(width=data.draw(st.integers(200, 700)),
+                            height=data.draw(st.integers(160, 500)))
+    cmap = default_colormap()
+    drawing = layout_schedule(schedule, cmap=cmap, options=options,
+                              viewport=viewport, lod="off")
+    box = _chrome(Drawing(options.width, options.height), schedule, cmap,
+                  Style().with_config(cmap.config), options)
+    assert ([(r.x, r.y, r.w, r.h, r.ref) for r in drawing.rects
+             if r.ref and r.ref.startswith("task:")]
+            == _reference_windowed_rects(schedule, viewport, *box))

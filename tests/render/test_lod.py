@@ -9,8 +9,16 @@ from repro.core.model import Schedule
 from repro.core.viewport import Viewport
 from repro.errors import RenderError
 from repro.render.api import RenderRequest, render_request_bytes
+from repro.render.html_payload import build_payload
 from repro.render.layout import layout_schedule
-from repro.render.lod import LOD_REF_PREFIX, LodOptions, lod_active, resolve_lod
+from repro.render.lod import (
+    LOD_REF_PREFIX,
+    MIN_PIXELS_PER_TASK,
+    TASK_THRESHOLD,
+    aggregate,
+    cell_grid,
+    lod_active,
+)
 
 
 def _render(schedule, fmt, **options):
@@ -39,33 +47,33 @@ def _task_rects(drawing):
 
 class TestOptions:
     def test_invalid_mode_rejected(self):
+        s = _schedule(10)
         with pytest.raises(RenderError, match="lod mode"):
-            LodOptions(mode="sometimes")
+            layout_schedule(s, lod="sometimes")
         with pytest.raises(RenderError, match="lod mode"):
-            resolve_lod("max")
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(RenderError, match="threshold"):
-            LodOptions(task_threshold=0)
-        with pytest.raises(RenderError, match="bucket"):
-            LodOptions(time_bucket_px=0.0)
+            layout_schedule(s, lod="max", viewport=Viewport(0.0, 10.0, 0.0, 8.0))
+        with pytest.raises(RenderError, match="lod mode"):
+            RenderRequest(lod="max")
+        with pytest.raises(RenderError, match="lod mode"):
+            build_payload(s, lod_mode="ON")
 
     def test_resolve_normalizes_strings(self):
-        assert resolve_lod("  ON ").mode == "on"
-        assert resolve_lod(None).mode == "auto"
-        opts = LodOptions(mode="off")
-        assert resolve_lod(opts) is opts
+        s = _schedule(30)
+        d = layout_schedule(s, lod="  ON ")
+        assert _lod_rects(d)
+        assert not _task_rects(d)
 
     def test_lod_active_modes(self):
-        off = LodOptions(mode="off")
-        on = LodOptions(mode="on")
-        auto = LodOptions(mode="auto", task_threshold=100)
-        assert not lod_active(off, 10**6, 800, 400)
-        assert lod_active(on, 1, 800, 400)
-        assert not lod_active(auto, 100, 800, 400)
-        assert lod_active(auto, 101, 800, 400)
+        assert TASK_THRESHOLD == 4000 and MIN_PIXELS_PER_TASK == 1.0
+        assert not lod_active("off", 10**6, 800, 400)
+        assert lod_active("on", 1, 800, 400)
+        # 4000 tasks on 8000x8000 px: at the threshold, plenty of pixels
+        assert not lod_active("auto", TASK_THRESHOLD, 8000, 8000)
+        assert lod_active("auto", TASK_THRESHOLD + 1, 8000, 8000)
+        assert not lod_active("auto", 0, 800, 400)
         # fewer pixels than tasks also activates auto
-        assert lod_active(auto, 50, 5, 5)
+        assert not lod_active("auto", 25, 5, 5)
+        assert lod_active("auto", 26, 5, 5)
 
 
 class TestSmallInputsUnchanged:
@@ -78,10 +86,11 @@ class TestSmallInputsUnchanged:
         assert _render(s, "svg", lod="auto") == _render(s, "svg", lod="off")
 
     def test_off_never_aggregates(self):
-        s = _schedule(60)
-        d = layout_schedule(s, lod=LodOptions(mode="off", task_threshold=1))
+        # past the threshold, where auto aggregates
+        s = _schedule(TASK_THRESHOLD + 1)
+        d = layout_schedule(s, lod="off")
         assert not _lod_rects(d)
-        assert len(_task_rects(d)) == 60
+        assert len(_task_rects(d)) == TASK_THRESHOLD + 1
 
 
 class TestAggregation:
@@ -92,9 +101,10 @@ class TestAggregation:
         assert not _task_rects(d)
 
     def test_auto_threshold_activates(self):
-        s = _schedule(300)
-        opts = LodOptions(mode="auto", task_threshold=200)
-        d = layout_schedule(s, lod=opts)
+        at = layout_schedule(_schedule(TASK_THRESHOLD), lod="auto")
+        assert not _lod_rects(at)
+        assert len(_task_rects(at)) == TASK_THRESHOLD
+        d = layout_schedule(_schedule(TASK_THRESHOLD + 1), lod="auto")
         assert _lod_rects(d)
         assert not _task_rects(d)
 
@@ -155,9 +165,9 @@ class TestBandCellGrid:
     @staticmethod
     def _grid(s, frame=(0.0, 100.0), nx=10, ny=4):
         from repro.core.timeframe import TimeFrame
-        from repro.render.lod import band_cell_grid
 
-        return band_cell_grid(s, "c0", TimeFrame(*frame), 4, nx, ny)
+        return cell_grid(s, s.columns.cluster == 0, TimeFrame(*frame),
+                         0, 4, nx, ny)
 
     @staticmethod
     def _base():
@@ -171,14 +181,14 @@ class TestBandCellGrid:
                    host_nb=4)
         s.new_task("after", "a", 200.0, 200.0, cluster="c0", host_start=0,
                    host_nb=4)
-        types, cells = self._grid(s)
+        cells = self._grid(s)
         assert (cells == -1).all()  # no phantom first/last-column cells
 
     def test_nonzero_task_outside_frame_drops(self):
         s = self._base()
         s.new_task("t", "a", 150.0, 190.0, cluster="c0", host_start=0,
                    host_nb=4)
-        types, cells = self._grid(s)
+        cells = self._grid(s)
         assert (cells == -1).all()
 
     def test_task_ending_at_frame_start_drops(self):
@@ -186,13 +196,13 @@ class TestBandCellGrid:
         # an epsilon sliver in column 0
         s = self._base()
         s.new_task("t", "a", -40.0, 0.0, cluster="c0", host_start=0, host_nb=4)
-        types, cells = self._grid(s)
+        cells = self._grid(s)
         assert (cells == -1).all()
 
     def test_zero_duration_inside_frame_one_cell(self):
         s = self._base()
         s.new_task("t", "a", 50.0, 50.0, cluster="c0", host_start=0, host_nb=4)
-        types, cells = self._grid(s)
+        cells = self._grid(s)
         filled = (cells >= 0).nonzero()
         # exactly one column of cells, at the task's position (col 5 of 10)
         assert set(filled[1].tolist()) == {5}
@@ -206,20 +216,19 @@ class TestBandCellGrid:
         s.new_task("one", "a", 0.0, 1.0, cluster="c0", host_start=0, host_nb=1)
         s.new_task("two", "a", 0.0, 1.0, cluster="c0", host_start=0, host_nb=2)
         from repro.core.timeframe import TimeFrame
-        from repro.render.lod import band_cell_grid
 
-        _, cells = band_cell_grid(s, "c0", TimeFrame(0.0, 2.0), 16, 4, 1)
+        cells = cell_grid(s, s.columns.cluster == 0, TimeFrame(0.0, 2.0),
+                          0, 16, 4, 1)
         assert cells[0].tolist() == [0, 0, -1, -1]
 
     def test_aggregate_band_no_phantom_rects(self):
         from repro.core.timeframe import TimeFrame
-        from repro.render.lod import aggregate_band
 
         s = self._base()
         s.new_task("ghost", "a", 500.0, 500.0, cluster="c0", host_start=0,
                    host_nb=4)
         cmap = ColorMap()
         cmap.set_style("a", "#112233")
-        rects = aggregate_band(s, "c0", TimeFrame(0.0, 100.0), 4,
-                               0.0, 0.0, 100.0, 40.0, cmap, LodOptions())
+        rects = aggregate(s, s.columns.cluster == 0, TimeFrame(0.0, 100.0),
+                          0, 4, 0.0, 0.0, 100.0, 40.0, cmap, "lod:c0")
         assert rects == []

@@ -486,6 +486,25 @@ def test_reload_replaces_workers_without_dropping_jobs(tmp_path,
         assert job["status"] == "done"
 
 
+def test_reloads_do_not_spend_the_crash_budget(tmp_path, simple_schedule):
+    """More reloads than the restart budget leave the worker serving, and
+    a crash afterwards still gets its retry."""
+    with serving(cache_dir=None, debug_hooks=True) as server:
+        client = ServeClient(server.url)
+        for _ in range(5):
+            server.reload()
+            job = client.render(_request(), schedule=simple_schedule,
+                                timeout=30.0)
+            assert job["status"] == "done", job
+        assert client.statz()["workers"]["restarts"] == 5
+        crash = _body(simple_schedule, debug={"x_crash": True})
+        status, _, body = client.request("POST", "/render", crash)
+        assert status == 202
+        job = client.wait(body["job"]["id"], timeout=60.0)
+        assert job["status"] == "failed"
+        assert job["result"]["attempts"] == 2
+
+
 def test_drain_writes_runlog_record(tmp_path, simple_schedule):
     runlog = tmp_path / "runlog.jsonl"
     with serving(cache_dir=str(tmp_path / "cache"),

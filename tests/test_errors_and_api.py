@@ -84,10 +84,13 @@ def test_removed_shims_stay_gone():
     """Schedulers run through the registry or their family submodule;
     schedules render through a RenderRequest; benchmarks keep no BENCH
     snapshots; ``jedule submit --trace`` merges traces through
-    ``repro.serve.tracing``."""
+    ``repro.serve.tracing``; traces keep no histograms; ``lod`` is a mode
+    string aggregated by the one ``repro.render.lod.aggregate``."""
     import repro.obs
     import repro.obs.export
+    import repro.render
     import repro.render.api
+    import repro.render.lod
     import repro.sched
 
     with pytest.raises(AttributeError):
@@ -101,6 +104,12 @@ def test_removed_shims_stay_gone():
                  "merge_chrome_traces"):
         assert not hasattr(repro.obs, name), name
     assert not hasattr(repro.obs.export, "merge_chrome_traces")
+    assert not hasattr(repro.obs, "observe")
+    assert not hasattr(repro.obs.Trace(), "histograms")
+    assert not hasattr(repro.render, "LodOptions")
+    for name in ("LodOptions", "band_cell_grid", "aggregate_band",
+                 "aggregate_window", "resolve_lod", "_grid_shape"):
+        assert not hasattr(repro.render.lod, name), name
 
 
 def test_version():
