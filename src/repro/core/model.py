@@ -17,13 +17,18 @@ hosts of their cluster, ``0 .. cluster.num_hosts - 1``, matching the XML
 format of Figure 1 of the paper where the host list ``start=0 nb=8`` refers to
 processors 0..7 *of cluster 0*.  Global (flattened) indices are available via
 :meth:`Schedule.global_host_index`.
+
+A :class:`Schedule` keeps its tasks as columns (a :class:`TaskStore`), not
+as objects: the readers fill the columns directly, and a :class:`Task` is
+built from them only when something asks for it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from array import array
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +41,14 @@ __all__ = [
     "Task",
     "Cluster",
     "Schedule",
+    "TaskStore",
     "COMPOSITE_TYPE",
     "merge_host_ranges",
     "hosts_to_ranges",
+    "host_span",
+    "merge_spans",
+    "task_times",
+    "check_task_clusters",
 ]
 
 #: Task type assigned to synthesized composite (overlap) tasks.
@@ -57,10 +67,7 @@ class HostRange:
     nb: int
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ScheduleError(f"host range start must be >= 0, got {self.start}")
-        if self.nb <= 0:
-            raise ScheduleError(f"host range length must be >= 1, got {self.nb}")
+        host_span(self.start, self.nb)
 
     @property
     def stop(self) -> int:
@@ -79,22 +86,72 @@ class HostRange:
         return self.start < other.stop and other.start < self.stop
 
 
+_NO_RANGE = "a configuration needs at least one host range"
+
+
+def host_span(start: int, nb: int) -> tuple[int, int]:
+    """The host span ``(start, stop)`` of a valid :class:`HostRange`."""
+    if start < 0:
+        raise ScheduleError(f"host range start must be >= 0, got {start}")
+    if nb <= 0:
+        raise ScheduleError(f"host range length must be >= 1, got {nb}")
+    return start, start + nb
+
+
+def _merged(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted ``(start, stop)`` spans with adjacent and overlapping ones
+    merged: the fewest maximal runs covering exactly their union."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def merge_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The host spans of one configuration, sorted and merged as
+    :class:`Configuration` merges its ranges; there must be at least one."""
+    if not spans:
+        raise ScheduleError(_NO_RANGE)
+    return spans if len(spans) == 1 else _merged(spans)
+
+
+def task_times(task_id: object, start_time: object,
+               end_time: object) -> tuple[float, float]:
+    """A task's times as floats, checked as :class:`Task` checks them."""
+    start_time = float(start_time)  # type: ignore[arg-type]
+    end_time = float(end_time)  # type: ignore[arg-type]
+    if not (math.isfinite(start_time) and math.isfinite(end_time)):
+        raise ScheduleError(f"task {task_id!r}: non-finite times [{start_time}, {end_time}]")
+    if end_time < start_time:
+        raise ScheduleError(
+            f"task {task_id!r}: end_time {end_time} precedes start_time {start_time}"
+        )
+    return start_time, end_time
+
+
+def check_task_clusters(task_id: object, cluster_ids: Sequence[object]) -> None:
+    """A task binds at least one cluster, each through one configuration."""
+    if not cluster_ids:
+        raise ScheduleError(f"task {task_id!r} needs at least one configuration")
+    if len(cluster_ids) > 1 and len(cluster_ids) != len(set(cluster_ids)):
+        raise ScheduleError(f"task {task_id!r}: duplicate configuration for one cluster")
+
+
 def merge_host_ranges(ranges: Iterable[HostRange]) -> tuple[HostRange, ...]:
     """Normalize ranges: sort, merge adjacent/overlapping runs.
 
     The result covers exactly the union of the input hosts using the minimal
     number of maximal contiguous runs.
     """
-    items = sorted(ranges, key=lambda r: (r.start, r.stop))
-    merged: list[HostRange] = []
-    for r in items:
-        if merged and r.start <= merged[-1].stop:
-            last = merged[-1]
-            if r.stop > last.stop:
-                merged[-1] = HostRange(last.start, r.stop - last.start)
-        else:
-            merged.append(r)
-    return tuple(merged)
+    items = tuple(ranges)
+    if len(items) < 2:
+        return items
+    return tuple(_host_range(lo, hi - lo)
+                 for lo, hi in _merged((r.start, r.stop) for r in items))
 
 
 def hosts_to_ranges(hosts: Iterable[int]) -> tuple[HostRange, ...]:
@@ -132,7 +189,7 @@ class Configuration:
             for hr in host_ranges
         )
         if not normalized:
-            raise ScheduleError("a configuration needs at least one host range")
+            raise ScheduleError(_NO_RANGE)
         object.__setattr__(self, "cluster_id", str(cluster_id))
         object.__setattr__(self, "host_ranges", merge_host_ranges(normalized))
 
@@ -187,20 +244,10 @@ class Task:
         configurations: Iterable[Configuration],
         meta: Mapping[str, str] | None = None,
     ):
-        start_time = float(start_time)
-        end_time = float(end_time)
-        if not (math.isfinite(start_time) and math.isfinite(end_time)):
-            raise ScheduleError(f"task {id!r}: non-finite times [{start_time}, {end_time}]")
-        if end_time < start_time:
-            raise ScheduleError(
-                f"task {id!r}: end_time {end_time} precedes start_time {start_time}"
-            )
+        start_time, end_time = task_times(id, start_time, end_time)
         configs = tuple(configurations)
-        if not configs:
-            raise ScheduleError(f"task {id!r} needs at least one configuration")
-        seen_clusters = [c.cluster_id for c in configs]
-        if len(seen_clusters) != len(set(seen_clusters)):
-            raise ScheduleError(f"task {id!r}: duplicate configuration for one cluster")
+        if len(configs) != 1:  # one configuration always passes
+            check_task_clusters(id, [c.cluster_id for c in configs])
         object.__setattr__(self, "id", str(id))
         object.__setattr__(self, "type", str(type))
         object.__setattr__(self, "start_time", start_time)
@@ -292,12 +339,104 @@ _COLUMNS = np.dtype([("task", np.intp), ("type", np.intp), ("cluster", np.intp),
                      ("start", np.float64), ("end", np.float64),
                      ("row0", np.intp), ("row1", np.intp)])
 
+#: ``array`` typecode of the store's integer columns (numpy's int64).
+_INT = "q"
+
+
+class TaskStore:
+    """The tasks of a :class:`Schedule`, as typed columns and side tables.
+
+    One entry per task, in registration order: ``ids`` (with ``index``,
+    id -> position), ``kind`` (the position of its type in ``types``, the
+    interned type names in first-appearance order), ``start``, ``end`` and
+    ``first``, the row of its first host range.  One row per host range of
+    every configuration, in task order: the ``cluster`` index and the
+    global host rows ``[row0, row1)``; a task's rows are ``first[i]`` up to
+    the next task's first row.  ``meta`` maps a position to its task's
+    meta dict and holds only tasks that have one.
+
+    :meth:`Schedule.add_task` appends to its schedule's store; the
+    readers fill a store of their own and hand it over whole.  Whatever
+    enters a store has passed the checks of :class:`HostRange`,
+    :class:`Configuration`, :class:`Task` and :meth:`Schedule.add_task`.
+    """
+
+    __slots__ = ("ids", "index", "types", "kind", "start", "end", "first",
+                 "cluster", "row0", "row1", "meta")
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.index: dict[str, int] = {}
+        self.types: dict[str, int] = {}
+        self.kind = array(_INT)
+        self.start = array("d")
+        self.end = array("d")
+        self.first = array(_INT)
+        self.cluster = array(_INT)
+        self.row0 = array(_INT)
+        self.row1 = array(_INT)
+        self.meta: dict[int, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def append(self, task_id: str, type: str, start: float, end: float,
+               rows: Iterable[tuple[int, int, int]], meta: Mapping | None) -> None:
+        """Append one task and its ``(cluster, row0, row1)`` host rows."""
+        i = len(self.ids)
+        self.ids.append(task_id)
+        self.index[task_id] = i
+        kind = self.types.get(type)
+        if kind is None:
+            kind = self.types[type] = len(self.types)
+        self.kind.append(kind)
+        self.start.append(start)
+        self.end.append(end)
+        cluster, row0, row1 = self.cluster, self.row0, self.row1
+        self.first.append(len(cluster))
+        for c, r0, r1 in rows:
+            cluster.append(c)
+            row0.append(r0)
+            row1.append(r1)
+        if meta:
+            self.meta[i] = meta
+
+
+# A Task built from the store skips the checks the store already passed: each
+# object is allocated bare and its slots are filled through their descriptors,
+# the cheapest way to fill a frozen slotted dataclass.
+_new = object.__new__
+_range_start, _range_nb = HostRange.start.__set__, HostRange.nb.__set__  # type: ignore[attr-defined]
+_conf_cluster = Configuration.cluster_id.__set__  # type: ignore[attr-defined]
+_conf_ranges = Configuration.host_ranges.__set__  # type: ignore[attr-defined]
+_task_id, _task_type = Task.id.__set__, Task.type.__set__  # type: ignore[attr-defined]
+_task_start, _task_end = Task.start_time.__set__, Task.end_time.__set__  # type: ignore[attr-defined]
+_task_confs, _task_meta = Task.configurations.__set__, Task.meta.__set__  # type: ignore[attr-defined]
+
+
+def _host_range(start: int, nb: int) -> HostRange:
+    r = _new(HostRange)
+    _range_start(r, start)
+    _range_nb(r, nb)
+    return r
+
+
+def _configuration(cluster_id: str, host_ranges: tuple[HostRange, ...]) -> Configuration:
+    c = _new(Configuration)
+    _conf_cluster(c, cluster_id)
+    _conf_ranges(c, host_ranges)
+    return c
+
 
 class Schedule:
     """A complete schedule: ordered clusters, tasks, and meta information.
 
     Mutable builder-style container; rendering, statistics and IO all consume
     it read-only.  Task identifiers must be unique.
+
+    The tasks live in a :class:`TaskStore`.  :attr:`columns` reads them as
+    arrays; :meth:`task_at`, :meth:`task`, iteration and :attr:`tasks`
+    build a :class:`Task` per position on first use and keep it.
     """
 
     def __init__(
@@ -307,9 +446,15 @@ class Schedule:
         meta: Mapping[str, str] | None = None,
     ):
         self._clusters: dict[str, Cluster] = {}
-        self._tasks: dict[str, Task] = {}
+        #: cluster id -> (index, first global row, hosts); index -> (id, first row)
+        self._slot: dict[str, tuple[int, int, int]] = {}
+        self._slots: list[tuple[str, int]] = []
+        self._store = TaskStore()
+        self._built: list[Task | None] = []
+        #: one-range configurations of built tasks, by global host rows
+        self._shared: dict[tuple[int, int], Configuration] = {}
         self._columns: np.recarray | None = None
-        self._types: tuple[str, ...] | None = None
+        self._types: tuple[str, ...] = ()
         self.meta: dict[str, str] = dict(meta or {})
         for c in clusters:
             self.add_cluster(c)
@@ -321,6 +466,9 @@ class Schedule:
         """Register a cluster; its id must be new."""
         if cluster.id in self._clusters:
             raise ScheduleError(f"duplicate cluster id {cluster.id!r}")
+        offset = self.num_hosts
+        self._slot[cluster.id] = (len(self._slots), offset, cluster.num_hosts)
+        self._slots.append((cluster.id, offset))
         self._clusters[cluster.id] = cluster
         self._columns = None
         return cluster
@@ -329,25 +477,54 @@ class Schedule:
         """Create and register a cluster in one step."""
         return self.add_cluster(Cluster(id, num_hosts, name))
 
-    def add_task(self, task: Task) -> Task:
-        """Register a task; its id must be new and its clusters known."""
-        if task.id in self._tasks:
-            raise ScheduleError(f"duplicate task id {task.id!r}")
-        for conf in task.configurations:
-            cluster = self._clusters.get(conf.cluster_id)
+    def _check_task(self, task_id: str, seen: Container[str],
+                    confs: Iterable[tuple[str, int]]) -> None:
+        """The checks of :meth:`add_task`, in its order: ``task_id`` is not
+        in ``seen``, then per ``(cluster id, top host + 1)`` of each
+        configuration, the cluster is known and holds the hosts."""
+        if task_id in seen:
+            raise ScheduleError(f"duplicate task id {task_id!r}")
+        for cluster_id, top in confs:
+            cluster = self._clusters.get(cluster_id)
             if cluster is None:
                 raise ScheduleError(
-                    f"task {task.id!r} references unknown cluster {conf.cluster_id!r}"
+                    f"task {task_id!r} references unknown cluster {cluster_id!r}"
                 )
-            top = conf.host_ranges[-1].stop
             if top > cluster.num_hosts:
                 raise ScheduleError(
-                    f"task {task.id!r} binds host {top - 1} but cluster "
-                    f"{conf.cluster_id!r} only has hosts 0..{cluster.num_hosts - 1}"
+                    f"task {task_id!r} binds host {top - 1} but cluster "
+                    f"{cluster_id!r} only has hosts 0..{cluster.num_hosts - 1}"
                 )
-        self._tasks[task.id] = task
-        self._columns = self._types = None
+
+    def add_task(self, task: Task) -> Task:
+        """Register a task; its id must be new and its clusters known."""
+        index = self._store.index
+        rows = []
+        for conf in task.configurations:
+            slot = self._slot.get(conf.cluster_id)
+            if task.id in index or slot is None or conf.host_ranges[-1].stop > slot[2]:
+                self._check_task(task.id, index,  # raises what failed
+                                 ((c.cluster_id, c.host_ranges[-1].stop)
+                                  for c in task.configurations))
+            ci, offset, _ = slot
+            rows.extend([(ci, offset + r.start, offset + r.stop)
+                         for r in conf.host_ranges])
+        self._store.append(task.id, task.type, task.start_time, task.end_time,
+                           rows, task.meta)
+        self._built.append(task)
+        self._columns = None
         return task
+
+    def _adopt(self, store: TaskStore) -> None:
+        """Take over the tasks of a filled store, in place of none.
+
+        The store's cluster indexes and host rows refer to this schedule's
+        clusters, and its tasks passed every check of :meth:`add_task`.
+        """
+        assert not self._store, "a schedule adopts a store only while empty"
+        self._store = store
+        self._built = [None] * len(store)
+        self._columns, self._types = None, ()
 
     def new_task(
         self,
@@ -382,12 +559,12 @@ class Schedule:
 
     def remove_task(self, task_id: str) -> Task:
         """Remove and return a task by id."""
-        try:
-            task = self._tasks.pop(str(task_id))
-        except KeyError:
-            raise ScheduleError(f"no task with id {task_id!r}") from None
-        self._columns = self._types = None
-        return task
+        removed = self.task(task_id)
+        kept = [t for t in self if t is not removed]
+        self._store, self._built, self._types = TaskStore(), [], ()
+        for t in kept:
+            self.add_task(t)
+        return removed
 
     # ------------------------------------------------------------------ access
     @property
@@ -398,7 +575,49 @@ class Schedule:
     @property
     def tasks(self) -> tuple[Task, ...]:
         """Tasks in registration order."""
-        return tuple(self._tasks.values())
+        return tuple(self)
+
+    def task_at(self, i: int) -> Task:
+        """The task at position ``i`` in registration order (the ``task``
+        index of :attr:`columns`), built on first use and then kept."""
+        task = self._built[i]
+        if task is None:
+            task = self._built[i] = self._build(int(i) % len(self._built))
+        return task
+
+    def _build(self, i: int) -> Task:
+        st = self._store
+        r = st.first[i]
+        stop = st.first[i + 1] if i + 1 < len(st.first) else len(st.cluster)
+        cluster, row0, row1 = st.cluster, st.row0, st.row1
+        confs = []
+        while r < stop:  # one configuration per run of rows in one cluster
+            ci = cluster[r]
+            end = r + 1
+            while end < stop and cluster[end] == ci:
+                end += 1
+            cluster_id, offset = self._slots[ci]
+            if end == r + 1:
+                # one host range: frozen, so shared by the tasks on its rows
+                key = (row0[r], row1[r])
+                conf = self._shared.get(key)
+                if conf is None:
+                    conf = self._shared[key] = _configuration(cluster_id, (
+                        _host_range(key[0] - offset, key[1] - key[0]),))
+            else:
+                conf = _configuration(cluster_id, tuple(
+                    _host_range(row0[k] - offset, row1[k] - row0[k])
+                    for k in range(r, end)))
+            confs.append(conf)
+            r = end
+        task = _new(Task)
+        _task_id(task, st.ids[i])
+        _task_type(task, self.task_types()[st.kind[i]])
+        _task_start(task, st.start[i])
+        _task_end(task, st.end[i])
+        _task_confs(task, tuple(confs))
+        _task_meta(task, st.meta.get(i, {}))
+        return task
 
     def cluster(self, cluster_id: str | int) -> Cluster:
         try:
@@ -411,21 +630,21 @@ class Schedule:
 
     def task(self, task_id: str | int) -> Task:
         try:
-            return self._tasks[str(task_id)]
+            return self.task_at(self._store.index[str(task_id)])
         except KeyError:
             raise ScheduleError(f"no task with id {task_id!r}") from None
 
     def has_task(self, task_id: str | int) -> bool:
-        return str(task_id) in self._tasks
+        return str(task_id) in self._store.index
 
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self._store)
 
     def __iter__(self) -> Iterator[Task]:
-        return iter(self._tasks.values())
+        return map(self.task_at, range(len(self._store)))
 
     def __contains__(self, task_id: object) -> bool:
-        return isinstance(task_id, (str, int)) and str(task_id) in self._tasks
+        return isinstance(task_id, (str, int)) and str(task_id) in self._store.index
 
     # ------------------------------------------------------------- derived
     @property
@@ -435,45 +654,51 @@ class Schedule:
 
     def tasks_in_cluster(self, cluster_id: str | int) -> tuple[Task, ...]:
         """Tasks with at least one configuration in ``cluster_id``."""
-        wanted = str(cluster_id)
-        return tuple(t for t in self._tasks.values()
-                     if any(c.cluster_id == wanted for c in t.configurations))
+        slot = self._slot.get(str(cluster_id))
+        if slot is None:
+            return ()
+        cols = self.columns
+        return tuple(map(self.task_at,
+                         np.unique(cols.task[cols.cluster == slot[0]]).tolist()))
 
     def tasks_of_type(self, type: str) -> tuple[Task, ...]:
-        return tuple(t for t in self._tasks.values() if t.type == type)
+        return tuple(t for t in self if t.type == type)
 
     def task_types(self) -> tuple[str, ...]:
-        """Distinct task types in first-appearance order.
-
-        Cached until the next :meth:`add_task` or :meth:`remove_task`.
-        """
-        if self._types is None:
-            self._types = tuple(dict.fromkeys(t.type for t in self._tasks.values()))
+        """Distinct task types in first-appearance order (the store's
+        interned type names), kept until a new type appears."""
+        if len(self._types) != len(self._store.types):
+            self._types = tuple(self._store.types)
         return self._types
 
     @property
     def columns(self) -> np.recarray:
-        """Task geometry as a read-only numpy record array, built on first use.
+        """Task geometry as a read-only numpy record array.
 
         One row per host range of every task configuration, in registration
         order: ``task`` indexes :attr:`tasks`, ``type`` indexes
         :meth:`task_types`, ``cluster`` indexes :attr:`clusters`, then
         ``start``, ``end`` and the global host rows ``[row0, row1)``.  Every
         plane query (LOD grids, viewport culling, hit-testing) reads these
-        columns instead of walking the tasks.  Cached until the next
+        columns instead of walking the tasks.  Joined from the
+        :class:`TaskStore` on first use, then kept until the next
         :meth:`add_cluster`, :meth:`add_task` or :meth:`remove_task`.
         """
         if self._columns is None:
-            placement = {c.id: (i, self.cluster_offset(c.id))
-                         for i, c in enumerate(self._clusters.values())}
-            type_ids = {t: i for i, t in enumerate(self.task_types())}
-            table = np.fromiter(
-                ((ti, type_ids[t.type], ci,
-                  t.start_time, t.end_time, off + r.start, off + r.stop)
-                 for ti, t in enumerate(self._tasks.values())
-                 for conf in t.configurations
-                 for ci, off in (placement[conf.cluster_id],)
-                 for r in conf.host_ranges), dtype=_COLUMNS)
+            st = self._store
+            table = np.empty(len(st.cluster), dtype=_COLUMNS)
+            if len(st.cluster) == len(st):  # one host range per task
+                task = np.arange(len(st), dtype=np.intp)
+            else:
+                task = np.repeat(np.arange(len(st), dtype=np.intp),
+                                 np.diff(np.array(st.first), append=len(st.cluster)))
+            table["task"] = task
+            table["type"] = np.array(st.kind)[task]
+            table["cluster"] = np.array(st.cluster)
+            table["start"] = np.array(st.start)[task]
+            table["end"] = np.array(st.end)[task]
+            table["row0"] = np.array(st.row0)
+            table["row1"] = np.array(st.row1)
             table.flags.writeable = False
             self._columns = table.view(np.recarray)
         return self._columns
@@ -481,17 +706,28 @@ class Schedule:
     @property
     def start_time(self) -> float:
         """Global minimum task start time (0.0 for an empty schedule)."""
-        return min((t.start_time for t in self._tasks.values()), default=0.0)
+        start = np.array(self._store.start)
+        # argmin keeps the first of equal minima, as min() over the tasks
+        return float(start[start.argmin()]) if start.size else 0.0
 
     @property
     def end_time(self) -> float:
         """Global maximum task end time (0.0 for an empty schedule)."""
-        return max((t.end_time for t in self._tasks.values()), default=0.0)
+        end = np.array(self._store.end)
+        return float(end[end.argmax()]) if end.size else 0.0
 
     @property
     def makespan(self) -> float:
         """``end_time - start_time`` of the whole schedule."""
         return self.end_time - self.start_time
+
+    def cluster_index(self, cluster_id: str | int) -> int:
+        """Position of ``cluster_id`` in :attr:`clusters`, the ``cluster``
+        index of :attr:`columns`."""
+        try:
+            return self._slot[str(cluster_id)][0]
+        except KeyError:
+            raise ScheduleError(f"no cluster with id {cluster_id!r}") from None
 
     def cluster_offset(self, cluster_id: str | int) -> int:
         """Flattened index of the first host of ``cluster_id``.
@@ -499,13 +735,10 @@ class Schedule:
         Clusters are stacked in registration order, which is also the
         top-to-bottom rendering order.
         """
-        wanted = str(cluster_id)
-        off = 0
-        for c in self._clusters.values():
-            if c.id == wanted:
-                return off
-            off += c.num_hosts
-        raise ScheduleError(f"no cluster with id {cluster_id!r}")
+        try:
+            return self._slot[str(cluster_id)][1]
+        except KeyError:
+            raise ScheduleError(f"no cluster with id {cluster_id!r}") from None
 
     def global_host_index(self, cluster_id: str | int, host: int) -> int:
         """Map a cluster-local host index to a global (flattened) index."""
@@ -534,7 +767,7 @@ class Schedule:
         type_set = set(types) if types is not None else None
         cluster_set = {str(c) for c in clusters} if clusters is not None else None
         kept = []
-        for t in self._tasks.values():
+        for t in self:
             if type_set is not None and t.type not in type_set:
                 continue
             if cluster_set is not None and not (set(t.cluster_ids) & cluster_set):
@@ -554,6 +787,6 @@ class Schedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Schedule({len(self._clusters)} clusters, {len(self._tasks)} tasks, "
+            f"Schedule({len(self._clusters)} clusters, {len(self)} tasks, "
             f"makespan={self.makespan:.6g})"
         )

@@ -56,7 +56,7 @@ def hit_test(schedule: Schedule, t: float, row: float) -> Task | None:
         schedule, t, np.nextafter(t, math.inf), row, np.nextafter(row, math.inf)))
     if not hits.size:
         return None
-    return schedule.tasks[schedule.columns.task[hits[-1]]]
+    return schedule.task_at(schedule.columns.task[hits[-1]])
 
 
 def tasks_in_region(
@@ -68,8 +68,7 @@ def tasks_in_region(
     if row1 < row0:
         row0, row1 = row1, row0
     hits = schedule.columns.task[rows_in_region(schedule, t0, t1, row0, row1)]
-    tasks = schedule.tasks
-    return tuple(tasks[i] for i in np.unique(hits))
+    return tuple(map(schedule.task_at, np.unique(hits).tolist()))
 
 
 @dataclass(frozen=True, slots=True)

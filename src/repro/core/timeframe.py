@@ -80,10 +80,15 @@ def cluster_frame(schedule: Schedule, cluster_id: str | int) -> TimeFrame:
 
     A cluster with no task gets the degenerate frame ``[0, 0]``.
     """
-    tasks = schedule.tasks_in_cluster(cluster_id)
-    if not tasks:
+    if not schedule.has_cluster(cluster_id):
         return TimeFrame(0.0, 0.0)
-    return TimeFrame(min(t.start_time for t in tasks), max(t.end_time for t in tasks))
+    cols = schedule.columns
+    rows = cols.cluster == schedule.cluster_index(cluster_id)
+    if not rows.any():
+        return TimeFrame(0.0, 0.0)
+    start, end = cols.start[rows], cols.end[rows]
+    # argmin/argmax keep the first of equal extremes, as min()/max() do
+    return TimeFrame(float(start[start.argmin()]), float(end[end.argmax()]))
 
 
 def global_frame(schedule: Schedule) -> TimeFrame:

@@ -43,10 +43,21 @@ from __future__ import annotations
 
 import io as _io
 import xml.etree.ElementTree as ET
+from array import array
 from pathlib import Path
 from xml.parsers import expat
 
-from repro.core.model import Cluster, Configuration, HostRange, Schedule, Task
+import numpy as np
+
+from repro.core.model import (
+    Cluster,
+    Schedule,
+    TaskStore,
+    check_task_clusters,
+    host_span,
+    merge_spans,
+    task_times,
+)
 from repro.errors import ParseError, ScheduleError
 from repro.obs import core as _obs
 
@@ -71,60 +82,72 @@ _UNKNOWN_ENCODING = expat.errors.codes[expat.errors.XML_ERROR_UNKNOWN_ENCODING]
 def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
     """Parse a Jedule XML document into a :class:`Schedule`.
 
-    One streaming pass: no element tree is built, each task is made as its
-    ``<node_statistics>`` closes.  ``bytes`` are decoded as the document's
-    XML declaration says (UTF-8 when it says nothing); a ``str`` is taken
-    as already decoded.  The tasks join the schedule when the document
-    ends, so ``<platform>`` may come after ``<node_infos>``.
+    One streaming pass: no element tree and no :class:`~repro.core.model.Task`
+    is built; each ``<node_statistics>`` becomes one entry of the
+    schedule's :class:`~repro.core.model.TaskStore` as it closes, with the
+    checks a ``Task`` makes.  ``bytes`` are decoded as the document's XML
+    declaration says (UTF-8 when it says nothing); a ``str`` is taken as
+    already decoded.  The checks :meth:`Schedule.add_task` makes (a new
+    id, a known cluster, hosts inside it) run when the document ends, in
+    document order, so ``<platform>`` may come after ``<node_infos>``.
     """
     schedule = Schedule()
-    tasks: list[Task] = []
+    store = TaskStore()
+    ids, index, types, metas = store.ids, store.index, store.types, store.meta
+    kinds, starts, ends, firsts = store.kind, store.start, store.end, store.first
+    # host rows stay cluster-local until the platform is known: each names
+    # its cluster by position in ``refs``, in the order tasks name them
+    refs: dict[str, int] = {}
+    ref_col, lo_col, hi_col = array("q"), array("q"), array("q")
+    dup: list[int] = []  # the first task whose id an earlier task has
     stack = [_DOC]
     push, pop = stack.append, stack.pop
     opened: set[str] = set()
     props: dict[str, str] = {}  # node_property of the open task
-    confs: list[Configuration] = []
+    task_refs: list[int] = []  # clusters of its configurations
     conf_props: dict[str, str] = {}  # conf_property of the open configuration
-    ranges: list[HostRange] = []
+    spans: list[tuple[int, int]] = []  # its host spans
 
     def start(name: str, attrs: dict[str, str]) -> None:
         state = stack[-1]
         if state == _NODE:
             if name == "node_property":
-                key, value = attrs.get("name"), attrs.get("value")
-                if key is None or value is None:
+                try:
+                    props[attrs["name"]] = attrs["value"]
+                except KeyError:
                     raise ParseError("<node_property> needs name= and value=",
-                                     source=source)
-                props[key] = value
+                                     source=source) from None
             elif name == "configuration":
                 conf_props.clear()
-                ranges.clear()
+                spans.clear()
                 push(_CONF)
                 return
         elif state == _CONF:
             if name == "conf_property":
-                key, value = attrs.get("name"), attrs.get("value")
-                if key is None or value is None:
+                try:
+                    conf_props[attrs["name"]] = attrs["value"]
+                except KeyError:
                     raise ParseError("<conf_property> needs name= and value=",
-                                     source=source)
-                conf_props[key] = value
+                                     source=source) from None
             elif name == "host_lists":
                 push(_HOST_LISTS)
                 return
         elif state == _HOST_LISTS:
             if name == "hosts":
                 try:
-                    ranges.append(HostRange(int(attrs.get("start", "")),
-                                            int(attrs.get("nb", ""))))
-                except (TypeError, ValueError):
+                    lo, nb = int(attrs["start"]), int(attrs["nb"])
+                except (KeyError, ValueError):
                     raise ParseError(
                         f"<hosts> needs integer start=/nb=, got "
                         f"start={attrs.get('start')!r} nb={attrs.get('nb')!r}",
                         source=source) from None
+                spans.append(host_span(lo, nb))
         elif state == _INFOS:
             if name == "node_statistics":
                 props.clear()
-                confs.clear()
+                task_refs.clear()
+                # its rows start here; a task that fails ends the parse
+                firsts.append(len(ref_col))
                 push(_NODE)
                 return
         elif state == _ROOT:
@@ -162,32 +185,47 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
 
     def end(name: str) -> None:
         state = pop()
+        if state == _SKIP:
+            return
         if state == _NODE:
-            for required in ("id", "type", "start_time", "end_time"):
-                if required not in props:
-                    raise ParseError(f"<node_statistics> lacks node_property {required!r}",
-                                     source=source)
-            if not confs:
-                raise ParseError(f"task {props['id']!r} has no <configuration>",
+            try:
+                task_id, task_type = props["id"], props["type"]
+                start_time, end_time = props["start_time"], props["end_time"]
+            except KeyError:
+                for required in ("id", "type", "start_time", "end_time"):
+                    if required not in props:
+                        raise ParseError(
+                            f"<node_statistics> lacks node_property {required!r}",
+                            source=source) from None
+            if not task_refs:
+                raise ParseError(f"task {task_id!r} has no <configuration>",
                                  source=source)
             try:
-                start_time = float(props["start_time"])
-                end_time = float(props["end_time"])
+                start_time, end_time = float(start_time), float(end_time)
             except ValueError:
                 raise ParseError(
-                    f"task {props['id']!r} has non-numeric times "
-                    f"({props['start_time']!r}, {props['end_time']!r})",
-                    source=source) from None
-            meta = {k: v for k, v in props.items() if k not in _RESERVED_NODE_PROPS}
-            tasks.append(Task(props["id"], props["type"], start_time, end_time, confs, meta))
+                    f"task {task_id!r} has non-numeric times "
+                    f"({start_time!r}, {end_time!r})", source=source) from None
+            start_time, end_time = task_times(task_id, start_time, end_time)
+            check_task_clusters(task_id, task_refs)
+            i = len(ids)
+            if index.setdefault(task_id, i) != i and not dup:
+                dup.append(i)
+            ids.append(task_id)
+            kinds.append(types.setdefault(task_type, len(types)))
+            starts.append(start_time)
+            ends.append(end_time)
+            if len(props) > len(_RESERVED_NODE_PROPS):
+                metas[i] = {k: v for k, v in props.items()
+                            if k not in _RESERVED_NODE_PROPS}
         elif state == _CONF:
             cluster_id = conf_props.get("cluster_id")
             if cluster_id is None:
                 raise ParseError("<configuration> lacks conf_property cluster_id",
                                  source=source)
-            if not ranges:
+            if not spans:
                 raise ParseError("<configuration> has no <hosts> ranges", source=source)
-            conf = Configuration(cluster_id, ranges)
+            merged = merge_spans(spans)
             declared = conf_props.get("host_nb")
             if declared is not None:
                 try:
@@ -196,11 +234,17 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
                     raise ParseError(
                         f"configuration host_nb must be an integer, got {declared!r}",
                         source=source) from None
-                if declared_nb != conf.num_hosts:
+                covered = sum(hi - lo for lo, hi in merged)
+                if declared_nb != covered:
                     raise ParseError(
                         f"configuration declares host_nb={declared} but host lists "
-                        f"cover {conf.num_hosts} hosts", source=source)
-            confs.append(conf)
+                        f"cover {covered} hosts", source=source)
+            ref = refs.setdefault(cluster_id, len(refs))
+            task_refs.append(ref)
+            for lo, hi in merged:
+                ref_col.append(ref)
+                lo_col.append(lo)
+                hi_col.append(hi)
 
     # namespace processing on, as ElementTree's parser has it
     parser = expat.ParserCreate(None, "}")
@@ -224,8 +268,8 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
                              source=source)
         if not schedule.clusters:
             raise ParseError("<platform> defines no clusters", source=source)
-        for task in tasks:
-            schedule.add_task(task)
+        _place(schedule, store, list(refs), ref_col, lo_col, hi_col,
+               dup[0] if dup else len(ids))
     except expat.ExpatError as exc:
         raise ParseError(f"malformed XML: {exc}", source=source) from exc
     except ScheduleError as exc:
@@ -241,8 +285,49 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
         # its copy of the document are freed on return, not at the next GC
         parser.SkippedEntityHandler = None
     if "node_infos" in opened:
-        _obs.add("io.records", len(tasks))
+        _obs.add("io.records", len(ids))
     return schedule
+
+
+def _place(schedule: Schedule, store: TaskStore, cluster_ids: list[str],
+           ref: array, lo: array, hi: array, dup: int) -> None:
+    """Put the parsed tasks into ``schedule``.
+
+    Host row ``r`` binds hosts ``[lo[r], hi[r])`` of cluster
+    ``cluster_ids[ref[r]]``; task ``dup`` is the first whose id an earlier
+    task has (``len(store)`` when none has).  The checks of
+    :meth:`Schedule.add_task` run here over all rows at once; the first
+    task that fails any of them fails again through ``add_task``'s own
+    check, which names what it names.  The rows then become the store's
+    cluster indexes and global host rows.
+    """
+    n = len(store)
+    slot = {c.id: (i, schedule.cluster_offset(c.id), c.num_hosts)
+            for i, c in enumerate(schedule.clusters)}
+    known = np.array([slot.get(cid, (-1, 0, 0)) for cid in cluster_ids],
+                     dtype=np.int64).reshape(-1, 3)
+    lo_, hi_ = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    cluster, offset, hosts = known[np.array(ref, dtype=np.int64)].T
+    bad = np.flatnonzero((cluster < 0) | (hi_ > hosts))
+    first_bad = dup
+    if bad.size:
+        first_bad = min(dup, int(np.searchsorted(np.array(store.first), bad[0],
+                                                 side="right")) - 1)
+    if first_bad < n:
+        stop = store.first[first_bad + 1] if first_bad + 1 < n else len(ref)
+        confs: list[tuple[str, int]] = []
+        for r in range(store.first[first_bad], stop):
+            cid = cluster_ids[ref[r]]
+            if confs and confs[-1][0] == cid:
+                confs[-1] = (cid, hi[r])
+            else:
+                confs.append((cid, hi[r]))
+        schedule._check_task(store.ids[first_bad], store.ids[:first_bad], confs)
+        raise AssertionError(f"task {store.ids[first_bad]!r} passed the checks it failed")
+    store.cluster.frombytes(cluster.astype(store.cluster.typecode).tobytes())
+    store.row0.frombytes((offset + lo_).astype(store.row0.typecode).tobytes())
+    store.row1.frombytes((offset + hi_).astype(store.row1.typecode).tobytes())
+    schedule._adopt(store)
 
 
 def load(path: str | Path) -> Schedule:

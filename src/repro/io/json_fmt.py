@@ -28,7 +28,15 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.core.model import Cluster, Configuration, Schedule, Task
+from repro.core.model import (
+    Cluster,
+    Schedule,
+    TaskStore,
+    check_task_clusters,
+    host_span,
+    merge_spans,
+    task_times,
+)
 from repro.errors import ParseError, ScheduleError
 
 __all__ = ["loads", "load", "dumps", "dump", "to_dict", "from_dict"]
@@ -60,24 +68,52 @@ def to_dict(schedule: Schedule) -> dict[str, Any]:
 
 
 def from_dict(data: dict[str, Any], *, source: str = "<dict>") -> Schedule:
-    """Rebuild a schedule from :func:`to_dict` output."""
+    """Rebuild a schedule from :func:`to_dict` output.
+
+    The tasks go straight into the schedule's
+    :class:`~repro.core.model.TaskStore`, with every check a
+    :class:`~repro.core.model.Task` and :meth:`Schedule.add_task` would
+    make, task by task.  A missing or malformed field is a
+    :class:`ParseError`.
+    """
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}", source=source)
-    schedule = Schedule(meta=data.get("meta") or {})
+    schedule = Schedule()
+    store = TaskStore()
     try:
+        meta = data.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta must be an object, got {type(meta).__name__}")
+        schedule.meta.update(meta)
         for c in data.get("clusters", []):
             schedule.add_cluster(Cluster(c["id"], c["hosts"], c.get("name")))
+        slot = {c.id: (i, schedule.cluster_offset(c.id))
+                for i, c in enumerate(schedule.clusters)}
         for t in data.get("tasks", []):
-            confs = [
-                Configuration(conf["cluster"], [tuple(r) for r in conf["ranges"]])
-                for conf in t["configurations"]
-            ]
-            schedule.add_task(Task(t["id"], t["type"], t["start"], t["end"],
-                                   confs, t.get("meta") or {}))
-    except (KeyError, TypeError) as exc:
+            confs = []
+            for conf in t["configurations"]:
+                cluster_id = conf["cluster"]
+                ranges = [tuple(r) for r in conf["ranges"]]
+                spans = merge_spans([host_span(int(r[0]), int(r[1])) for r in ranges])
+                confs.append((str(cluster_id), spans))
+            task_id, task_type, start, end = t["id"], t["type"], t["start"], t["end"]
+            task_meta = t.get("meta") or {}
+            start, end = task_times(task_id, start, end)
+            check_task_clusters(task_id, [cluster_id for cluster_id, _ in confs])
+            task_id, task_type, task_meta = str(task_id), str(task_type), dict(task_meta)
+            schedule._check_task(task_id, store.index,
+                                 [(cluster_id, spans[-1][1]) for cluster_id, spans in confs])
+            store.append(task_id, task_type, start, end,
+                         [(ci, off + lo, off + hi)
+                          for cluster_id, spans in confs
+                          for ci, off in (slot[cluster_id],)
+                          for lo, hi in spans],
+                         task_meta)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"missing or malformed field: {exc}", source=source) from exc
     except ScheduleError as exc:
         raise ParseError(str(exc), source=source) from exc
+    schedule._adopt(store)
     return schedule
 
 

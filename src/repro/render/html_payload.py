@@ -107,7 +107,12 @@ def build_tiers(schedule: Schedule, *, tiers: int = DEFAULT_HTML_TIERS,
     budget entirely, so the payload degrades to coarser tiers instead of
     truncating silently.
     """
-    frame = _payload_frame(schedule)
+    return _tiers(schedule, Viewport.fit(schedule).time_frame, tiers, max_runs)
+
+
+def _tiers(schedule: Schedule, frame: TimeFrame, tiers: int,
+           max_runs: int) -> list[dict]:
+    """:func:`build_tiers` over the schedule's fitted time ``frame``."""
     cols = schedule.columns
     out: list[dict] = []
     spent = 0
@@ -136,13 +141,6 @@ def build_tiers(schedule: Schedule, *, tiers: int = DEFAULT_HTML_TIERS,
         if tier_runs > max_runs:
             break
     return out
-
-
-def _payload_frame(schedule: Schedule) -> TimeFrame:
-    """Global time frame with the same degenerate-schedule fallback as
-    :meth:`Viewport.fit`, so tiers and bounds always agree."""
-    fit = Viewport.fit(schedule)
-    return TimeFrame(fit.t0, fit.t1)
 
 
 def _task_entries(schedule: Schedule) -> list[dict]:
@@ -222,7 +220,8 @@ def build_payload(
                    {"t0": initial.t0, "t1": initial.t1,
                     "r0": initial.r0, "r1": initial.r1},
         "tasks": _task_entries(schedule) if embed_tasks else None,
-        "lod": {"tiers": build_tiers(schedule, tiers=tiers)}
+        "lod": {"tiers": _tiers(schedule, fit.time_frame, tiers,
+                                _MAX_TIER_RUNS)}
                if embed_tiers else None,
     }
     return payload

@@ -400,13 +400,12 @@ def _layout_windowed(schedule: Schedule, cmap: ColorMap, style: Style,
         _time_axis(drawing, style, x, w, y + h + 2, frame)
         return drawing
 
-    tasks = schedule.tasks
     current = None
     for ti, row0, row1 in zip(cols.task[visible].tolist(),
                               cols.row0[visible].tolist(),
                               cols.row1[visible].tolist()):
         if ti != current:
-            current, task = ti, tasks[ti]
+            current, task = ti, schedule.task_at(ti)
             fx0 = frame.fraction(frame.clamp(task.start_time))
             fx1 = frame.fraction(frame.clamp(task.end_time))
             rx, rw = x + fx0 * w, max((fx1 - fx0) * w, 0.0)

@@ -179,8 +179,18 @@ def cell_grid(
     np.add.at(diff, (ti, by0, bx1), -wt)
     np.add.at(diff, (ti, by1, bx0), -wt)
     np.add.at(diff, (ti, by1, bx1), wt)
-    stacked = diff.cumsum(axis=1).cumsum(axis=2)[:, :ny, :nx]
-    cells = present[np.argmax(stacked, axis=0)]
+    np.cumsum(diff, axis=1, out=diff)  # in place: no copy of the grid
+    np.cumsum(diff, axis=2, out=diff)
+    # The dominant type of a cell is the first of the largest totals, as
+    # np.argmax(diff, axis=0) picks it, without the copy of the whole grid
+    # that argmax makes to reduce over its first axis.
+    best = diff[0, :ny, :nx].copy()
+    dominant = np.zeros((ny, nx), dtype=np.intp)
+    for k in range(1, present.size):
+        np.copyto(dominant, k, where=diff[k, :ny, :nx] > best)
+        np.maximum(best, diff[k, :ny, :nx], out=best)
+    del diff, best  # so the count grid below takes their place
+    cells = present[dominant]
     # Emptiness by an exact deposit count from the same corner updates: the
     # float sums leave cancellation residue in cells no deposit covers.
     count = np.zeros((ny + 1, nx + 1), dtype=np.int64)
@@ -188,7 +198,9 @@ def cell_grid(
     np.add.at(count, (by0, bx1), -1)
     np.add.at(count, (by1, bx0), -1)
     np.add.at(count, (by1, bx1), 1)
-    cells[count.cumsum(axis=0).cumsum(axis=1)[:ny, :nx] == 0] = -1
+    np.cumsum(count, axis=0, out=count)
+    np.cumsum(count, axis=1, out=count)
+    cells[count[:ny, :nx] == 0] = -1
     return cells
 
 

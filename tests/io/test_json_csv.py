@@ -46,6 +46,27 @@ class TestJson:
         with pytest.raises(ParseError, match="missing or malformed"):
             json_fmt.loads('{"clusters": [{"id": "0"}], "tasks": []}')
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["tasks"][0].update(start="abc"),
+         "could not convert string to float: 'abc'"),
+        (lambda d: d["tasks"][0]["configurations"][0].update(ranges=[["x", 2]]),
+         "invalid literal for int() with base 10: 'x'"),
+        (lambda d: d["tasks"][0]["configurations"][0].update(ranges=[[0]]),
+         "tuple index out of range"),
+        (lambda d: d["clusters"][0].update(hosts="many"),
+         "invalid literal for int() with base 10: 'many'"),
+        (lambda d: d.update(meta=["algorithm", "heft"]),
+         "meta must be an object, got list"),
+        (lambda d: d.update(meta="heft"), "meta must be an object, got str"),
+    ], ids=["start-abc", "range-not-int", "range-short", "hosts-many",
+            "meta-list", "meta-str"])
+    def test_bad_values_are_parse_errors(self, simple_schedule, edit, message):
+        doc = json_fmt.to_dict(simple_schedule)
+        edit(doc)
+        with pytest.raises(ParseError) as ei:
+            json_fmt.from_dict(doc, source="s.json")
+        assert str(ei.value) == f"missing or malformed field: {message} in s.json"
+
     def test_semantic_error_becomes_parse_error(self):
         doc = ('{"clusters": [{"id": "0", "hosts": 2}], '
                '"tasks": [{"id": "1", "type": "x", "start": 0, "end": 1, '

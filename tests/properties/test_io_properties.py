@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.batch.cache import schedule_digest
 from repro.core.model import Cluster, Configuration, Schedule, Task
+from repro.core.timeframe import cluster_frame
 from repro.errors import ParseError
 from repro.io import csv_fmt, jedule_xml, json_fmt, swf
 from repro.io.swf import SWFJob, SWFTrace
@@ -50,8 +51,60 @@ def rich_schedules(draw) -> Schedule:
                                  max_size=sizes[c]))
             confs.append(Configuration.from_hosts(str(c), hosts))
         s.add_task(Task(str(i), draw(st.sampled_from(["comp", "xfer", "io"])),
-                        start, start + dur, confs))
+                        start, start + dur, confs,
+                        draw(st.dictionaries(st.sampled_from(["user", "app"]),
+                                             st.text(_ID_ALPHABET + " ", max_size=8),
+                                             max_size=2))))
     return s
+
+
+_COLUMN_FIELDS = ("task", "type", "cluster", "start", "end", "row0", "row1")
+
+
+_HOSTS = re.compile(r'<hosts start="(\d+)" nb="(\d+)" />')
+
+
+def _split_hosts(doc: str) -> str:
+    """One ``<hosts>`` per host, last host first: the reader must sort
+    and merge them as :class:`Configuration` does."""
+    return _HOSTS.sub(lambda m: "".join(
+        f'<hosts start="{h}" nb="1"/>' for h in reversed(range(
+            int(m.group(1)), int(m.group(1)) + int(m.group(2))))), doc)
+
+
+def _split_ranges(doc: dict) -> dict:
+    for task in doc["tasks"]:
+        for conf in task["configurations"]:
+            conf["ranges"] = [[h, 1] for start, nb in reversed(conf["ranges"])
+                              for h in reversed(range(start, start + nb))]
+    return doc
+
+
+@given(rich_schedules())
+@settings(max_examples=100, deadline=None)
+def test_column_readers_equal_the_object_path(schedule):
+    """The .jed and JSON readers fill the task store with no Task; what
+    they return equals the schedule built task by task through add_task,
+    and so does every Task built from the store afterwards."""
+    doc = jedule_xml.dumps(schedule)
+    assert not schedule.tasks or _HOSTS.search(doc)
+    for back in (jedule_xml.loads(doc), jedule_xml.loads(_split_hosts(doc)),
+                 json_fmt.from_dict(json_fmt.to_dict(schedule)),
+                 json_fmt.from_dict(_split_ranges(json_fmt.to_dict(schedule)))):
+        assert back.task_types() == schedule.task_types()
+        assert (back.start_time, back.end_time) == \
+            (schedule.start_time, schedule.end_time)
+        for c in schedule.clusters:
+            assert cluster_frame(back, c.id) == cluster_frame(schedule, c.id)
+        for name in _COLUMN_FIELDS:
+            got, want = getattr(back.columns, name), getattr(schedule.columns, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # built on demand, last first, then compared task by task
+        for i in reversed(range(len(schedule))):
+            assert back.task_at(i) == schedule.task_at(i)
+        assert list(back) == list(schedule)
+        assert json_fmt.to_dict(back) == json_fmt.to_dict(schedule)
+        assert canonical_schedule_bytes(back) == canonical_schedule_bytes(schedule)
 
 
 def _same_schedule(a: Schedule, b: Schedule) -> None:

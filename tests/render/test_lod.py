@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.colormap import Color, ColorMap
 from repro.core.model import Schedule
+from repro.core.select import hit_test, rows_in_region, tasks_in_region
+from repro.core.timeframe import TimeFrame
 from repro.core.viewport import Viewport
 from repro.errors import RenderError
+from repro.io import jedule_xml
+from repro.io.registry import load_schedule
 from repro.render.api import RenderRequest, render_request_bytes
 from repro.render.html_payload import build_payload
 from repro.render.layout import layout_schedule
@@ -232,3 +238,64 @@ class TestBandCellGrid:
         rects = aggregate(s, s.columns.cluster == 0, TimeFrame(0.0, 100.0),
                           0, 4, 0.0, 0.0, 100.0, 40.0, cmap, "lod:c0")
         assert rects == []
+
+
+class TestTraceScale:
+    def test_cell_grid_peak_stays_near_one_difference_array(self):
+        """The grid accumulates in place: its traced peak stays within
+        1.75x of one per-type difference array (it was about 3.3x when
+        each cumulative sum and argmax made a copy of the grid)."""
+        s = _schedule(2000, hosts=256, types=("a", "b", "c", "d"))
+        rows = s.columns.cluster == 0
+        frame, nx, ny = TimeFrame(0.0, 540.0), 2048, 128
+        cell_grid(s, rows, frame, 0, 256, nx, ny)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            cell_grid(s, rows, frame, 0, 256, nx, ny)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one = 4 * (ny + 1) * (nx + 1) * 8
+        assert peak < 1.75 * one, peak / one
+
+    def test_dominant_type_is_the_first_largest_total(self):
+        """A tie goes to the type seen first, as np.argmax would pick it;
+        a later type wins only with a larger total."""
+        s = Schedule()
+        s.new_cluster("c", 2)
+        for i, (task_type, host) in enumerate([("x", 0), ("y", 0), ("y", 1),
+                                                ("z", 1), ("z", 1)]):
+            s.new_task(f"t{i}", task_type, 0.0, 1.0, cluster="c",
+                       host_start=host, host_nb=1)
+        cells = cell_grid(s, s.columns.cluster == 0, TimeFrame(0.0, 1.0),
+                          0, 2, 1, 2)
+        assert [s.task_types()[k] for k in cells[:, 0]] == ["x", "z"]
+
+    def test_open_and_zoom_build_only_the_tasks_they_draw(self, tmp_path,
+                                                         monkeypatch):
+        """A .jed above the LOD threshold loads and opens to PNG
+        (lod="auto") and HTML without building a Task; a per-task zoom
+        view and a hit test build only the tasks they touch."""
+        path = tmp_path / "trace.jed"
+        jedule_xml.dump(_schedule(TASK_THRESHOLD + 1), path)
+        built = []
+        build = Schedule._build
+        monkeypatch.setattr(Schedule, "_build",
+                            lambda self, i: built.append(i) or build(self, i))
+        s = load_schedule(str(path))
+        for fmt in ("png", "html"):
+            render_request_bytes(RenderRequest(
+                input_path=str(path), output_format=fmt, lod="auto",
+                width=900, height=480), s)
+        assert built == []
+        view = Viewport(0.0, 2.0, 0.0, 8.0)
+        drawn = s.columns.task[rows_in_region(s, view.t0, view.t1,
+                                              view.r0, view.r1)].tolist()
+        assert 0 < len(drawn) < 100
+        drawing = layout_schedule(s, viewport=view)
+        assert not _lod_rects(drawing)
+        assert sorted(built) == sorted(set(drawn))
+        built.clear()  # built once, then kept
+        assert len(tasks_in_region(s, view.t0, view.t1, view.r0, view.r1)) \
+            == len(set(drawn))
+        assert hit_test(s, 1.0, 1.5) is not None and built == []

@@ -284,6 +284,12 @@ _BAD_SUBMISSIONS = [
      "schedule"),
     (frame_submission({"request": {}}, b"[1, 2]"), None, "bad-schedule",
      None),
+    # a value the schedule reader cannot convert
+    (frame_submission({"request": {}}, b'{"clusters": [{"id": "0", '
+                      b'"hosts": 2}], "tasks": [{"id": "1", "type": "x", '
+                      b'"start": "abc", "end": 1, "configurations": '
+                      b'[{"cluster": "0", "ranges": [[0, 1]]}]}]}'), None,
+     "bad-schedule", None),
 ]
 
 
