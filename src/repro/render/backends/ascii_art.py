@@ -13,7 +13,7 @@ import math
 
 from repro.core.colormap import Color, ColorMap, default_colormap
 from repro.core.model import Schedule, Task
-from repro.core.timeframe import TimeFrame
+from repro.core.select import rows_in_region
 from repro.core.viewport import Viewport
 
 __all__ = ["render_ascii", "ansi_256"]
@@ -50,6 +50,7 @@ def render_ascii(
     idle cells show ``.``.  ``width`` is the number of time columns.
     """
     cmap = cmap or default_colormap()
+    cmap.assign_types(schedule.task_types())
     if viewport is None:
         viewport = Viewport.fit(schedule)
     frame = viewport.time_frame
@@ -60,26 +61,23 @@ def render_ascii(
     grid: list[list[str]] = [["." for _ in range(width)] for _ in range(n_rows)]
     colors: list[list[int | None]] = [[None] * width for _ in range(n_rows)]
 
-    for task in schedule:
-        if not viewport.intersects_time(task.start_time, task.end_time):
-            continue
-        c0 = frame.fraction(frame.clamp(task.start_time))
-        c1 = frame.fraction(frame.clamp(task.end_time))
-        x0 = int(c0 * width)
-        x1 = max(int(math.ceil(c1 * width)), x0 + 1)
-        x1 = min(x1, width)
-        ch = _cell_char(task)
-        style = cmap.style_for_task(task)
-        code = ansi_256(style.bg)
-        for conf in task.configurations:
-            base = schedule.cluster_offset(conf.cluster_id)
-            for r in conf.host_ranges:
-                for h in r.hosts():
-                    row = base + h - row_lo
-                    if 0 <= row < n_rows:
-                        for x in range(x0, x1):
-                            grid[row][x] = ch
-                            colors[row][x] = code
+    # the host ranges with a host row in the grid, in task order
+    cols = schedule.columns
+    rows = rows_in_region(schedule, viewport.t0, viewport.t1,
+                          row_lo, row_lo + n_rows)
+    current = None
+    for ti, row0, row1 in zip(cols.task[rows].tolist(), cols.row0[rows].tolist(),
+                              cols.row1[rows].tolist()):
+        if ti != current:
+            current, task = ti, schedule.task_at(ti)
+            x0 = int(frame.fraction(frame.clamp(task.start_time)) * width)
+            x1 = int(math.ceil(frame.fraction(frame.clamp(task.end_time)) * width))
+            x1 = min(max(x1, x0 + 1), width)
+            ch = _cell_char(task)
+            code = ansi_256(cmap.style_for_task(task).bg)
+        for row in range(max(row0, row_lo) - row_lo, min(row1 - row_lo, n_rows)):
+            grid[row][x0:x1] = [ch] * (x1 - x0)
+            colors[row][x0:x1] = [code] * (x1 - x0)
 
     label_w = len(str(row_hi - 1)) + 1 if show_labels else 0
     lines: list[str] = []

@@ -7,27 +7,10 @@ figures were.
 
 from __future__ import annotations
 
-from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
-from repro.render.layout import estimate_text_width
+from repro.render.backends.pdf import _anchor, _escape, _num
+from repro.render.geometry import Drawing, Line, Rect, Text
 
 __all__ = ["render_eps"]
-
-
-def _num(v: float) -> str:
-    return f"{v:.2f}".rstrip("0").rstrip(".") or "0"
-
-
-def _ps_escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in "()\\":
-            out.append("\\" + ch)
-        elif 32 <= ord(ch) < 127:
-            out.append(ch)
-        else:
-            code = ord(ch)
-            out.append(f"\\{code:03o}" if code < 256 else "?")
-    return "".join(out)
 
 
 def render_eps(drawing: Drawing) -> bytes:
@@ -71,22 +54,17 @@ def render_eps(drawing: Drawing) -> bytes:
         elif isinstance(item, Text):
             if not item.text:
                 continue
-            size = item.size
-            width = estimate_text_width(item.text, size)
-            dx = {HAlign.LEFT: 0.0, HAlign.CENTER: -width / 2,
-                  HAlign.RIGHT: -width}[item.halign]
-            dy = {VAlign.TOP: size * 0.8, VAlign.MIDDLE: size * 0.32,
-                  VAlign.BOTTOM: 0.0}[item.valign]
+            dx, dy = _anchor(item)
             lines.append(rgb(item.color))
-            lines.append(f"/Helvetica findfont {_num(size)} scalefont setfont")
+            lines.append(f"/Helvetica findfont {_num(item.size)} scalefont setfont")
             if item.rotated:
                 lines.append("gsave")
                 lines.append(f"{_num(item.x + dy)} {_num(H - item.y)} translate 90 rotate")
-                lines.append(f"{_num(dx)} 0 moveto ({_ps_escape(item.text)}) show")
+                lines.append(f"{_num(dx)} 0 moveto ({_escape(item.text)}) show")
                 lines.append("grestore")
             else:
                 lines.append(f"{_num(item.x + dx)} {_num(H - item.y - dy)} moveto "
-                             f"({_ps_escape(item.text)}) show")
+                             f"({_escape(item.text)}) show")
     lines.append("showpage")
     lines.append("%%EOF")
     return ("\n".join(lines) + "\n").encode("latin-1", "replace")

@@ -36,7 +36,7 @@ from __future__ import annotations
 from xml.sax.saxutils import escape
 
 from repro.render.geometry import Drawing
-from repro.render.html_payload import payload_json, validate_payload
+from repro.render.html_payload import payload_json
 
 __all__ = ["render_html", "render_html_interactive", "embed_json_text"]
 
@@ -681,13 +681,14 @@ def render_html_interactive(
 ) -> bytes:
     """Emit the self-contained interactive page for a schedule payload.
 
-    ``payload`` comes from :func:`repro.render.html_payload.build_payload`
-    and is validated before embedding; user-controlled strings inside it
-    (title, task ids, meta) reach the page only through the JSON block —
-    escaped by :func:`embed_json_text` — and the DOM only through
-    ``textContent``, so they cannot inject markup.
+    ``payload`` comes from :func:`repro.render.html_payload.build_payload`,
+    in the same process, so it is embedded as built; the tests check pages
+    against :func:`repro.render.html_payload.validate_payload`.
+    User-controlled strings inside it (title, task ids, meta) reach the
+    page only through the JSON block — escaped by
+    :func:`embed_json_text` — and the DOM only through ``textContent``, so
+    they cannot inject markup.
     """
-    validate_payload(payload)
     data = embed_json_text(payload_json(payload))
     title = payload.get("title") or "jedule schedule"
     page = (_VIEWER_TEMPLATE

@@ -21,8 +21,8 @@ def _num(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".") or "0"
 
 
-def _pdf_escape(text: str) -> str:
-    """Escape a string for a PDF literal string object."""
+def _escape(text: str) -> str:
+    """Escape a string for a PDF (and PostScript) literal string object."""
     out = []
     for ch in text:
         if ch in "()\\":
@@ -34,6 +34,19 @@ def _pdf_escape(text: str) -> str:
             code = ord(ch)
             out.append(f"\\{code:03o}" if code < 256 else "?")
     return "".join(out)
+
+
+def _anchor(item: Text) -> tuple[float, float]:
+    """Offsets ``(dx, dy)`` of a text's baseline start from its anchor.
+
+    ``dx`` runs along the reading direction, ``dy`` across it (device y
+    down), so a rotated text applies them along the rotated axes.
+    """
+    width = estimate_text_width(item.text, item.size)
+    dx = {HAlign.LEFT: 0.0, HAlign.CENTER: -width / 2, HAlign.RIGHT: -width}[item.halign]
+    dy = {VAlign.TOP: item.size * 0.8, VAlign.MIDDLE: item.size * 0.32,
+          VAlign.BOTTOM: 0.0}[item.valign]
+    return dx, dy
 
 
 def _content_stream(drawing: Drawing) -> bytes:
@@ -70,15 +83,10 @@ def _content_stream(drawing: Drawing) -> bytes:
         elif isinstance(item, Text):
             if not item.text:
                 continue
-            size = item.size
-            width = estimate_text_width(item.text, size)
-            # Anchor adjustment along the text's reading direction.
-            dx = {HAlign.LEFT: 0.0, HAlign.CENTER: -width / 2, HAlign.RIGHT: -width}[item.halign]
-            # Baseline adjustment perpendicular to reading direction (device-y down).
-            dy = {VAlign.TOP: size * 0.8, VAlign.MIDDLE: size * 0.32, VAlign.BOTTOM: 0.0}[item.valign]
+            dx, dy = _anchor(item)
             set_fill(item.color)
             ops.append("BT")
-            ops.append(f"/F1 {_num(size)} Tf")
+            ops.append(f"/F1 {_num(item.size)} Tf")
             if item.rotated:
                 # 90 deg CCW on screen: text reads bottom-to-top.
                 tx = item.x + dy
@@ -88,7 +96,7 @@ def _content_stream(drawing: Drawing) -> bytes:
                 tx = item.x + dx
                 ty = H - (item.y + dy)
                 ops.append(f"1 0 0 1 {_num(tx)} {_num(ty)} Tm")
-            ops.append(f"({_pdf_escape(item.text)}) Tj")
+            ops.append(f"({_escape(item.text)}) Tj")
             ops.append("ET")
     return "\n".join(ops).encode("latin-1", "replace")
 

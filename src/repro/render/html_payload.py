@@ -50,6 +50,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from repro.core.colormap import ColorMap
 from repro.core.model import Schedule
 from repro.core.timeframe import TimeFrame
@@ -129,7 +131,7 @@ def _tiers(schedule: Schedule, frame: TimeFrame, tiers: int,
             ny = min(cluster.num_hosts, _BASE_NY * (2 ** level))
             cells = cell_grid(schedule, cols.cluster == ci, frame, offset,
                               offset + cluster.num_hosts, nx, ny)
-            runs = [list(run) for run in cell_runs(cells)]
+            runs = np.stack(cell_runs(cells), axis=1).tolist()
             if not runs:
                 continue
             tier_runs += len(runs)
@@ -144,23 +146,22 @@ def _tiers(schedule: Schedule, frame: TimeFrame, tiers: int,
 
 
 def _task_entries(schedule: Schedule) -> list[dict]:
-    cluster_index = {c.id: i for i, c in enumerate(schedule.clusters)}
-    offsets = {c.id: schedule.cluster_offset(c.id) for c in schedule.clusters}
-    type_index = {t: i for i, t in enumerate(schedule.task_types())}
+    """One raw entry per task; its type index and ``[cluster, row0, row1)``
+    rects come from :attr:`~repro.core.model.Schedule.columns`."""
+    cols = schedule.columns
+    # every task has at least one row, and its rows are consecutive
+    first = np.flatnonzero(np.diff(cols.task, prepend=-1))
+    rects = np.stack((cols.cluster, cols.row0, cols.row1), axis=1).tolist()
+    stops = [*first[1:].tolist(), len(rects)]
     entries: list[dict] = []
-    for task in schedule:
-        rects = []
-        for conf in task.configurations:
-            off = offsets[conf.cluster_id]
-            ci = cluster_index[conf.cluster_id]
-            for r in conf.host_ranges:
-                rects.append([ci, off + r.start, off + r.stop])
+    for task, kind, lo, hi in zip(schedule, cols.type[first].tolist(),
+                                  first.tolist(), stops):
         entry: dict = {
             "id": task.id,
-            "t": type_index[task.type],
+            "t": kind,
             "s": task.start_time,
             "e": task.end_time,
-            "r": rects,
+            "r": rects[lo:hi],
         }
         if task.meta:
             entry["m"] = {str(k): str(v) for k, v in sorted(task.meta.items())}
@@ -195,6 +196,7 @@ def build_payload(
     from repro.core.colormap import default_colormap
 
     cmap = cmap or default_colormap()
+    cmap.assign_types(schedule.task_types())
     n = len(schedule)
     fit = Viewport.fit(schedule)
     types = list(schedule.task_types())
@@ -244,9 +246,11 @@ def _check(cond: bool, where: str, message: str) -> None:
 def validate_payload(payload: object) -> dict:
     """Structurally validate an embedded payload; returns it on success.
 
-    Used by the e2e tests and the CI html-smoke job: the JSON parsed back
-    out of an exported page must satisfy exactly the schema documented in
-    the module docstring.  Raises :class:`RenderError` on any violation.
+    The oracle of the e2e tests, the html smoke tests and perfbench: the
+    JSON parsed back out of an exported page must satisfy exactly the
+    schema documented in the module docstring.  The export does not call
+    it on the payload :func:`build_payload` has just built.  Raises
+    :class:`RenderError` on any violation.
     """
     _check(isinstance(payload, dict), "$", "payload must be an object")
     assert isinstance(payload, dict)

@@ -240,6 +240,7 @@ def layout_schedule(
     always draws one rectangle per task configuration.
     """
     cmap = cmap or default_colormap()
+    cmap.assign_types(schedule.task_types())
     style = (style or Style()).with_config(cmap.config)
     options = options or LayoutOptions()
     lod = check_lod_mode(str(lod).strip().lower())
@@ -279,8 +280,10 @@ def _chrome(drawing: Drawing, schedule: Schedule, cmap: ColorMap, style: Style,
     return x, top, w, h
 
 
-def _host_labels(drawing: Drawing, band: _Band, style: Style, x: float) -> None:
-    """Cluster name plus host indices along the left edge of a band."""
+def _band_chrome(drawing: Drawing, band: _Band, style: Style, x: float,
+                 w: float) -> None:
+    """Cluster name and host indices along the left edge of a band, its
+    host grid and its outline."""
     drawing.add(Text(4, band.y + band.height / 2, band.cluster_id,
                      size=style.font_size_axes, color=style.axis_color,
                      valign=VAlign.MIDDLE, rotated=True))
@@ -291,51 +294,57 @@ def _host_labels(drawing: Drawing, band: _Band, style: Style, x: float) -> None:
         drawing.add(Text(x - 6, cy, str(host), size=style.font_size_axes,
                          color=style.axis_color, halign=HAlign.RIGHT,
                          valign=VAlign.MIDDLE))
-
-
-def _draw_band_tasks(drawing: Drawing, schedule: Schedule, band: _Band,
-                     cmap: ColorMap, style: Style, x: float, w: float,
-                     aggregated: bool) -> None:
-    """All task rectangles of one cluster band.
-
-    When ``aggregated`` the per-task rectangles are replaced by aggregated
-    (host-band x time-bucket) cells — the band chrome stays identical.
-    """
-    row_h = band.height / band.rows
     if style.draw_grid:
         for host in range(band.rows + 1):
             gy = band.y + host * row_h
             drawing.add(Line(x, gy, x + w, gy, style.grid_color, 0.5))
     drawing.add(Rect(x, band.y, w, band.height, fill=None, stroke=style.axis_color))
+
+
+def _draw_rows(drawing: Drawing, schedule: Schedule, rows: np.ndarray,
+               frame: TimeFrame, r0: float, r1: float,
+               box: tuple[float, float, float, float], cmap: ColorMap,
+               style: Style, aggregated: bool, ref: str) -> None:
+    """The task rectangles of the column ``rows`` in one plane window.
+
+    ``rows`` masks :attr:`~repro.core.model.Schedule.columns` and alone
+    decides what is drawn.  The window is ``frame`` x host rows
+    ``[r0, r1)``, mapped onto the device ``box`` ``(x, y, w, h)``: a time
+    ``t`` to ``x + frame.fraction(frame.clamp(t)) * w``, a host row, clipped
+    to ``[r0, r1)``, to ``ty(row) = y + (row - r0) / (r1 - r0) * h``, so a
+    row's rect is ``ty(hi) - ty(lo)`` high.  When ``aggregated`` the rows
+    become LOD cells tagged ``lod:<ref>``; otherwise each row is one rect
+    with its preempt chevron and label.
+    """
+    x, y, w, h = box
     if aggregated:
-        with _obs.span("render.lod", cluster=band.cluster_id):
-            cells = aggregate(schedule, schedule.columns.cluster == band.index,
-                              band.frame, band.row0, band.row0 + band.rows,
-                              x, band.y, w, band.height, cmap,
-                              f"{LOD_REF_PREFIX}{band.cluster_id}")
+        with _obs.span("render.lod", window=ref, rows=int(np.count_nonzero(rows))):
+            cells = aggregate(schedule, rows, frame, r0, r1, x, y, w, h, cmap,
+                              f"{LOD_REF_PREFIX}{ref}")
             drawing.extend(cells)
             _obs.add("render.lod_cells", len(cells))
         return
-    for task in schedule.tasks_in_cluster(band.cluster_id):
-        conf = task.configuration_for(band.cluster_id)
-        assert conf is not None
-        tstyle = cmap.style_for_task(task)
-        fx0 = band.frame.fraction(max(task.start_time, band.frame.start))
-        fx1 = band.frame.fraction(min(task.end_time, band.frame.end))
-        if fx1 <= fx0 and task.duration > 0:
-            continue
-        rx = x + fx0 * w
-        rw = max((fx1 - fx0) * w, 0.0)
-        for r in conf.host_ranges:
-            ry = band.y + r.start * row_h
-            rh = r.nb * row_h
-            drawing.add(Rect(rx, ry, rw, rh, fill=tstyle.bg,
-                             stroke=style.task_border if style.draw_task_borders else None,
-                             ref=f"task:{task.id}"))
-            if is_preempted(task):
-                _preempt_mark(drawing, rx, ry, rw, rh, style)
-            if style.draw_labels:
-                _task_label(drawing, task, rx, ry, rw, rh, style, tstyle.label_color())
+
+    cols = schedule.columns
+    # The float operations of the rules above, on all rows at once.
+    top = y + (np.maximum(cols.row0[rows], r0) - r0) / (r1 - r0) * h
+    bottom = y + (np.minimum(cols.row1[rows], r1) - r0) / (r1 - r0) * h
+    fx0, fx1 = ((np.minimum(np.maximum(t, frame.start), frame.end) - frame.start)
+                / frame.span for t in (cols.start[rows], cols.end[rows]))
+    border = style.task_border if style.draw_task_borders else None
+    current = None
+    for ti, rx, rw, ry, rh in zip(cols.task[rows].tolist(), (x + fx0 * w).tolist(),
+                                  np.maximum((fx1 - fx0) * w, 0.0).tolist(),
+                                  top.tolist(), (bottom - top).tolist()):
+        if ti != current:
+            current, task = ti, schedule.task_at(ti)
+            tstyle = cmap.style_for_task(task)
+        drawing.add(Rect(rx, ry, rw, rh, fill=tstyle.bg, stroke=border,
+                         ref=f"task:{task.id}"))
+        if is_preempted(task):
+            _preempt_mark(drawing, rx, ry, rw, rh, style)
+        if style.draw_labels:
+            _task_label(drawing, task, rx, ry, rw, rh, style, tstyle.label_color())
 
 
 def _layout_full(schedule: Schedule, cmap: ColorMap, style: Style,
@@ -347,8 +356,11 @@ def _layout_full(schedule: Schedule, cmap: ColorMap, style: Style,
     bands = _cluster_bands(schedule, style, y, h, options.mode, axis_gap)
     aggregated = lod_active(lod, len(schedule), w, h)
     for band in bands:
-        _host_labels(drawing, band, style, x)
-        _draw_band_tasks(drawing, schedule, band, cmap, style, x, w, aggregated)
+        _band_chrome(drawing, band, style, x, w)
+        _draw_rows(drawing, schedule, schedule.columns.cluster == band.index,
+                   band.frame, band.row0, band.row0 + band.rows,
+                   (x, band.y, w, band.height), cmap, style, aggregated,
+                   band.cluster_id)
         if per_band_axis:
             _time_axis(drawing, style, x, w, band.y + band.height + 2, band.frame)
     if not per_band_axis:
@@ -363,7 +375,6 @@ def _layout_windowed(schedule: Schedule, cmap: ColorMap, style: Style,
     """Interactive view: draw exactly the viewport window, rows continuous."""
     drawing = Drawing(options.width, options.height, style.background)
     x, y, w, h = _chrome(drawing, schedule, cmap, style, options)
-    frame = viewport.time_frame
     rspan = viewport.resource_span
 
     def ty(row: float) -> float:
@@ -386,41 +397,12 @@ def _layout_windowed(schedule: Schedule, cmap: ColorMap, style: Style,
 
     # Viewport culling: off-screen host ranges never produce primitives (nor
     # style lookups), so the zoom cost scales with what is visible.  The one
-    # mask feeds the task count, the aggregation and the per-task rects.
-    cols = schedule.columns
+    # mask feeds the task count and the drawing.
     visible = rows_in_region(schedule, viewport.t0, viewport.t1,
                              viewport.r0, viewport.r1)
-    n_visible = np.unique(cols.task[visible]).size
-    if lod_active(lod, n_visible, w, h):
-        with _obs.span("render.lod", visible=n_visible):
-            cells = aggregate(schedule, visible, frame, viewport.r0, viewport.r1,
-                              x, y, w, h, cmap, f"{LOD_REF_PREFIX}viewport")
-            drawing.extend(cells)
-            _obs.add("render.lod_cells", len(cells))
-        _time_axis(drawing, style, x, w, y + h + 2, frame)
-        return drawing
-
-    current = None
-    for ti, row0, row1 in zip(cols.task[visible].tolist(),
-                              cols.row0[visible].tolist(),
-                              cols.row1[visible].tolist()):
-        if ti != current:
-            current, task = ti, schedule.task_at(ti)
-            fx0 = frame.fraction(frame.clamp(task.start_time))
-            fx1 = frame.fraction(frame.clamp(task.end_time))
-            rx, rw = x + fx0 * w, max((fx1 - fx0) * w, 0.0)
-            tstyle = cmap.style_for_task(task)
-        lo = max(float(row0), viewport.r0)
-        hi = min(float(row1), viewport.r1)
-        ry = ty(lo)
-        rh = ty(hi) - ry
-        drawing.add(Rect(rx, ry, rw, rh, fill=tstyle.bg,
-                         stroke=style.task_border if style.draw_task_borders else None,
-                         ref=f"task:{task.id}"))
-        if is_preempted(task):
-            _preempt_mark(drawing, rx, ry, rw, rh, style)
-        if style.draw_labels:
-            _task_label(drawing, task, rx, ry, rw, rh, style,
-                        tstyle.label_color())
-    _time_axis(drawing, style, x, w, y + h + 2, frame)
+    n_visible = np.unique(schedule.columns.task[visible]).size
+    _draw_rows(drawing, schedule, visible, viewport.time_frame, viewport.r0,
+               viewport.r1, (x, y, w, h), cmap, style,
+               lod_active(lod, n_visible, w, h), "viewport")
+    _time_axis(drawing, style, x, w, y + h + 2, viewport.time_frame)
     return drawing

@@ -29,7 +29,6 @@ so hit-testing and tests can tell them apart from per-task rects.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -95,26 +94,26 @@ def lod_active(mode: str, n_tasks: int, plot_w: float, plot_h: float) -> bool:
     return (plot_w * plot_h) / n_tasks < MIN_PIXELS_PER_TASK
 
 
-def cell_runs(cells: np.ndarray) -> Iterable[tuple[int, int, int, int]]:
-    """Yield ``(iy, x0, x1, type_index)`` runs of equally-typed cells.
+def cell_runs(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Runs of equally-typed cells as ``(iy, x0, x1, type_index)`` arrays.
 
-    Horizontal runs of the same type merge into one entry; empty cells
-    (type -1) are skipped.  Shared by the raster LOD path (runs become
-    :class:`Rect` primitives) and the HTML exporter (runs become tier
-    payload entries).
+    Horizontal runs of the same type merge into one entry, ``[x0, x1)`` in
+    row ``iy``, in row-major order; empty cells (type -1) are skipped.
+    Shared by the raster LOD path (runs become :class:`Rect` primitives)
+    and the HTML exporter (runs become tier payload entries).
     """
     ny, nx = cells.shape
-    for iy in range(ny):
-        row = cells[iy]
-        if not (row >= 0).any():
-            continue
-        change = np.flatnonzero(np.diff(row)) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [nx]))
-        for s, e in zip(starts, ends):
-            ti = int(row[s])
-            if ti >= 0:
-                yield iy, int(s), int(e), ti
+    # A run starts at the first cell of a row and wherever the type changes.
+    starts = np.ones((ny, nx), dtype=bool)
+    np.not_equal(cells[:, 1:], cells[:, :-1], out=starts[:, 1:])
+    iy, x0 = np.nonzero(starts)
+    # It ends where the next one starts; the run after a row's last run
+    # starts at x0 == 0 of the next row, so the row's width ends it.
+    x1 = np.append(x0[1:], 0)
+    x1[x1 == 0] = nx
+    kind = cells[iy, x0]
+    keep = kind >= 0
+    return iy[keep], x0[keep], x1[keep], kind[keep]
 
 
 def cell_grid(
@@ -234,4 +233,4 @@ def aggregate(
     fills = [cmap.style_for_type(t).bg for t in schedule.task_types()]
     return [Rect(x + s * cell_w, y + iy * cell_h, (e - s) * cell_w, cell_h,
                  fill=fills[ti], ref=ref)
-            for iy, s, e, ti in cell_runs(cells)]
+            for iy, s, e, ti in zip(*(a.tolist() for a in cell_runs(cells)))]

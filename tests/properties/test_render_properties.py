@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.colormap import Color
 from repro.core.model import Cluster, Configuration, Schedule, Task
@@ -421,3 +421,50 @@ def test_windowed_rects_match_the_per_task_walk(schedule, data):
     assert ([(r.x, r.y, r.w, r.h, r.ref) for r in drawing.rects
              if r.ref and r.ref.startswith("task:")]
             == _reference_windowed_rects(schedule, viewport, *box))
+
+
+# ---------------------------------------------------------------------------
+# cell_runs extracts every run of a grid in one vectorised pass; pinned
+# against the per-row generator it replaced, kept here as the reference.
+
+def _reference_cell_runs(cells):
+    """The per-row run walk before the vectorised ``cell_runs``."""
+    ny, nx = cells.shape
+    for iy in range(ny):
+        row = cells[iy]
+        if not (row >= 0).any():
+            continue
+        change = np.flatnonzero(np.diff(row)) + 1
+        starts = np.concatenate(([0], change))
+        ends = np.concatenate((change, [nx]))
+        for s, e in zip(starts, ends):
+            ti = int(row[s])
+            if ti >= 0:
+                yield iy, int(s), int(e), ti
+
+
+@st.composite
+def cell_grids(draw) -> np.ndarray:
+    """Grids of type indices and -1 (empty), with one row, one column,
+    all-empty rows and -1 runs between cells of equal type among them."""
+    ny = draw(st.one_of(st.just(1), st.integers(1, 8)))
+    nx = draw(st.one_of(st.just(1), st.integers(1, 16)))
+    kinds = st.one_of(st.just(-1), st.integers(0, 2))
+    cells = np.array(draw(st.lists(st.lists(kinds, min_size=nx, max_size=nx),
+                                   min_size=ny, max_size=ny)), dtype=np.intp)
+    for iy in draw(st.sets(st.integers(0, ny - 1))):
+        cells[iy] = -1
+    return cells
+
+
+@given(cell_grids())
+@settings(max_examples=300, deadline=None)
+@example(np.full((3, 5), -1, dtype=np.intp))
+@example(np.array([[1, -1, -1, 1, 1, -1, 1]], dtype=np.intp))
+@example(np.array([[0], [-1], [0], [2]], dtype=np.intp))
+def test_cell_runs_equal_the_row_walk(cells):
+    from repro.render.lod import cell_runs
+
+    runs = cell_runs(cells)
+    assert all(a.dtype == np.intp for a in runs)
+    assert list(zip(*(a.tolist() for a in runs))) == list(_reference_cell_runs(cells))
