@@ -137,13 +137,17 @@ def execute_with_cache(request: RenderRequest,
     :func:`repro.serve.protocol.canonical_schedule_bytes`, the bytes
     :func:`schedule_digest` hashes.  The cache key hashes them as they
     are, so a repeat request is served without parsing the schedule.
+
+    Spans: ``io.load`` (format ``json``) decodes them, and
+    ``batch.cache.digest``, ``.get`` and ``.put`` cover the cache.
     """
     from repro.render.api import execute_request
 
     def _schedule_from_bytes():
         from repro.serve.protocol import schedule_from_canonical
 
-        return schedule_from_canonical(schedule_bytes)
+        with _obs.span("io.load", format="json"):
+            return schedule_from_canonical(schedule_bytes)
 
     started = perf_counter()
     if cache_dir is None:
@@ -154,7 +158,8 @@ def execute_with_cache(request: RenderRequest,
     cache = RenderCache(cache_dir)
     schedule = None
     if schedule_bytes is not None:
-        digest = hashlib.sha256(schedule_bytes).hexdigest()
+        with _obs.span("batch.cache.digest"):
+            digest = hashlib.sha256(schedule_bytes).hexdigest()
     else:
         digest = (cache.digest_hint(request.input_path)
                   if request.input_path else None)
@@ -162,11 +167,13 @@ def execute_with_cache(request: RenderRequest,
             token = stat_token(request.input_path) \
                 if request.input_path else None
             schedule = request.load_schedule()
-            digest = schedule_digest(schedule)
+            with _obs.span("batch.cache.digest"):
+                digest = schedule_digest(schedule)
             if request.input_path:
                 cache.remember_digest(request.input_path, digest, token=token)
     key = cache_key_from_digest(digest, request)
-    hit = cached_result(request, cache, key, started=started)
+    with _obs.span("batch.cache.get"):
+        hit = cached_result(request, cache, key, started=started)
     if hit is not None:
         return hit
     from repro.render.api import render_request_bytes
@@ -175,7 +182,8 @@ def execute_with_cache(request: RenderRequest,
         schedule = _schedule_from_bytes() if schedule_bytes is not None \
             else request.load_schedule()
     rendered = render_request_bytes(request, schedule)
-    cache.put(key, rendered)
+    with _obs.span("batch.cache.put"):
+        cache.put(key, rendered)
     return _finished(request, rendered, "miss", started)
 
 

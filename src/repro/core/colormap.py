@@ -211,19 +211,24 @@ class ColorMap:
             self._auto_cache[task_type] = cached
         return cached
 
-    def assign_types(self, types: Iterable[str]) -> None:
-        """Fix the styles of ``types`` now, in the given order.
+    def type_styles(self, schedule: Schedule) -> list[TaskStyle]:
+        """The style of each of ``schedule.task_types()``, by type index.
 
         A type with no explicit style takes the next palette entry the
-        first time it is asked for, so every view calls this with
-        :meth:`Schedule.task_types` before it draws: a type then has the
-        same colour in every view, whatever order the view asks in.  The
-        composite type takes its colour from the composite rules and no
-        palette entry.
+        first time it is asked for, so every view calls this before it
+        draws: a type then has the same colour in every view, whatever
+        order the view asks in.  The composite type takes the style of the
+        schedule's first composite task and no palette entry.
         """
-        for task_type in types:
-            if task_type != COMPOSITE_TYPE:
-                self.style_for_type(task_type)
+        styles = []
+        for kind, task_type in enumerate(schedule.task_types()):
+            if task_type == COMPOSITE_TYPE:
+                cols = schedule.columns
+                first = schedule.task_at(int(cols.task[cols.type == kind][0]))
+                styles.append(self.style_for_task(first))
+            else:
+                styles.append(self.style_for_type(task_type))
+        return styles
 
     def composite_style(self, member_types: Iterable[str]) -> TaskStyle | None:
         """Style of the composite rule matching exactly ``member_types``."""

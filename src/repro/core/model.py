@@ -19,8 +19,10 @@ processors 0..7 *of cluster 0*.  Global (flattened) indices are available via
 :meth:`Schedule.global_host_index`.
 
 A :class:`Schedule` keeps its tasks as columns (a :class:`TaskStore`), not
-as objects: the readers fill the columns directly, and a :class:`Task` is
-built from them only when something asks for it.
+as objects: tasks enter through :meth:`TaskStore.add` and leave through
+:meth:`TaskStore.walk`, task by task as :meth:`TaskStore.record` reads
+them, and a :class:`Task` is built from a record only when something asks
+for it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from array import array
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,8 +50,6 @@ __all__ = [
     "hosts_to_ranges",
     "host_span",
     "merge_spans",
-    "task_times",
-    "check_task_clusters",
 ]
 
 #: Task type assigned to synthesized composite (overlap) tasks.
@@ -343,63 +344,121 @@ _COLUMNS = np.dtype([("task", np.intp), ("type", np.intp), ("cluster", np.intp),
 _INT = "q"
 
 
+#: The host spans of one configuration as the store gives them: cluster-local
+#: ``(start, stop)`` pairs, sorted and merged.
+Spans = Sequence[tuple[int, int]]
+
+#: One task as :meth:`TaskStore.record` gives it: id, type, start, end,
+#: its ``(cluster id, spans)`` configurations, and meta.
+Record = tuple[str, str, float, float, tuple[tuple[str, Spans], ...], Mapping[str, str]]
+
+#: The meta of a task that has none, as :meth:`TaskStore.record` gives it.
+_NO_META: Mapping[str, str] = MappingProxyType({})
+
+
 class TaskStore:
     """The tasks of a :class:`Schedule`, as typed columns and side tables.
 
     One entry per task, in registration order: ``ids`` (with ``index``,
-    id -> position), ``kind`` (the position of its type in ``types``, the
-    interned type names in first-appearance order), ``start``, ``end`` and
-    ``first``, the row of its first host range.  One row per host range of
-    every configuration, in task order: the ``cluster`` index and the
-    global host rows ``[row0, row1)``; a task's rows are ``first[i]`` up to
-    the next task's first row.  ``meta`` maps a position to its task's
-    meta dict and holds only tasks that have one.
+    id -> first position), ``kind`` (the position of its type in ``types``,
+    inverted by ``type_index``), ``start``, ``end`` and ``first``, the row
+    of its first host range.  One row per host range of every
+    configuration, in task order: ``cluster`` (the position of its cluster
+    id in ``clusters``, inverted by ``cluster_index``) and the
+    cluster-local host rows ``[row0, row1)``; a task's rows are
+    ``first[i]`` up to the next task's first row.  ``meta`` maps a position
+    to its task's meta dict and holds only tasks that have one.
 
-    :meth:`Schedule.add_task` appends to its schedule's store; the
-    readers fill a store of their own and hand it over whole.  Whatever
-    enters a store has passed the checks of :class:`HostRange`,
-    :class:`Configuration`, :class:`Task` and :meth:`Schedule.add_task`.
+    :meth:`add` is the one way in and :meth:`walk` (:meth:`record` per
+    task) the one way out.  A store needs no platform: the checks of
+    :meth:`Schedule.add_task` are the schedule's.
     """
 
-    __slots__ = ("ids", "index", "types", "kind", "start", "end", "first",
-                 "cluster", "row0", "row1", "meta")
+    __slots__ = ("ids", "index", "types", "type_index", "kind", "start", "end",
+                 "first", "clusters", "cluster_index", "cluster", "row0", "row1",
+                 "meta")
 
     def __init__(self) -> None:
         self.ids: list[str] = []
         self.index: dict[str, int] = {}
-        self.types: dict[str, int] = {}
+        self.types: list[str] = []
+        self.type_index: dict[str, int] = {}
         self.kind = array(_INT)
         self.start = array("d")
         self.end = array("d")
         self.first = array(_INT)
+        self.clusters: list[str] = []
+        self.cluster_index: dict[str, int] = {}
         self.cluster = array(_INT)
         self.row0 = array(_INT)
         self.row1 = array(_INT)
-        self.meta: dict[int, dict] = {}
+        self.meta: dict[int, Mapping[str, str]] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def append(self, task_id: str, type: str, start: float, end: float,
-               rows: Iterable[tuple[int, int, int]], meta: Mapping | None) -> None:
-        """Append one task and its ``(cluster, row0, row1)`` host rows."""
-        i = len(self.ids)
+    def add(self, task_id: object, type: object, start: object, end: object,
+            confs: Sequence[tuple[str, Spans]], meta: Mapping[str, str] | None) -> None:
+        """Append one task as a reader parsed it, after the checks a
+        :class:`Task` makes of the whole task, in its order: the times,
+        then one configuration per cluster.  ``confs`` holds one ``(cluster
+        id, spans)`` pair per configuration, its spans through
+        :func:`host_span` and :func:`merge_spans` as the configuration was
+        read.  The store keeps ``meta``, a dict the caller hands over, as
+        it is.  A failed check appends nothing."""
+        start, end = task_times(task_id, start, end)
+        if len(confs) != 1:  # one configuration always passes
+            check_task_clusters(task_id, [cluster_id for cluster_id, _ in confs])
+        task_id, type, i = str(task_id), str(type), len(self.ids)
         self.ids.append(task_id)
-        self.index[task_id] = i
-        kind = self.types.get(type)
+        self.index.setdefault(task_id, i)
+        kind = self.type_index.get(type)
         if kind is None:
-            kind = self.types[type] = len(self.types)
+            kind = self.type_index[type] = len(self.types)
+            self.types.append(type)
         self.kind.append(kind)
         self.start.append(start)
         self.end.append(end)
         cluster, row0, row1 = self.cluster, self.row0, self.row1
         self.first.append(len(cluster))
-        for c, r0, r1 in rows:
-            cluster.append(c)
-            row0.append(r0)
-            row1.append(r1)
+        for cluster_id, spans in confs:
+            ref = self.cluster_index.get(cluster_id)
+            if ref is None:
+                ref = self.cluster_index[cluster_id] = len(self.clusters)
+                self.clusters.append(cluster_id)
+            for lo, hi in spans:
+                cluster.append(ref)
+                row0.append(lo)
+                row1.append(hi)
         if meta:
             self.meta[i] = meta
+
+    def record(self, i: int) -> Record:
+        """The task at position ``i`` as ``(id, type, start, end,
+        configurations, meta)``: one ``(cluster id, spans)`` per
+        configuration, its spans cluster-local ``(start, stop)`` pairs, and
+        meta an empty read-only mapping for a task with none."""
+        first, cluster = self.first, self.cluster
+        r = first[i]
+        last = first[i + 1] if i + 1 < len(first) else len(cluster)
+        if last == r + 1:
+            confs: tuple = ((self.clusters[cluster[r]], ((self.row0[r], self.row1[r]),)),)
+        else:
+            row0, row1, runs = self.row0, self.row1, []
+            while r < last:  # one configuration per run of rows in one cluster
+                end = r + 1
+                while end < last and cluster[end] == cluster[r]:
+                    end += 1
+                runs.append((self.clusters[cluster[r]], tuple(zip(row0[r:end], row1[r:end]))))
+                r = end
+            confs = tuple(runs)
+        return (self.ids[i], self.types[self.kind[i]], self.start[i], self.end[i],
+                confs, self.meta.get(i, _NO_META))
+
+    def walk(self) -> Iterator[Record]:
+        """Every task in store order as :meth:`record` gives it: the one
+        way out."""
+        return map(self.record, range(len(self.ids)))
 
 
 # A Task built from the store skips the checks the store already passed: each
@@ -446,13 +505,12 @@ class Schedule:
         meta: Mapping[str, str] | None = None,
     ):
         self._clusters: dict[str, Cluster] = {}
-        #: cluster id -> (index, first global row, hosts); index -> (id, first row)
+        #: cluster id -> (index, first global row, hosts)
         self._slot: dict[str, tuple[int, int, int]] = {}
-        self._slots: list[tuple[str, int]] = []
         self._store = TaskStore()
         self._built: list[Task | None] = []
-        #: one-range configurations of built tasks, by global host rows
-        self._shared: dict[tuple[int, int], Configuration] = {}
+        #: the configurations of built tasks, by their ``(cluster id, spans)``
+        self._shared: dict[tuple[str, Spans], Configuration] = {}
         self._columns: np.recarray | None = None
         self._types: tuple[str, ...] = ()
         self.meta: dict[str, str] = dict(meta or {})
@@ -466,9 +524,7 @@ class Schedule:
         """Register a cluster; its id must be new."""
         if cluster.id in self._clusters:
             raise ScheduleError(f"duplicate cluster id {cluster.id!r}")
-        offset = self.num_hosts
-        self._slot[cluster.id] = (len(self._slots), offset, cluster.num_hosts)
-        self._slots.append((cluster.id, offset))
+        self._slot[cluster.id] = (len(self._slot), self.num_hosts, cluster.num_hosts)
         self._clusters[cluster.id] = cluster
         self._columns = None
         return cluster
@@ -478,18 +534,19 @@ class Schedule:
         return self.add_cluster(Cluster(id, num_hosts, name))
 
     def _check_task(self, task_id: str, seen: Container[str],
-                    confs: Iterable[tuple[str, int]]) -> None:
+                    confs: Iterable[tuple[str, Spans]]) -> None:
         """The checks of :meth:`add_task`, in its order: ``task_id`` is not
-        in ``seen``, then per ``(cluster id, top host + 1)`` of each
-        configuration, the cluster is known and holds the hosts."""
+        in ``seen``, then per ``(cluster id, spans)`` configuration, the
+        cluster is known and holds the last span."""
         if task_id in seen:
             raise ScheduleError(f"duplicate task id {task_id!r}")
-        for cluster_id, top in confs:
+        for cluster_id, spans in confs:
             cluster = self._clusters.get(cluster_id)
             if cluster is None:
                 raise ScheduleError(
                     f"task {task_id!r} references unknown cluster {cluster_id!r}"
                 )
+            top = spans[-1][1]
             if top > cluster.num_hosts:
                 raise ScheduleError(
                     f"task {task_id!r} binds host {top - 1} but cluster "
@@ -498,30 +555,31 @@ class Schedule:
 
     def add_task(self, task: Task) -> Task:
         """Register a task; its id must be new and its clusters known."""
-        index = self._store.index
-        rows = []
-        for conf in task.configurations:
-            slot = self._slot.get(conf.cluster_id)
-            if task.id in index or slot is None or conf.host_ranges[-1].stop > slot[2]:
-                self._check_task(task.id, index,  # raises what failed
-                                 ((c.cluster_id, c.host_ranges[-1].stop)
-                                  for c in task.configurations))
-            ci, offset, _ = slot
-            rows.extend([(ci, offset + r.start, offset + r.stop)
-                         for r in conf.host_ranges])
-        self._store.append(task.id, task.type, task.start_time, task.end_time,
-                           rows, task.meta)
+        confs = [(c.cluster_id, [(r.start, r.start + r.nb) for r in c.host_ranges])
+                 for c in task.configurations]
+        self._check_task(task.id, self._store.index, confs)
+        self._store.add(task.id, task.type, task.start_time, task.end_time,
+                        confs, task.meta)
         self._built.append(task)
         self._columns = None
         return task
 
     def _adopt(self, store: TaskStore) -> None:
-        """Take over the tasks of a filled store, in place of none.
-
-        The store's cluster indexes and host rows refer to this schedule's
-        clusters, and its tasks passed every check of :meth:`add_task`.
-        """
+        """Take over a store filled through :meth:`TaskStore.add`, in place
+        of no tasks, after the checks of :meth:`add_task` over all its rows
+        at once; the first task that fails one raises what ``add_task``
+        raises for it."""
         assert not self._store, "a schedule adopts a store only while empty"
+        hosts = np.array([self._slot.get(c, (0, 0, 0))[2] for c in store.clusters],
+                         dtype=np.intp)
+        # an unknown cluster holds no hosts, and every row binds one
+        if len(store.index) < len(store) or np.any(
+                np.array(store.row1) > hosts[np.array(store.cluster, dtype=np.intp)]):
+            seen: set[str] = set()
+            for task_id, _, _, _, confs, _ in store.walk():
+                self._check_task(task_id, seen, confs)
+                seen.add(task_id)
+            raise AssertionError("a task passed the checks it failed")
         self._store = store
         self._built = [None] * len(store)
         self._columns, self._types = None, ()
@@ -586,38 +644,28 @@ class Schedule:
         return task
 
     def _build(self, i: int) -> Task:
-        st = self._store
-        r = st.first[i]
-        stop = st.first[i + 1] if i + 1 < len(st.first) else len(st.cluster)
-        cluster, row0, row1 = st.cluster, st.row0, st.row1
-        confs = []
-        while r < stop:  # one configuration per run of rows in one cluster
-            ci = cluster[r]
-            end = r + 1
-            while end < stop and cluster[end] == ci:
-                end += 1
-            cluster_id, offset = self._slots[ci]
-            if end == r + 1:
-                # one host range: frozen, so shared by the tasks on its rows
-                key = (row0[r], row1[r])
-                conf = self._shared.get(key)
-                if conf is None:
-                    conf = self._shared[key] = _configuration(cluster_id, (
-                        _host_range(key[0] - offset, key[1] - key[0]),))
-            else:
-                conf = _configuration(cluster_id, tuple(
-                    _host_range(row0[k] - offset, row1[k] - row0[k])
-                    for k in range(r, end)))
-            confs.append(conf)
-            r = end
+        task_id, type, start, end, confs, meta = self._store.record(i)
+        shared, built = self._shared, []
+        for conf in confs:  # frozen, so shared by the tasks that bind it
+            c = shared.get(conf)
+            if c is None:
+                c = shared[conf] = _configuration(conf[0], tuple(
+                    [_host_range(lo, hi - lo) for lo, hi in conf[1]]))
+            built.append(c)
         task = _new(Task)
-        _task_id(task, st.ids[i])
-        _task_type(task, self.task_types()[st.kind[i]])
-        _task_start(task, st.start[i])
-        _task_end(task, st.end[i])
-        _task_confs(task, tuple(confs))
-        _task_meta(task, st.meta.get(i, {}))
+        _task_id(task, task_id)
+        _task_type(task, type)
+        _task_start(task, start)
+        _task_end(task, end)
+        _task_confs(task, tuple(built))
+        _task_meta(task, meta or {})
         return task
+
+    def records(self) -> Iterator[Record]:
+        """Every task in registration order as :meth:`TaskStore.record`
+        gives it to :meth:`task_at`, without building a :class:`Task`: how
+        writers read a schedule."""
+        return self._store.walk()
 
     def cluster(self, cluster_id: str | int) -> Cluster:
         try:
@@ -692,13 +740,17 @@ class Schedule:
             else:
                 task = np.repeat(np.arange(len(st), dtype=np.intp),
                                  np.diff(np.array(st.first), append=len(st.cluster)))
+            # each interned cluster id -> (cluster index, first global row)
+            slot = np.array([self._slot[c][:2] for c in st.clusters],
+                            dtype=np.intp).reshape(-1, 2)
+            index, offset = slot[np.array(st.cluster, dtype=np.intp)].T
             table["task"] = task
             table["type"] = np.array(st.kind)[task]
-            table["cluster"] = np.array(st.cluster)
+            table["cluster"] = index
             table["start"] = np.array(st.start)[task]
             table["end"] = np.array(st.end)[task]
-            table["row0"] = np.array(st.row0)
-            table["row1"] = np.array(st.row1)
+            table["row0"] = offset + np.array(st.row0)
+            table["row1"] = offset + np.array(st.row1)
             table.flags.writeable = False
             self._columns = table.view(np.recarray)
         return self._columns

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.core.model import Cluster, Configuration, HostRange, Schedule, Task
@@ -30,17 +31,15 @@ __all__ = ["loads", "load", "dumps", "dump", "format_hosts", "parse_hosts"]
 _COLUMNS = ["task_id", "type", "start", "end", "cluster", "hosts"]
 
 
-def format_hosts(ranges: tuple[HostRange, ...]) -> str:
-    """``0-7`` / ``0-3,6`` compact host syntax."""
-    parts = []
-    for r in ranges:
-        parts.append(str(r.start) if r.nb == 1 else f"{r.start}-{r.stop - 1}")
-    return ",".join(parts)
+def format_hosts(spans: Iterable[tuple[int, int]]) -> str:
+    """``0-7`` / ``0-3,6`` compact host syntax of ``(start, stop)`` host
+    spans."""
+    return ",".join(str(lo) if hi - lo == 1 else f"{lo}-{hi - 1}" for lo, hi in spans)
 
 
 def parse_hosts(text: str, *, source: str = "<string>",
                 line: int | None = None) -> list[HostRange]:
-    """Inverse of :func:`format_hosts`."""
+    """The host ranges of :func:`format_hosts` syntax."""
     ranges: list[HostRange] = []
     for part in text.split(","):
         part = part.strip()
@@ -72,12 +71,10 @@ def dumps(schedule: Schedule) -> str:
         buf.write(f"# meta,{key},{value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    for t in schedule.tasks:
-        for conf in t.configurations:
-            writer.writerow([
-                t.id, t.type, repr(t.start_time), repr(t.end_time),
-                conf.cluster_id, format_hosts(conf.host_ranges),
-            ])
+    for task_id, task_type, start, end, confs, _ in schedule.records():
+        for cluster_id, spans in confs:
+            writer.writerow([task_id, task_type, repr(start), repr(end),
+                             cluster_id, format_hosts(spans)])
     return buf.getvalue()
 
 

@@ -43,21 +43,10 @@ from __future__ import annotations
 
 import io as _io
 import xml.etree.ElementTree as ET
-from array import array
 from pathlib import Path
 from xml.parsers import expat
 
-import numpy as np
-
-from repro.core.model import (
-    Cluster,
-    Schedule,
-    TaskStore,
-    check_task_clusters,
-    host_span,
-    merge_spans,
-    task_times,
-)
+from repro.core.model import Cluster, Schedule, TaskStore, host_span, merge_spans
 from repro.errors import ParseError, ScheduleError
 from repro.obs import core as _obs
 
@@ -83,32 +72,28 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
     """Parse a Jedule XML document into a :class:`Schedule`.
 
     One streaming pass: no element tree and no :class:`~repro.core.model.Task`
-    is built; each ``<node_statistics>`` becomes one entry of the
-    schedule's :class:`~repro.core.model.TaskStore` as it closes, with the
-    checks a ``Task`` makes.  ``bytes`` are decoded as the document's XML
-    declaration says (UTF-8 when it says nothing); a ``str`` is taken as
-    already decoded.  The checks :meth:`Schedule.add_task` makes (a new
-    id, a known cluster, hosts inside it) run when the document ends, in
-    document order, so ``<platform>`` may come after ``<node_infos>``.
+    is built; each ``<node_statistics>`` enters the schedule's
+    :class:`~repro.core.model.TaskStore` through its one way in as it
+    closes, with the checks a ``Task`` makes.  ``bytes`` are decoded as the
+    document's XML declaration says (UTF-8 when it says nothing); a ``str``
+    is taken as already decoded.  The checks :meth:`Schedule.add_task`
+    makes (a new id, a known cluster, hosts inside it) run when the
+    document ends, in document order, so ``<platform>`` may come after
+    ``<node_infos>``.
     """
     schedule = Schedule()
     store = TaskStore()
-    ids, index, types, metas = store.ids, store.index, store.types, store.meta
-    kinds, starts, ends, firsts = store.kind, store.start, store.end, store.first
-    # host rows stay cluster-local until the platform is known: each names
-    # its cluster by position in ``refs``, in the order tasks name them
-    refs: dict[str, int] = {}
-    ref_col, lo_col, hi_col = array("q"), array("q"), array("q")
-    dup: list[int] = []  # the first task whose id an earlier task has
+    add = store.add
     stack = [_DOC]
     push, pop = stack.append, stack.pop
     opened: set[str] = set()
     props: dict[str, str] = {}  # node_property of the open task
-    task_refs: list[int] = []  # clusters of its configurations
+    confs: list[tuple[str, list[tuple[int, int]]]] = []  # its configurations
     conf_props: dict[str, str] = {}  # conf_property of the open configuration
     spans: list[tuple[int, int]] = []  # its host spans
 
     def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal spans
         state = stack[-1]
         if state == _NODE:
             if name == "node_property":
@@ -119,7 +104,7 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
                                      source=source) from None
             elif name == "configuration":
                 conf_props.clear()
-                spans.clear()
+                spans = []  # not cleared: the open task's confs hold the last one's
                 push(_CONF)
                 return
         elif state == _CONF:
@@ -145,9 +130,7 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
         elif state == _INFOS:
             if name == "node_statistics":
                 props.clear()
-                task_refs.clear()
-                # its rows start here; a task that fails ends the parse
-                firsts.append(len(ref_col))
+                confs.clear()
                 push(_NODE)
                 return
         elif state == _ROOT:
@@ -197,7 +180,7 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
                         raise ParseError(
                             f"<node_statistics> lacks node_property {required!r}",
                             source=source) from None
-            if not task_refs:
+            if not confs:
                 raise ParseError(f"task {task_id!r} has no <configuration>",
                                  source=source)
             try:
@@ -206,18 +189,9 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
                 raise ParseError(
                     f"task {task_id!r} has non-numeric times "
                     f"({start_time!r}, {end_time!r})", source=source) from None
-            start_time, end_time = task_times(task_id, start_time, end_time)
-            check_task_clusters(task_id, task_refs)
-            i = len(ids)
-            if index.setdefault(task_id, i) != i and not dup:
-                dup.append(i)
-            ids.append(task_id)
-            kinds.append(types.setdefault(task_type, len(types)))
-            starts.append(start_time)
-            ends.append(end_time)
-            if len(props) > len(_RESERVED_NODE_PROPS):
-                metas[i] = {k: v for k, v in props.items()
-                            if k not in _RESERVED_NODE_PROPS}
+            add(task_id, task_type, start_time, end_time, confs,
+                {k: v for k, v in props.items() if k not in _RESERVED_NODE_PROPS}
+                if len(props) > len(_RESERVED_NODE_PROPS) else None)
         elif state == _CONF:
             cluster_id = conf_props.get("cluster_id")
             if cluster_id is None:
@@ -239,12 +213,7 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
                     raise ParseError(
                         f"configuration declares host_nb={declared} but host lists "
                         f"cover {covered} hosts", source=source)
-            ref = refs.setdefault(cluster_id, len(refs))
-            task_refs.append(ref)
-            for lo, hi in merged:
-                ref_col.append(ref)
-                lo_col.append(lo)
-                hi_col.append(hi)
+            confs.append((cluster_id, merged))
 
     # namespace processing on, as ElementTree's parser has it
     parser = expat.ParserCreate(None, "}")
@@ -268,8 +237,7 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
                              source=source)
         if not schedule.clusters:
             raise ParseError("<platform> defines no clusters", source=source)
-        _place(schedule, store, list(refs), ref_col, lo_col, hi_col,
-               dup[0] if dup else len(ids))
+        schedule._adopt(store)
     except expat.ExpatError as exc:
         raise ParseError(f"malformed XML: {exc}", source=source) from exc
     except ScheduleError as exc:
@@ -285,49 +253,8 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
         # its copy of the document are freed on return, not at the next GC
         parser.SkippedEntityHandler = None
     if "node_infos" in opened:
-        _obs.add("io.records", len(ids))
+        _obs.add("io.records", len(schedule))
     return schedule
-
-
-def _place(schedule: Schedule, store: TaskStore, cluster_ids: list[str],
-           ref: array, lo: array, hi: array, dup: int) -> None:
-    """Put the parsed tasks into ``schedule``.
-
-    Host row ``r`` binds hosts ``[lo[r], hi[r])`` of cluster
-    ``cluster_ids[ref[r]]``; task ``dup`` is the first whose id an earlier
-    task has (``len(store)`` when none has).  The checks of
-    :meth:`Schedule.add_task` run here over all rows at once; the first
-    task that fails any of them fails again through ``add_task``'s own
-    check, which names what it names.  The rows then become the store's
-    cluster indexes and global host rows.
-    """
-    n = len(store)
-    slot = {c.id: (i, schedule.cluster_offset(c.id), c.num_hosts)
-            for i, c in enumerate(schedule.clusters)}
-    known = np.array([slot.get(cid, (-1, 0, 0)) for cid in cluster_ids],
-                     dtype=np.int64).reshape(-1, 3)
-    lo_, hi_ = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-    cluster, offset, hosts = known[np.array(ref, dtype=np.int64)].T
-    bad = np.flatnonzero((cluster < 0) | (hi_ > hosts))
-    first_bad = dup
-    if bad.size:
-        first_bad = min(dup, int(np.searchsorted(np.array(store.first), bad[0],
-                                                 side="right")) - 1)
-    if first_bad < n:
-        stop = store.first[first_bad + 1] if first_bad + 1 < n else len(ref)
-        confs: list[tuple[str, int]] = []
-        for r in range(store.first[first_bad], stop):
-            cid = cluster_ids[ref[r]]
-            if confs and confs[-1][0] == cid:
-                confs[-1] = (cid, hi[r])
-            else:
-                confs.append((cid, hi[r]))
-        schedule._check_task(store.ids[first_bad], store.ids[:first_bad], confs)
-        raise AssertionError(f"task {store.ids[first_bad]!r} passed the checks it failed")
-    store.cluster.frombytes(cluster.astype(store.cluster.typecode).tobytes())
-    store.row0.frombytes((offset + lo_).astype(store.row0.typecode).tobytes())
-    store.row1.frombytes((offset + hi_).astype(store.row1.typecode).tobytes())
-    schedule._adopt(store)
 
 
 def load(path: str | Path) -> Schedule:
@@ -346,7 +273,8 @@ def _format_time(t: float) -> str:
 
 
 def dumps(schedule: Schedule, *, indent: bool = True) -> str:
-    """Serialize a schedule to Jedule XML."""
+    """Serialize a schedule to Jedule XML, read from its task store
+    (:meth:`~repro.core.model.Schedule.records`)."""
     root = ET.Element("jedule", version=JEDULE_VERSION)
     if schedule.meta:
         meta = ET.SubElement(root, "jedule_meta")
@@ -359,21 +287,21 @@ def dumps(schedule: Schedule, *, indent: bool = True) -> str:
             attrs["name"] = c.name
         ET.SubElement(platform, "cluster", attrs)
     infos = ET.SubElement(root, "node_infos")
-    for t in schedule.tasks:
+    for task_id, task_type, start, end, confs, task_meta in schedule.records():
         node = ET.SubElement(infos, "node_statistics")
-        _prop(node, "node_property", "id", t.id)
-        _prop(node, "node_property", "type", t.type)
-        _prop(node, "node_property", "start_time", _format_time(t.start_time))
-        _prop(node, "node_property", "end_time", _format_time(t.end_time))
-        for k, v in t.meta.items():
+        _prop(node, "node_property", "id", task_id)
+        _prop(node, "node_property", "type", task_type)
+        _prop(node, "node_property", "start_time", _format_time(start))
+        _prop(node, "node_property", "end_time", _format_time(end))
+        for k, v in task_meta.items():
             _prop(node, "node_property", k, str(v))
-        for conf in t.configurations:
+        for cluster_id, spans in confs:
             ce = ET.SubElement(node, "configuration")
-            _prop(ce, "conf_property", "cluster_id", conf.cluster_id)
-            _prop(ce, "conf_property", "host_nb", str(conf.num_hosts))
+            _prop(ce, "conf_property", "cluster_id", cluster_id)
+            _prop(ce, "conf_property", "host_nb", str(sum(hi - lo for lo, hi in spans)))
             hl = ET.SubElement(ce, "host_lists")
-            for r in conf.host_ranges:
-                ET.SubElement(hl, "hosts", start=str(r.start), nb=str(r.nb))
+            for lo, hi in spans:
+                ET.SubElement(hl, "hosts", start=str(lo), nb=str(hi - lo))
     if indent:
         ET.indent(root)
     buf = _io.BytesIO()

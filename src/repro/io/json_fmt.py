@@ -28,52 +28,42 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.core.model import (
-    Cluster,
-    Schedule,
-    TaskStore,
-    check_task_clusters,
-    host_span,
-    merge_spans,
-    task_times,
-)
+from repro.core.model import Cluster, Schedule, TaskStore, host_span, merge_spans
 from repro.errors import ParseError, ScheduleError
 
 __all__ = ["loads", "load", "dumps", "dump", "to_dict", "from_dict"]
 
 
 def to_dict(schedule: Schedule) -> dict[str, Any]:
-    """Plain-dict representation of a schedule."""
+    """Plain-dict representation of a schedule, read from its task store
+    (:meth:`~repro.core.model.Schedule.records`) without building a
+    :class:`~repro.core.model.Task`."""
+    tasks = []
+    for task_id, task_type, start, end, confs, meta in schedule.records():
+        configurations = []
+        for cluster_id, spans in confs:
+            configurations.append({"cluster": cluster_id,
+                                   "ranges": [[lo, hi - lo] for lo, hi in spans]})
+        tasks.append({"id": task_id, "type": task_type, "start": start, "end": end,
+                      "configurations": configurations,
+                      "meta": dict(meta) if meta else {}})
     return {
         "meta": dict(schedule.meta),
         "clusters": [
             {"id": c.id, "hosts": c.num_hosts, "name": c.name} for c in schedule.clusters
         ],
-        "tasks": [
-            {
-                "id": t.id,
-                "type": t.type,
-                "start": t.start_time,
-                "end": t.end_time,
-                "configurations": [
-                    {"cluster": c.cluster_id,
-                     "ranges": [[r.start, r.nb] for r in c.host_ranges]}
-                    for c in t.configurations
-                ],
-                "meta": dict(t.meta),
-            }
-            for t in schedule.tasks
-        ],
+        "tasks": tasks,
     }
 
 
 def from_dict(data: dict[str, Any], *, source: str = "<dict>") -> Schedule:
     """Rebuild a schedule from :func:`to_dict` output.
 
-    The tasks go straight into the schedule's
-    :class:`~repro.core.model.TaskStore`, with every check a
-    :class:`~repro.core.model.Task` and :meth:`Schedule.add_task` would
-    make, task by task.  A missing or malformed field is a
+    Each task is read whole, then enters the schedule's
+    :class:`~repro.core.model.TaskStore` through its one way in, with the
+    checks a :class:`~repro.core.model.Task` makes; the checks of
+    :meth:`Schedule.add_task` run once every task is read, as the ``.jed``
+    reader runs them.  A missing or malformed field is a
     :class:`ParseError`.
     """
     if not isinstance(data, dict):
@@ -87,8 +77,6 @@ def from_dict(data: dict[str, Any], *, source: str = "<dict>") -> Schedule:
         schedule.meta.update(meta)
         for c in data.get("clusters", []):
             schedule.add_cluster(Cluster(c["id"], c["hosts"], c.get("name")))
-        slot = {c.id: (i, schedule.cluster_offset(c.id))
-                for i, c in enumerate(schedule.clusters)}
         for t in data.get("tasks", []):
             confs = []
             for conf in t["configurations"]:
@@ -96,24 +84,14 @@ def from_dict(data: dict[str, Any], *, source: str = "<dict>") -> Schedule:
                 ranges = [tuple(r) for r in conf["ranges"]]
                 spans = merge_spans([host_span(int(r[0]), int(r[1])) for r in ranges])
                 confs.append((str(cluster_id), spans))
-            task_id, task_type, start, end = t["id"], t["type"], t["start"], t["end"]
-            task_meta = t.get("meta") or {}
-            start, end = task_times(task_id, start, end)
-            check_task_clusters(task_id, [cluster_id for cluster_id, _ in confs])
-            task_id, task_type, task_meta = str(task_id), str(task_type), dict(task_meta)
-            schedule._check_task(task_id, store.index,
-                                 [(cluster_id, spans[-1][1]) for cluster_id, spans in confs])
-            store.append(task_id, task_type, start, end,
-                         [(ci, off + lo, off + hi)
-                          for cluster_id, spans in confs
-                          for ci, off in (slot[cluster_id],)
-                          for lo, hi in spans],
-                         task_meta)
+            meta = t.get("meta")
+            store.add(t["id"], t["type"], t["start"], t["end"], confs,
+                      dict(meta) if meta else None)
+        schedule._adopt(store)
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"missing or malformed field: {exc}", source=source) from exc
     except ScheduleError as exc:
         raise ParseError(str(exc), source=source) from exc
-    schedule._adopt(store)
     return schedule
 
 

@@ -109,16 +109,16 @@ def dumps(schedule: Schedule, *, cmap: ColorMap | None = None,
 
     # state changes, time ordered
     events: list[tuple[float, int, str]] = []
-    for task in schedule:
-        for conf in task.configurations:
-            for r in conf.host_ranges:
-                for h in r.hosts():
-                    halias = f"H_{conf.cluster_id}_{h}"
-                    events.append((task.start_time, 1,
-                                   f"6 {task.start_time:.9f} ST_HostState "
-                                   f"{halias} {_q(f'V_{task.type}')}"))
-                    events.append((task.end_time, 0,
-                                   f"6 {task.end_time:.9f} ST_HostState "
+    for _, task_type, start, end, confs, _ in schedule.records():
+        for cluster_id, spans in confs:
+            for lo, hi in spans:
+                for h in range(lo, hi):
+                    halias = f"H_{cluster_id}_{h}"
+                    events.append((start, 1,
+                                   f"6 {start:.9f} ST_HostState "
+                                   f"{halias} {_q(f'V_{task_type}')}"))
+                    events.append((end, 0,
+                                   f"6 {end:.9f} ST_HostState "
                                    f"{halias} {_q('V_idle')}"))
     events.sort(key=lambda e: (e[0], e[1]))
     out.extend(line for _, _, line in events)

@@ -50,7 +50,7 @@ def render_ascii(
     idle cells show ``.``.  ``width`` is the number of time columns.
     """
     cmap = cmap or default_colormap()
-    cmap.assign_types(schedule.task_types())
+    cmap.type_styles(schedule)  # fixes each type's colour before drawing
     if viewport is None:
         viewport = Viewport.fit(schedule)
     frame = viewport.time_frame

@@ -146,25 +146,22 @@ def _tiers(schedule: Schedule, frame: TimeFrame, tiers: int,
 
 
 def _task_entries(schedule: Schedule) -> list[dict]:
-    """One raw entry per task; its type index and ``[cluster, row0, row1)``
-    rects come from :attr:`~repro.core.model.Schedule.columns`."""
+    """One raw entry per task: its id, times and meta from
+    :meth:`~repro.core.model.Schedule.records`, its type index and
+    ``[cluster, row0, row1)`` rects from
+    :attr:`~repro.core.model.Schedule.columns`."""
     cols = schedule.columns
     # every task has at least one row, and its rows are consecutive
     first = np.flatnonzero(np.diff(cols.task, prepend=-1))
     rects = np.stack((cols.cluster, cols.row0, cols.row1), axis=1).tolist()
     stops = [*first[1:].tolist(), len(rects)]
     entries: list[dict] = []
-    for task, kind, lo, hi in zip(schedule, cols.type[first].tolist(),
-                                  first.tolist(), stops):
-        entry: dict = {
-            "id": task.id,
-            "t": kind,
-            "s": task.start_time,
-            "e": task.end_time,
-            "r": rects[lo:hi],
-        }
-        if task.meta:
-            entry["m"] = {str(k): str(v) for k, v in sorted(task.meta.items())}
+    for (task_id, _, start, end, _, meta), kind, lo, hi in zip(
+            schedule.records(), cols.type[first].tolist(), first.tolist(), stops):
+        entry: dict = {"id": task_id, "t": kind, "s": start, "e": end,
+                       "r": rects[lo:hi]}
+        if meta:
+            entry["m"] = {str(k): str(v) for k, v in sorted(meta.items())}
         entries.append(entry)
     return entries
 
@@ -196,7 +193,6 @@ def build_payload(
     from repro.core.colormap import default_colormap
 
     cmap = cmap or default_colormap()
-    cmap.assign_types(schedule.task_types())
     n = len(schedule)
     fit = Viewport.fit(schedule)
     types = list(schedule.task_types())
@@ -214,7 +210,7 @@ def build_payload(
             for c in schedule.clusters
         ],
         "types": types,
-        "colors": [cmap.style_for_type(t).bg.css() for t in types],
+        "colors": [s.bg.css() for s in cmap.type_styles(schedule)],
         "threshold": int(threshold),
         "raw_budget": int(raw_budget),
         "task_count": n,

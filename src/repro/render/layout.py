@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.colormap import Color, ColorMap, default_colormap
+from repro.core.colormap import ColorMap, TaskStyle, default_colormap
 from repro.core.model import Schedule, Task
 from repro.core.select import rows_in_region
 from repro.core.slices import is_continuation, is_preempted, job_of
@@ -153,8 +153,9 @@ def _cluster_bands(
 
 
 def _task_label(drawing: Drawing, task: Task, x: float, y: float, w: float, h: float,
-                style: Style, color: Color) -> None:
-    """Centered task-id label, shrunk to fit, dropped below the minimum size.
+                style: Style, tstyle: TaskStyle) -> None:
+    """Centered task-id label, shrunk to fit, dropped below the minimum size;
+    its colour is ``tstyle``'s label colour, computed only for a label drawn.
 
     Slices of a preempted job are labelled with the *job* id, and only on
     the first slice — continuation slices stay unlabelled so a job chopped
@@ -169,8 +170,9 @@ def _task_label(drawing: Drawing, task: Task, x: float, y: float, w: float, h: f
         size *= (w * 0.9) / max(needed, 1e-9)
     if size < style.min_font_size_label or size > h:
         return
-    drawing.add(Text(x + w / 2, y + h / 2, label, size=size, color=color,
-                     halign=HAlign.CENTER, valign=VAlign.MIDDLE))
+    drawing.add(Text(x + w / 2, y + h / 2, label, size=size,
+                     color=tstyle.label_color(), halign=HAlign.CENTER,
+                     valign=VAlign.MIDDLE))
 
 
 def _preempt_mark(drawing: Drawing, x: float, y: float, w: float, h: float,
@@ -206,9 +208,7 @@ def _legend(drawing: Drawing, schedule: Schedule, cmap: ColorMap, style: Style,
     """One row of type swatches at the bottom of the drawing."""
     sw = style.font_size_axes
     cx = x
-    for task_type in schedule.task_types():
-        s = cmap.style_for_type(task_type) if task_type != "composite" else \
-            cmap.style_for_task(next(t for t in schedule if t.type == "composite"))
+    for task_type, s in zip(schedule.task_types(), cmap.type_styles(schedule)):
         label_w = estimate_text_width(task_type, style.font_size_axes)
         if cx + sw + 4 + label_w > x + width:
             break
@@ -240,7 +240,7 @@ def layout_schedule(
     always draws one rectangle per task configuration.
     """
     cmap = cmap or default_colormap()
-    cmap.assign_types(schedule.task_types())
+    cmap.type_styles(schedule)  # fixes each type's colour before drawing
     style = (style or Style()).with_config(cmap.config)
     options = options or LayoutOptions()
     lod = check_lod_mode(str(lod).strip().lower())
@@ -344,7 +344,7 @@ def _draw_rows(drawing: Drawing, schedule: Schedule, rows: np.ndarray,
         if is_preempted(task):
             _preempt_mark(drawing, rx, ry, rw, rh, style)
         if style.draw_labels:
-            _task_label(drawing, task, rx, ry, rw, rh, style, tstyle.label_color())
+            _task_label(drawing, task, rx, ry, rw, rh, style, tstyle)
 
 
 def _layout_full(schedule: Schedule, cmap: ColorMap, style: Style,

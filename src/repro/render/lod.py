@@ -222,15 +222,16 @@ def aggregate(
     cells about :data:`TIME_BUCKET_PX` x :data:`ROW_BUCKET_PX` device
     pixels (at most one per host row); time maps through ``frame`` onto
     ``[x, x+w]`` and the host rows ``[row0, row1)`` onto ``[y, y+h]``.
-    Horizontal runs of equally-typed cells merge into one filled rect
-    tagged ``ref``.
+    Horizontal runs of equally-typed cells merge into one rect tagged
+    ``ref`` and filled as :meth:`~repro.core.colormap.ColorMap.type_styles`
+    styles its type.
     """
     nx = max(1, int(w / TIME_BUCKET_PX))
     ny = max(1, min(math.ceil(row1 - row0), int(h / ROW_BUCKET_PX)))
     cells = cell_grid(schedule, rows, frame, row0, row1, nx, ny)
     cell_w = w / nx
     cell_h = h / ny
-    fills = [cmap.style_for_type(t).bg for t in schedule.task_types()]
+    fills = [s.bg for s in cmap.type_styles(schedule)]
     return [Rect(x + s * cell_w, y + iy * cell_h, (e - s) * cell_w, cell_h,
                  fill=fills[ti], ref=ref)
             for iy, s, e, ti in zip(*(a.tolist() for a in cell_runs(cells)))]

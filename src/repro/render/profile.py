@@ -39,7 +39,7 @@ def layout_profile(
     to smallest peak; otherwise a single profile over all tasks is drawn.
     """
     cmap = cmap or default_colormap()
-    cmap.assign_types(schedule.task_types())
+    cmap.type_styles(schedule)  # fixes each type's colour before drawing
     style = (style or Style()).with_config(cmap.config)
     drawing = Drawing(width, height, style.background)
     with _obs.span("render.profile", tasks=len(schedule)):

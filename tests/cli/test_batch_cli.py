@@ -25,6 +25,20 @@ def manifest(tmp_path, simple_schedule, overlap_schedule):
     return path
 
 
+def test_batch_trace_puts_worker_cache_spans_on_each_job_lane(tmp_path, manifest):
+    trace = tmp_path / "batch-trace.json"
+    assert main(["batch", str(manifest), "--trace", str(trace)]) == 0
+    lanes: dict = {}
+    for event in json.loads(trace.read_text())["traceEvents"]:
+        if event["ph"] == "B":
+            lanes.setdefault(event["tid"], set()).add(event["name"])
+    jobs = [names for tid, names in lanes.items() if tid >= 2]  # lane 1: the batch
+    assert len(jobs) == 2
+    for names in jobs:
+        assert {"io.load", "batch.cache.digest", "batch.cache.get",
+                "batch.cache.put"} <= names, names
+
+
 def test_batch_renders_manifest(tmp_path, manifest, capsys):
     rc = main(["batch", str(manifest)])
     assert rc == 0

@@ -77,9 +77,9 @@ class TestJson:
 
 class TestCsvHosts:
     def test_format_hosts(self):
-        assert csv_fmt.format_hosts((HostRange(0, 8),)) == "0-7"
-        assert csv_fmt.format_hosts((HostRange(0, 3), HostRange(6, 1))) == "0-2,6"
-        assert csv_fmt.format_hosts((HostRange(5, 1),)) == "5"
+        assert csv_fmt.format_hosts([(0, 8)]) == "0-7"
+        assert csv_fmt.format_hosts([(0, 3), (6, 7)]) == "0-2,6"
+        assert csv_fmt.format_hosts([(5, 6)]) == "5"
 
     def test_parse_hosts(self):
         assert csv_fmt.parse_hosts("0-7") == [HostRange(0, 8)]

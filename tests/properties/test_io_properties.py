@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.batch.cache import schedule_digest
 from repro.core.model import Cluster, Configuration, Schedule, Task
 from repro.core.timeframe import cluster_frame
-from repro.errors import ParseError
-from repro.io import csv_fmt, jedule_xml, json_fmt, swf
+from repro.errors import ParseError, ScheduleError
+from repro.io import csv_fmt, jedule_xml, json_fmt, paje, swf
 from repro.io.swf import SWFJob, SWFTrace
+from repro.render.html_payload import build_payload
 from repro.render.png_codec import decode_png, encode_png
 from repro.serve.protocol import (
     canonical_schedule_bytes,
@@ -105,6 +108,201 @@ def test_column_readers_equal_the_object_path(schedule):
         assert list(back) == list(schedule)
         assert json_fmt.to_dict(back) == json_fmt.to_dict(schedule)
         assert canonical_schedule_bytes(back) == canonical_schedule_bytes(schedule)
+
+
+def _jed_text(doc: dict) -> str:
+    """The ``.jed`` document of a :func:`json_fmt.to_dict` document, written
+    as it stands, faults included; ``host_nb`` sums its ranges."""
+    root = ET.Element("jedule", version="1.0")
+    platform = ET.SubElement(root, "platform")
+    for c in doc["clusters"]:
+        ET.SubElement(platform, "cluster", id=c["id"], hosts=str(c["hosts"]))
+    infos = ET.SubElement(root, "node_infos")
+    for t in doc["tasks"]:
+        node = ET.SubElement(infos, "node_statistics")
+        for name, value in [("id", t["id"]), ("type", t["type"]),
+                            ("start_time", repr(t["start"])),
+                            ("end_time", repr(t["end"])), *t["meta"].items()]:
+            ET.SubElement(node, "node_property", name=name, value=value)
+        for conf in t["configurations"]:
+            element = ET.SubElement(node, "configuration")
+            ET.SubElement(element, "conf_property", name="cluster_id",
+                          value=conf["cluster"])
+            ET.SubElement(element, "conf_property", name="host_nb",
+                          value=str(sum(nb for _, nb in conf["ranges"])))
+            hosts = ET.SubElement(element, "host_lists")
+            for start, nb in conf["ranges"]:
+                ET.SubElement(hosts, "hosts", start=str(start), nb=str(nb))
+    return ET.tostring(root, encoding="unicode")
+
+
+def _object_path_error(doc: dict) -> str:
+    """What building each task and adding it, in document order, raises."""
+    s = Schedule()
+    for c in doc["clusters"]:
+        s.add_cluster(Cluster(c["id"], c["hosts"]))
+    try:
+        for t in doc["tasks"]:
+            s.add_task(Task(t["id"], t["type"], t["start"], t["end"],
+                            [Configuration(c["cluster"], [tuple(r) for r in c["ranges"]])
+                             for c in t["configurations"]], t["meta"]))
+    except ScheduleError as exc:
+        return str(exc)
+    raise AssertionError("the document has no fault")
+
+
+def _reader_errors(doc: dict) -> set[str]:
+    """The messages of the ``.jed`` and JSON readers, without the source."""
+    messages = set()
+    for read in (lambda: jedule_xml.loads(_jed_text(doc), source="doc"),
+                 lambda: json_fmt.from_dict(doc, source="doc")):
+        with pytest.raises(ParseError) as err:
+            read()
+        assert str(err.value).endswith(" in doc")
+        messages.add(str(err.value)[:-len(" in doc")])
+    return messages
+
+
+def _unknown_cluster(doc, task, conf):
+    conf["cluster"] = "nowhere"
+
+
+def _host_beyond(doc, task, conf):
+    hosts = next(c["hosts"] for c in doc["clusters"] if c["id"] == conf["cluster"])
+    conf["ranges"] = [[hosts, 1]]
+
+
+def _duplicate_id(doc, task, conf):
+    task["id"] = doc["tasks"][0]["id"]
+
+
+def _end_before_start(doc, task, conf):
+    task["end"] = task["start"] - 1.0
+
+
+def _nan_time(doc, task, conf):
+    task["start"] = float("nan")
+
+
+def _two_configurations(doc, task, conf):
+    task["configurations"].append(copy.deepcopy(conf))
+
+
+def _zero_length_range(doc, task, conf):
+    conf["ranges"][0][1] = 0
+
+
+_FAULTS = [_unknown_cluster, _host_beyond, _duplicate_id, _end_before_start,
+           _nan_time, _two_configurations, _zero_length_range]
+
+
+@given(rich_schedules(), st.sampled_from(_FAULTS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_fault_gets_one_message_on_every_way_in(schedule, fault, data):
+    """A document with one fault gets the message building its tasks and
+    adding them in document order gives, naming the same task, from the
+    ``.jed`` reader and from the JSON reader."""
+    doc = json_fmt.to_dict(schedule)
+    assume(len(doc["tasks"]) >= (2 if fault is _duplicate_id else 1))
+    k = data.draw(st.integers(1 if fault is _duplicate_id else 0, len(doc["tasks"]) - 1))
+    task = doc["tasks"][k]
+    conf = task["configurations"][data.draw(
+        st.integers(0, len(task["configurations"]) - 1))]
+    fault(doc, task, conf)
+    assert _reader_errors(doc) == {_object_path_error(doc)}
+
+
+def test_two_faults_get_one_message_from_both_readers():
+    """Both readers run a task's own checks as it is read and the checks
+    of ``add_task`` once every task is read: task 2's times fail first."""
+    s = Schedule()
+    s.new_cluster("0", 2)
+    s.new_task("1", "x", 0.0, 1.0, cluster="0", host_start=0, host_nb=1)
+    s.new_task("2", "x", 1.0, 2.0, cluster="0", host_start=0, host_nb=1)
+    doc = json_fmt.to_dict(s)
+    doc["tasks"][0]["configurations"][0]["cluster"] = "nowhere"
+    doc["tasks"][1]["end"] = 0.0
+    assert _reader_errors(doc) == {"task '2': end_time 0.0 precedes start_time 1.0"}
+
+
+def test_the_json_reader_reads_a_task_whole_before_it_checks_it():
+    """Every field of a task is read, its meta made a dict and each
+    configuration's ranges merged, before the task's times are checked, as
+    the ``.jed`` reader reads a ``<node_statistics>`` whole."""
+    s = Schedule()
+    s.new_cluster("0", 2)
+    s.new_task("1", "x", 1.0, 2.0, cluster="0", host_start=0, host_nb=1)
+    doc = json_fmt.to_dict(s)
+    doc["tasks"][0]["end"] = 0.0
+    empty = copy.deepcopy(doc)
+    empty["tasks"][0]["configurations"][0]["ranges"] = []
+    del empty["tasks"][0]["id"]
+    with pytest.raises(ParseError, match="a configuration needs at least one host range"):
+        json_fmt.from_dict(empty)
+    doc["tasks"][0]["meta"] = "x"
+    with pytest.raises(ParseError, match="missing or malformed field: dictionary update"):
+        json_fmt.from_dict(doc)
+
+
+def _store_schedules() -> list[Schedule]:
+    """One host range per task, and several clusters, scattered hosts and
+    meta."""
+    flat = Schedule(meta={"algorithm": "flat"})
+    flat.new_cluster("c0", 8)
+    for i in range(6):
+        flat.new_task(f"j{i}", ["cg", "ft"][i % 2], float(i), i + 2.5,
+                      cluster="c0", host_start=i, host_nb=2)
+    rich = Schedule()
+    rich.new_cluster("a", 8)
+    rich.new_cluster("b", 4)
+    rich.new_task("t0", "comp", 0.0, 3.0, cluster="a", hosts=[0, 1, 5],
+                  meta={"user": "6447"})
+    rich.new_task("t1", "xfer", 1.0, 2.0, configurations=[
+        Configuration("b", [(0, 2)]), Configuration("a", [(3, 1), (7, 1)])])
+    rich.new_task("t2", "comp", 2.0, 2.0, cluster="b", host_start=3, host_nb=1)
+    return [flat, rich]
+
+
+@pytest.mark.parametrize("reader", ["jed", "json"])
+def test_the_walk_gives_what_a_task_holds(reader):
+    """``Schedule.records()`` reads each task as its ``Task`` holds it."""
+    for schedule in _store_schedules():
+        text = jedule_xml.dumps(schedule) if reader == "jed" else json_fmt.dumps(schedule)
+        fresh = (jedule_xml.loads if reader == "jed" else json_fmt.loads)(text)
+        assert list(fresh.records()) == [
+            (t.id, t.type, t.start_time, t.end_time,
+             tuple((c.cluster_id, tuple((r.start, r.stop) for r in c.host_ranges))
+                   for c in t.configurations), t.meta)
+            for t in schedule]
+
+
+_WRITERS = {
+    "canonical bytes": canonical_schedule_bytes,
+    "digest": schedule_digest,
+    "jed": jedule_xml.dumps,
+    "csv": csv_fmt.dumps,
+    "paje": paje.dumps,
+    "html raw tasks": lambda s: build_payload(s, lod_mode="off"),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+@pytest.mark.parametrize("reader", ["jed", "json"])
+def test_writers_read_the_store_and_build_no_task(reader, writer, monkeypatch):
+    """Every writer and the HTML raw-task payload read a freshly read
+    schedule's store, write what they wrote from its tasks, and build no
+    Task on the way."""
+    for schedule in _store_schedules():
+        want = _WRITERS[writer](schedule)
+        text = jedule_xml.dumps(schedule) if reader == "jed" else json_fmt.dumps(schedule)
+        fresh = (jedule_xml.loads if reader == "jed" else json_fmt.loads)(text)
+        built = []
+        task_at = Schedule.task_at
+        monkeypatch.setattr(Schedule, "task_at",
+                            lambda self, i: built.append(i) or task_at(self, i))
+        assert _WRITERS[writer](fresh) == want
+        assert built == []
+        monkeypatch.undo()
 
 
 def _same_schedule(a: Schedule, b: Schedule) -> None:

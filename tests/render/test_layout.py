@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core.colormap import Color, default_colormap
+from repro.core.colormap import Color, TaskStyle, default_colormap
 from repro.core.model import Schedule
 from repro.core.timeframe import ViewMode
 from repro.core.viewport import Viewport
@@ -197,3 +197,18 @@ class TestWindowedLayout:
         zoomed = layout_schedule(simple_schedule, viewport=fit.zoom(2.0))
         # at 2x zoom the visible portion of task 1 is wider on screen
         assert zoomed.find_rect("task:1").w > normal.find_rect("task:1").w
+
+
+def test_labels_that_do_not_fit_compute_no_label_colour(monkeypatch):
+    calls = []
+    label_color = TaskStyle.label_color
+    monkeypatch.setattr(TaskStyle, "label_color",
+                        lambda self: calls.append(self) or label_color(self))
+    s = Schedule()
+    s.new_cluster(0, 4)
+    for i in range(40):
+        s.new_task(f"task-{i}", "computation", float(i), i + 1.0, cluster=0,
+                   host_start=i % 4, host_nb=1)
+    drawing = layout_schedule(s, lod="off")
+    assert not any(t.text.startswith("task-") for t in drawing.texts)
+    assert calls == []

@@ -11,13 +11,18 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
 from repro.core.colormap import default_colormap
+from repro.core.composite import with_composites
 from repro.core.model import Schedule
+from repro.core.timeframe import TimeFrame
 from repro.core.viewport import Viewport
 from repro.render.backends.ascii_art import ansi_256, render_ascii
+from repro.render.html_payload import build_payload
 from repro.render.layout import LayoutOptions, layout_schedule
+from repro.render.lod import aggregate
 from repro.render.profile import layout_profile
 from repro.render.style import Style
 
@@ -120,10 +125,47 @@ def test_a_type_has_one_colour_in_every_view(views):
 
 
 def test_a_composite_takes_no_palette_entry():
-    cmap, plain = default_colormap(), default_colormap()
-    cmap.assign_types(["alpha", "composite", "beta"])
-    plain.assign_types(["alpha", "beta"])
-    assert cmap.style_for_type("beta") == plain.style_for_type("beta")
+    def schedule(types):
+        s = Schedule()
+        s.new_cluster("0", 1)
+        for i, task_type in enumerate(types):
+            s.new_task(f"t{i}", task_type, i, i + 1.0, cluster="0", host_start=0, host_nb=1)
+        return s
+
+    styles = default_colormap().type_styles(schedule(["alpha", "composite", "beta"]))
+    plain = default_colormap().type_styles(schedule(["alpha", "beta"]))
+    assert [styles[0], styles[2]] == plain
+
+
+def test_the_payload_colours_a_composite_as_its_tasks_are_drawn():
+    """The HTML viewer paints the composite type in the colour of the
+    composite rects and legend swatch of the PNG/SVG views: its rule
+    colour, not a palette entry."""
+    s = Schedule()
+    s.new_cluster(0, 4)
+    s.new_task("c", "computation", 0.0, 10.0, cluster=0, host_start=0, host_nb=4)
+    s.new_task("t", "transfer", 5.0, 15.0, cluster=0, host_start=0, host_nb=2)
+    s = with_composites(s)
+    payload = build_payload(s, cmap=default_colormap())
+    drawn = layout_schedule(s, cmap=default_colormap(), options=OPTIONS,
+                            lod="off").find_rect("task:c+t").fill
+    assert payload["colors"][payload["types"].index("composite")] == drawn.css()
+
+
+def test_an_lod_cell_of_composites_takes_the_composite_fill():
+    """Two overlapping pairs of four types in one LOD cell: the composite
+    type covers the most and fills the cell as its first task is drawn."""
+    s = Schedule()
+    s.new_cluster(0, 2)
+    for task_id, task_type, host in [("c", "computation", 0), ("t", "transfer", 0),
+                                     ("x", "x", 1), ("y", "y", 1)]:
+        s.new_task(task_id, task_type, 0.0, 10.0, cluster=0, host_start=host,
+                   host_nb=1)
+    s = with_composites(s)
+    cmap = default_colormap()
+    cells = aggregate(s, np.ones(len(s.columns), dtype=bool), TimeFrame(0.0, 10.0),
+                      0, 2, 0.0, 0.0, 2.0, 2.0, cmap, "lod:cell")
+    assert [r.fill for r in cells] == [cmap.style_for_task(s.task("c+t")).bg]
 
 
 def thin_task() -> Schedule:

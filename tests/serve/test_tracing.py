@@ -142,6 +142,30 @@ class TestEndToEnd:
             assert any(e["name"] == "serve.worker"
                        for e in chrome["traceEvents"])
 
+    def test_inline_miss_traces_worker_decode_digest_and_cache(
+            self, tmp_path, simple_schedule):
+        """A miss's worker decodes, digests, looks up and stores under
+        spans of their own, so its trace explains the worker's time."""
+        with serving(cache_dir=str(tmp_path / "cache"), workers=1) as server:
+            client = ServeClient(server.url, client_id="cache-spans")
+            job = client.submit(_request(), schedule=simple_schedule)
+            assert client.wait(job["id"])["status"] == "done"
+            trace = trace_from_doc(client.job_trace(job["id"]))
+        worker = trace.find("serve.worker").index
+
+        def under_worker(span) -> bool:
+            while span.parent is not None:
+                if span.parent == worker:
+                    return True
+                span = trace.spans[span.parent]
+            return False
+
+        spans = {s.name: s for s in trace.spans if under_worker(s)}
+        for name in ("io.load", "batch.cache.digest", "batch.cache.get",
+                     "batch.cache.put"):
+            assert name in spans, f"no {name} under serve.worker: {sorted(spans)}"
+        assert spans["io.load"].attrs["format"] == "json"
+
     def test_metricz_stage_histograms_sum_to_jobs(
             self, tmp_path, simple_schedule):
         jobs = 3
