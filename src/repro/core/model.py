@@ -89,6 +89,9 @@ class HostRange:
 
 _NO_RANGE = "a configuration needs at least one host range"
 
+#: The meta of a task that has none.
+_NO_META: Mapping[str, str] = MappingProxyType({})
+
 
 def host_span(start: int, nb: int) -> tuple[int, int]:
     """The host span ``(start, stop)`` of a valid :class:`HostRange`."""
@@ -226,7 +229,9 @@ class Task:
 
     ``start_time``/``end_time`` use arbitrary user units (typically seconds).
     ``meta`` holds per-task key/value annotations shown by the interactive
-    inspector (e.g. the user id of a job, an application name...).
+    inspector (e.g. the user id of a job, an application name...): a
+    read-only mapping over the task's own copy, so a task never changes
+    once built (:meth:`with_meta` makes a task with more).
     """
 
     id: str
@@ -234,7 +239,7 @@ class Task:
     start_time: float
     end_time: float
     configurations: tuple[Configuration, ...]
-    meta: Mapping[str, str] = field(default_factory=dict)
+    meta: Mapping[str, str] = field(default_factory=lambda: _NO_META)
 
     def __init__(
         self,
@@ -254,7 +259,12 @@ class Task:
         object.__setattr__(self, "start_time", start_time)
         object.__setattr__(self, "end_time", end_time)
         object.__setattr__(self, "configurations", configs)
-        object.__setattr__(self, "meta", dict(meta or {}))
+        object.__setattr__(self, "meta", MappingProxyType(dict(meta)) if meta else _NO_META)
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle: a task pickles as its arguments
+        return Task, (self.id, self.type, self.start_time, self.end_time,
+                      self.configurations, dict(self.meta))
 
     @property
     def duration(self) -> float:
@@ -352,9 +362,6 @@ Spans = Sequence[tuple[int, int]]
 #: its ``(cluster id, spans)`` configurations, and meta.
 Record = tuple[str, str, float, float, tuple[tuple[str, Spans], ...], Mapping[str, str]]
 
-#: The meta of a task that has none, as :meth:`TaskStore.record` gives it.
-_NO_META: Mapping[str, str] = MappingProxyType({})
-
 
 class TaskStore:
     """The tasks of a :class:`Schedule`, as typed columns and side tables.
@@ -367,11 +374,13 @@ class TaskStore:
     id in ``clusters``, inverted by ``cluster_index``) and the
     cluster-local host rows ``[row0, row1)``; a task's rows are
     ``first[i]`` up to the next task's first row.  ``meta`` maps a position
-    to its task's meta dict and holds only tasks that have one.
+    to its task's meta, a read-only mapping, and holds only tasks that
+    have one.
 
     :meth:`add` is the one way in and :meth:`walk` (:meth:`record` per
-    task) the one way out.  A store needs no platform: the checks of
-    :meth:`Schedule.add_task` are the schedule's.
+    task) the one way out; :meth:`remove` cuts one task out.  A store
+    needs no platform: the checks of :meth:`Schedule.add_task` are the
+    schedule's.
     """
 
     __slots__ = ("ids", "index", "types", "type_index", "kind", "start", "end",
@@ -397,6 +406,17 @@ class TaskStore:
     def __len__(self) -> int:
         return len(self.ids)
 
+    # a read-only mapping does not pickle: the store pickles each meta as a dict
+    def __getstate__(self) -> dict:
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["meta"] = {i: dict(m) for i, m in self.meta.items()}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.meta = {i: MappingProxyType(m) for i, m in self.meta.items()}
+
     def add(self, task_id: object, type: object, start: object, end: object,
             confs: Sequence[tuple[str, Spans]], meta: Mapping[str, str] | None) -> None:
         """Append one task as a reader parsed it, after the checks a
@@ -404,8 +424,9 @@ class TaskStore:
         then one configuration per cluster.  ``confs`` holds one ``(cluster
         id, spans)`` pair per configuration, its spans through
         :func:`host_span` and :func:`merge_spans` as the configuration was
-        read.  The store keeps ``meta``, a dict the caller hands over, as
-        it is.  A failed check appends nothing."""
+        read.  The store keeps ``meta``, a dict the caller hands over or a
+        :class:`Task`'s read-only meta, as a read-only mapping.  A failed
+        check appends nothing."""
         start, end = task_times(task_id, start, end)
         if len(confs) != 1:  # one configuration always passes
             check_task_clusters(task_id, [cluster_id for cluster_id, _ in confs])
@@ -431,13 +452,14 @@ class TaskStore:
                 row0.append(lo)
                 row1.append(hi)
         if meta:
-            self.meta[i] = meta
+            self.meta[i] = meta if isinstance(meta, MappingProxyType) else MappingProxyType(meta)
 
     def record(self, i: int) -> Record:
         """The task at position ``i`` as ``(id, type, start, end,
         configurations, meta)``: one ``(cluster id, spans)`` per
         configuration, its spans cluster-local ``(start, stop)`` pairs, and
-        meta an empty read-only mapping for a task with none."""
+        meta the store's read-only mapping (an empty one for a task with
+        none)."""
         first, cluster = self.first, self.cluster
         r = first[i]
         last = first[i + 1] if i + 1 < len(first) else len(cluster)
@@ -459,6 +481,30 @@ class TaskStore:
         """Every task in store order as :meth:`record` gives it: the one
         way out."""
         return map(self.record, range(len(self.ids)))
+
+    def remove(self, i: int) -> None:
+        """Cut the task at position ``i`` out: its entry and its rows.  The
+        tasks after it move up one position, and ``types`` stays in
+        first-appearance order over the tasks left."""
+        first, n = self.first, len(self.ids)
+        r0, r1 = first[i], first[i + 1] if i + 1 < n else len(self.cluster)
+        del self.cluster[r0:r1], self.row0[r0:r1], self.row1[r0:r1]
+        del self.ids[i], self.kind[i], self.start[i], self.end[i]
+        shifted = np.array(first, dtype=np.int64)
+        shifted[i + 1:] -= r1 - r0
+        self.first = array(_INT, np.delete(shifted, i).tobytes())
+        # the first position of each id: earlier positions are set last
+        self.index = dict(zip(reversed(self.ids), range(n - 2, -1, -1)))
+        self.meta = {p - (p > i): m for p, m in self.meta.items() if p != i}
+        # the removed task's type may now first appear later, or not at all
+        kinds = np.array(self.kind, dtype=np.int64)
+        present, at = np.unique(kinds, return_index=True)
+        order = present[np.argsort(at)]
+        renumber = np.zeros(len(self.types), dtype=np.int64)
+        renumber[order] = np.arange(order.size)
+        self.kind = array(_INT, renumber[kinds].tobytes())
+        self.types = [self.types[k] for k in order.tolist()]
+        self.type_index = {t: k for k, t in enumerate(self.types)}
 
 
 # A Task built from the store skips the checks the store already passed: each
@@ -496,6 +542,13 @@ class Schedule:
     The tasks live in a :class:`TaskStore`.  :attr:`columns` reads them as
     arrays; :meth:`task_at`, :meth:`task`, iteration and :attr:`tasks`
     build a :class:`Task` per position on first use and keep it.
+
+    :attr:`version` counts the changes to the clusters and tasks:
+    :meth:`add_cluster`, :meth:`add_task` (so :meth:`new_task`),
+    :meth:`remove_task` and a reader's adopt step each add one.  Clusters
+    and tasks are immutable, so a schedule whose version has not moved
+    holds the same clusters and tasks.  :attr:`meta` is a plain dict,
+    outside the count.
     """
 
     def __init__(
@@ -513,6 +566,7 @@ class Schedule:
         self._shared: dict[tuple[str, Spans], Configuration] = {}
         self._columns: np.recarray | None = None
         self._types: tuple[str, ...] = ()
+        self.version = 0
         self.meta: dict[str, str] = dict(meta or {})
         for c in clusters:
             self.add_cluster(c)
@@ -526,8 +580,14 @@ class Schedule:
             raise ScheduleError(f"duplicate cluster id {cluster.id!r}")
         self._slot[cluster.id] = (len(self._slot), self.num_hosts, cluster.num_hosts)
         self._clusters[cluster.id] = cluster
-        self._columns = None
+        self._changed()
         return cluster
+
+    def _changed(self) -> None:
+        """Count one change to the clusters or tasks, once it is made, and
+        drop the columns joined before it."""
+        self._columns = None
+        self.version += 1
 
     def new_cluster(self, id: str | int, num_hosts: int, name: str | None = None) -> Cluster:
         """Create and register a cluster in one step."""
@@ -561,7 +621,7 @@ class Schedule:
         self._store.add(task.id, task.type, task.start_time, task.end_time,
                         confs, task.meta)
         self._built.append(task)
-        self._columns = None
+        self._changed()
         return task
 
     def _adopt(self, store: TaskStore) -> None:
@@ -582,7 +642,8 @@ class Schedule:
             raise AssertionError("a task passed the checks it failed")
         self._store = store
         self._built = [None] * len(store)
-        self._columns, self._types = None, ()
+        self._types = ()
+        self._changed()
 
     def new_task(
         self,
@@ -616,12 +677,14 @@ class Schedule:
         return self.add_task(Task(id, type, start_time, end_time, confs, meta))
 
     def remove_task(self, task_id: str) -> Task:
-        """Remove and return a task by id."""
+        """Remove and return a task by id; the tasks after it move up one
+        position."""
         removed = self.task(task_id)
-        kept = [t for t in self if t is not removed]
-        self._store, self._built, self._types = TaskStore(), [], ()
-        for t in kept:
-            self.add_task(t)
+        i = self._store.index[removed.id]
+        self._store.remove(i)
+        del self._built[i]
+        self._types = ()
+        self._changed()
         return removed
 
     # ------------------------------------------------------------------ access
@@ -658,7 +721,7 @@ class Schedule:
         _task_start(task, start)
         _task_end(task, end)
         _task_confs(task, tuple(built))
-        _task_meta(task, meta or {})
+        _task_meta(task, meta)
         return task
 
     def records(self) -> Iterator[Record]:
@@ -730,7 +793,7 @@ class Schedule:
         plane query (LOD grids, viewport culling, hit-testing) reads these
         columns instead of walking the tasks.  Joined from the
         :class:`TaskStore` on first use, then kept until the next
-        :meth:`add_cluster`, :meth:`add_task` or :meth:`remove_task`.
+        change (:attr:`version`).
         """
         if self._columns is None:
             st = self._store
@@ -815,27 +878,41 @@ class Schedule:
         ``time_window`` keeps tasks whose interval intersects ``[t0, t1)``.
         All clusters are preserved (so layouts stay comparable); only tasks
         are filtered.  ``predicate`` is an optional ``Task -> bool``.
+
+        The types, clusters and window select over the store's columns;
+        ``predicate`` is asked only about the tasks they keep, so only
+        those are built.  The kept tasks are copied record by record, and
+        the ones built already are shared.
         """
-        type_set = set(types) if types is not None else None
-        cluster_set = {str(c) for c in clusters} if clusters is not None else None
-        kept = []
-        for t in self:
-            if type_set is not None and t.type not in type_set:
-                continue
-            if cluster_set is not None and not (set(t.cluster_ids) & cluster_set):
-                continue
-            if time_window is not None:
-                t0, t1 = time_window
-                if not (t.start_time < t1 and t0 < t.end_time):
-                    continue
-            if predicate is not None and not predicate(t):
-                continue
-            kept.append(t)
-        return Schedule(self.clusters, kept, self.meta)
+        st = self._store
+        keep = np.ones(len(st), dtype=bool)
+        if types is not None:
+            wanted = set(types)
+            keep &= np.array([t in wanted for t in st.types], dtype=bool)[
+                np.array(st.kind, dtype=np.intp)]
+        if clusters is not None:
+            wanted = {str(c) for c in clusters}
+            rows = np.array([c in wanted for c in st.clusters], dtype=bool)[
+                np.array(st.cluster, dtype=np.intp)]
+            # a task is kept when any of its rows is
+            keep &= np.logical_or.reduceat(rows, np.array(st.first, dtype=np.intp))
+        if time_window is not None:
+            t0, t1 = time_window
+            keep &= (np.array(st.start) < t1) & (t0 < np.array(st.end))
+        kept = np.flatnonzero(keep).tolist()
+        if predicate is not None:
+            kept = [i for i in kept if predicate(self.task_at(i))]
+        store = TaskStore()
+        for i in kept:
+            store.add(*st.record(i))
+        out = Schedule(self.clusters, meta=self.meta)
+        out._adopt(store)
+        out._built = [self._built[i] for i in kept]  # tasks are immutable
+        return out
 
     def copy(self) -> "Schedule":
         """Shallow copy (tasks/clusters are immutable, so this is safe)."""
-        return Schedule(self.clusters, self.tasks, self.meta)
+        return self.filtered()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

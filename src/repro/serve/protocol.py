@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 
 from repro.core.model import Schedule
 from repro.errors import ParseError, RenderError, ServeError
@@ -235,17 +236,41 @@ def split_submission(body: bytes) -> tuple[dict, bytes | None]:
     return header, schedule_bytes or None
 
 
+#: schedule -> (its version, its meta's encoding, its canonical bytes),
+#: kept while the schedule lives
+_CANONICAL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _canonical_json(doc: object) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_schedule_bytes(schedule: Schedule) -> bytes:
     """The canonical byte form of a schedule.
 
     Compact, sorted-keys JSON over :func:`repro.io.json_fmt.to_dict`:
     the bytes :func:`repro.batch.cache.schedule_digest` hashes, so a
     worker holding them can compute the cache key without parsing them.
+
+    The bytes are encoded once per change to the schedule: they are
+    kept with the schedule's :attr:`~repro.core.model.Schedule.version`
+    and the encoding of its ``meta`` dict (a few keys, encoded on every
+    call, since ``meta`` is written in place), and returned again while
+    both still match.  Two threads may each encode one schedule once;
+    the version is read before the encode, so kept bytes never claim a
+    later version than they hold.
     """
+    meta = _canonical_json(dict(schedule.meta))
+    kept = _CANONICAL.get(schedule)
+    if kept is not None and kept[0] == schedule.version and kept[1] == meta:
+        return kept[2]
     from repro.io.json_fmt import to_dict
 
-    return json.dumps(to_dict(schedule), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    version = schedule.version
+    doc = to_dict(schedule)
+    data = _canonical_json(doc).encode("utf-8")
+    _CANONICAL[schedule] = (version, _canonical_json(doc["meta"]), data)
+    return data
 
 
 def schedule_from_canonical(data: bytes, *,

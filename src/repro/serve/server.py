@@ -17,8 +17,9 @@ Admission decides hit or miss before it decodes the schedule: an inline
 schedule is keyed by the SHA-256 of the bytes the client sent, an
 ``input_path`` by the render cache's stat index.  A hit is finished in
 the HTTP thread (:func:`repro.batch.runner.cached_result`) and never
-queues.  A miss is validated and queued; one dispatcher thread bound to
-each warm worker pulls the next job in round-robin client order, ships
+queues.  A miss is validated, unless the same bytes passed before, and
+queued; one dispatcher thread bound to each warm worker pulls the next
+job in round-robin client order, ships
 it over the worker's pipe (the same schedule bytes, no pickled graphs),
 and files the result under the job id, waking any client blocked in
 ``GET /jobs/<id>?wait=``.  Backpressure is explicit —
@@ -110,6 +111,9 @@ class Job:
     #: render-cache outcome decided at admission: "hit" (finished there),
     #: "miss" or "off" (queued for a worker)
     admit_cache: str | None = None
+    #: whether admission decoded and checked the inline schedule; bytes
+    #: that passed the check once are not checked again
+    admit_checked: bool = False
     seq: int | None = None      # completion order, for fairness inspection
     result: RenderResult | None = None
     trace_id: str | None = None
@@ -381,6 +385,10 @@ class RenderServer:
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._jobs_lock = threading.Lock()
         self._seq = 0
+        #: SHA-256 digests of inline schedule bytes that passed
+        #: :func:`_check_schedule`, the last ``keep_jobs`` of them
+        self._checked: OrderedDict[str, None] = OrderedDict()
+        self._checked_lock = threading.Lock()
 
         self._started_at = time.time()
         self.metrics = self._build_metrics()
@@ -684,9 +692,11 @@ class RenderServer:
         try:
             header, request, schedule_bytes = _parse_submission(
                 body, debug_hooks=self._pool.debug_hooks)
-            hit = self._cached_answer(request, schedule_bytes)
-            if hit is None and schedule_bytes is not None:
-                _check_schedule(schedule_bytes)
+            digest = None if schedule_bytes is None \
+                else hashlib.sha256(schedule_bytes).hexdigest()
+            hit = self._cached_answer(request, digest)
+            checked = hit is None and digest is not None \
+                and self._check_once(digest, schedule_bytes)
         except ServeError as exc:
             self._count("serve.rejected.invalid")
             return 400, {"error": exc.to_payload()}, {}
@@ -703,7 +713,7 @@ class RenderServer:
                   client=client or str(header.get("client") or "anon"),
                   request=request, schedule_bytes=schedule_bytes,
                   submitted_at=admitted, received_at=received_at,
-                  admit_cache=admit_cache,
+                  admit_cache=admit_cache, admit_checked=checked,
                   trace_id=trace_id if self.trace_jobs else None,
                   debug=dict(debug) if isinstance(debug, dict) else None)
         if hit is not None:
@@ -727,26 +737,24 @@ class RenderServer:
         return 202, {"job": job.to_payload(), "queue_depth": depth}, {}
 
     def _cached_answer(self, request: RenderRequest,
-                       schedule_bytes: bytes | None) -> RenderResult | None:
+                       digest: str | None) -> RenderResult | None:
         """The render cache's answer at admission, or ``None`` to queue.
 
-        An inline schedule is keyed by the SHA-256 of ``schedule_bytes``
-        (the bytes the client sent), an ``input_path`` by the digest the
-        workers record in the cache's stat index.  Nothing is decoded.
-        Only bytes a validated schedule was rendered from are ever
-        keyed, so an invalid schedule cannot hit.  Whatever fails here
-        (an input with no stat entry, a missing style or cmap file, an
-        ``output_path`` that cannot be written) queues the job, and the
-        worker answers it as it always has.
+        An inline schedule is keyed by ``digest``, the SHA-256 of the
+        bytes the client sent, an ``input_path`` (``digest`` is ``None``)
+        by the digest the workers record in the cache's stat index.
+        Nothing is decoded.  Only bytes a validated schedule was rendered
+        from are ever keyed, so an invalid schedule cannot hit.  Whatever
+        fails here (an input with no stat entry, a missing style or cmap
+        file, an ``output_path`` that cannot be written) queues the job,
+        and the worker answers it as it always has.
         """
         if self.cache_dir is None:
             return None
         started = perf_counter()
         cache = RenderCache(self.cache_dir)
         try:
-            if schedule_bytes is not None:
-                digest = hashlib.sha256(schedule_bytes).hexdigest()
-            else:
+            if digest is None:
                 digest = cache.digest_hint(request.input_path)
                 if digest is None:
                     return None
@@ -755,6 +763,22 @@ class RenderServer:
                                  started=started)
         except (ReproError, OSError, ValueError):
             return None
+
+    def _check_once(self, digest: str, schedule_bytes: bytes) -> bool:
+        """Run :func:`_check_schedule` unless bytes of this ``digest``
+        passed it before; True when it ran.  Only bytes that pass are
+        recorded, so a bad schedule is checked, and refused, every time
+        it is sent.  The record keeps the last ``keep_jobs`` digests."""
+        with self._checked_lock:
+            if digest in self._checked:
+                self._checked.move_to_end(digest)
+                return False
+        _check_schedule(schedule_bytes)
+        with self._checked_lock:
+            self._checked[digest] = None
+            while len(self._checked) > max(self.keep_jobs, 0):
+                self._checked.popitem(last=False)
+        return True
 
     def _prune_jobs(self) -> None:
         # caller holds _jobs_lock; drop oldest *finished* jobs beyond cap

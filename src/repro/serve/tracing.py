@@ -10,7 +10,9 @@ module rebuilds the request's unified timeline:
 * ``serve.request`` — the whole received→finished interval (root);
 * ``serve.admit`` — received→admitted: reading the body, the cache
   lookup and, on a miss, validating the schedule; tagged ``cache`` with
-  the outcome admission decided (``hit``, ``miss`` or ``off``);
+  the outcome admission decided (``hit``, ``miss`` or ``off``) and
+  ``checked`` with whether the schedule check ran (it runs once per
+  distinct schedule bytes);
 * ``serve.queue_wait`` — admitted→started (time spent in the
   :class:`~repro.serve.jobqueue.FairQueue`);
 * ``serve.worker`` — started→finished, under which the worker's own
@@ -76,7 +78,8 @@ def stitch_job_trace(job, worker_doc: dict | None = None) -> Trace:
     root = _append_span(trace, "serve.request", 0.0, t_finished, attrs=attrs)
     if job.received_at is not None:
         _append_span(trace, "serve.admit", 0.0, t_admitted,
-                     parent=root.index, attrs={"cache": job.admit_cache})
+                     parent=root.index, attrs={"cache": job.admit_cache,
+                                               "checked": job.admit_checked})
     if job.admit_cache == "hit":
         return trace
     _append_span(trace, "serve.queue_wait", t_admitted, t_started,

@@ -326,3 +326,155 @@ class TestColumns:
         s.remove_task("3")
         assert s.task_types() == ()
         assert s.columns.type.size == 0
+
+
+class TestReadOnlyMeta:
+    """A task's meta cannot be written in place: a task never changes once
+    built, so a schedule's version counts every change to its tasks."""
+
+    def test_task_meta_is_read_only(self):
+        meta = {"user": "42"}
+        t = Task(1, "computation", 0.0, 1.0, [Configuration(0, [(0, 2)])], meta)
+        with pytest.raises(TypeError):
+            t.meta["user"] = "43"
+        meta["user"] = "43"  # the task keeps its own copy
+        assert t.meta == {"user": "42"}
+        assert t.with_meta(app="x").meta == {"user": "42", "app": "x"}
+        with pytest.raises(TypeError):
+            Task(2, "x", 0.0, 1.0, [Configuration(0, [(0, 1)])]).meta["a"] = "b"
+
+    def test_schedule_and_record_meta_are_read_only(self, simple_schedule):
+        s = simple_schedule
+        s.new_task(3, "io", 0.5, 0.6, cluster=0, host_start=7, host_nb=1,
+                   meta={"user": "7"})
+        with pytest.raises(TypeError):
+            s.task("3").meta["user"] = "8"
+        with pytest.raises(TypeError):
+            s.task("1").meta["user"] = "8"  # a task with no meta
+        for record in s.records():
+            with pytest.raises(TypeError):
+                record[5]["user"] = "8"
+        # the store and the task it builds share one mapping
+        assert [r[5] for r in s.records()][2] is s.task("3").meta
+        # read from a file, built on demand
+        from repro.io import json_fmt
+
+        back = json_fmt.from_dict(json_fmt.to_dict(s))
+        with pytest.raises(TypeError):
+            back.task("3").meta["user"] = "8"
+        assert [r[5] for r in back.records()][2] is back.task("3").meta
+
+    def test_tasks_and_schedules_still_pickle(self, simple_schedule):
+        import copy
+        import pickle
+
+        from repro.io import json_fmt
+
+        s = simple_schedule
+        s.new_task(3, "io", 0.5, 0.6, cluster=0, host_start=7, host_nb=1,
+                   meta={"user": "7"})
+        s.task("1")  # one task built, the others only in the store
+        for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert json_fmt.to_dict(clone) == json_fmt.to_dict(s)
+            assert list(clone) == list(s)
+            for record in clone.records():
+                with pytest.raises(TypeError):
+                    record[5]["user"] = "8"
+            with pytest.raises(TypeError):
+                clone.task("3").meta["user"] = "8"
+        task = pickle.loads(pickle.dumps(s.task("3")))
+        assert task == s.task("3")
+        with pytest.raises(TypeError):
+            task.meta["user"] = "8"
+
+
+class TestVersion:
+    def test_every_change_counts_once(self, simple_schedule):
+        s = simple_schedule
+        v = s.version
+        s.new_cluster(1, 2)
+        assert s.version == v + 1
+        s.new_task(3, "io", 1.0, 2.0, cluster=1, host_start=0, host_nb=2)
+        assert s.version == v + 2
+        s.remove_task("1")
+        assert s.version == v + 3
+        s.meta["x"] = "y"  # meta is outside the count
+        s.columns, s.task_types(), list(s), s.copy(), s.filtered(types=["io"])
+        assert s.version == v + 3
+
+    def test_a_failed_change_does_not_count(self, simple_schedule):
+        s = simple_schedule
+        v = s.version
+        with pytest.raises(ScheduleError):
+            s.new_task(1, "x", 0.0, 1.0, cluster=0, host_start=0, host_nb=1)
+        with pytest.raises(ScheduleError):
+            s.remove_task("nope")
+        with pytest.raises(ScheduleError):
+            s.new_cluster(0, 2)
+        assert s.version == v
+
+    def test_a_read_schedule_counts_its_adopt_step(self, simple_schedule):
+        from repro.io import jedule_xml, json_fmt
+
+        for back in (json_fmt.from_dict(json_fmt.to_dict(simple_schedule)),
+                     jedule_xml.loads(jedule_xml.dumps(simple_schedule))):
+            v = back.version
+            assert v > 0
+            back.remove_task("1")
+            assert back.version == v + 1
+
+
+def _unbuilt(schedule: Schedule) -> Schedule:
+    """``schedule`` as a reader gives it: no Task built yet."""
+    from repro.io import json_fmt
+
+    return json_fmt.from_dict(json_fmt.to_dict(schedule))
+
+
+def _count_builds(monkeypatch) -> list[int]:
+    """Positions :meth:`Schedule._build` builds a Task for, from now on."""
+    built: list[int] = []
+    build = Schedule._build
+
+    def spy(self, i):
+        built.append(i)
+        return build(self, i)
+
+    monkeypatch.setattr(Schedule, "_build", spy)
+    return built
+
+
+class TestFilterAndRemoveBuildNoTask:
+    def test_types_clusters_and_window_build_no_task(
+            self, multi_cluster_schedule, monkeypatch):
+        s = _unbuilt(multi_cluster_schedule)
+        built = _count_builds(monkeypatch)
+        kept = [s.filtered(types=["transfer"]), s.filtered(clusters=["b"]),
+                s.filtered(time_window=(0.0, 4.0)),
+                s.filtered(types=["computation"], clusters=["a"],
+                           time_window=(0.0, 100.0)), s.copy()]
+        assert built == []
+        assert [[t.id for t in f] for f in kept] == \
+            [["3"], ["2", "3"], ["1"], ["1"], ["1", "2", "3"]]
+
+    def test_predicate_sees_only_the_tasks_the_others_kept(
+            self, multi_cluster_schedule, monkeypatch):
+        s = _unbuilt(multi_cluster_schedule)
+        built = _count_builds(monkeypatch)
+        asked = []
+        f = s.filtered(types=["computation"],
+                       predicate=lambda t: asked.append(t.id) or t.duration > 6)
+        assert asked == ["1", "2"] and built == [0, 1]
+        assert [t.id for t in f] == ["2"]
+        # the tasks built for the predicate are shared, not rebuilt
+        assert f.task("2") is s.task("2") and built == [0, 1]
+
+    def test_remove_builds_only_the_removed_task(self, multi_cluster_schedule,
+                                                 monkeypatch):
+        s = _unbuilt(multi_cluster_schedule)
+        built = _count_builds(monkeypatch)
+        removed = s.remove_task("2")
+        assert built == [1]
+        assert removed == multi_cluster_schedule.task("2")
+        assert [t.id for t in s] == ["1", "3"]
+        assert s.task("3") == multi_cluster_schedule.task("3")

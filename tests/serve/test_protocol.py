@@ -104,6 +104,29 @@ def test_canonical_bytes_roundtrip(multi_cluster_schedule):
     assert canonical_schedule_bytes(clone) == data
 
 
+def test_canonical_bytes_are_encoded_once_per_change(simple_schedule,
+                                                      monkeypatch):
+    from repro.io import json_fmt
+
+    encodes = []
+    to_dict = json_fmt.to_dict
+    monkeypatch.setattr(json_fmt, "to_dict",
+                        lambda s: encodes.append(s) or to_dict(s))
+    s = simple_schedule
+    first = canonical_schedule_bytes(s)
+    assert canonical_schedule_bytes(s) is first and len(encodes) == 1
+    assert schedule_digest(s) == hashlib.sha256(first).hexdigest()
+    assert len(encodes) == 1
+    # a meta edit or a task change is a new encode; an unchanged meta is not
+    s.meta["algorithm"] = "heft"
+    second = canonical_schedule_bytes(s)
+    assert second != first and len(encodes) == 2
+    s.meta["algorithm"] = "heft"
+    assert canonical_schedule_bytes(s) is second and len(encodes) == 2
+    s.new_task(3, "io", 1.0, 2.0, cluster=0, host_start=0, host_nb=1)
+    assert b'"id":"3"' in canonical_schedule_bytes(s) and len(encodes) == 3
+
+
 def test_result_roundtrip():
     from repro.render.api import RenderResult
 

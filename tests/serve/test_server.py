@@ -367,6 +367,68 @@ def test_deeply_nested_body_is_a_counted_400(tmp_path):
             counters["serve.rejected.invalid"] == len(bodies)
 
 
+def _count_checks(monkeypatch) -> list[str]:
+    """SHA-256 digests of the schedule bytes admission checks, from now on."""
+    checked = []
+    check = server_module._check_schedule
+
+    def spy(schedule_bytes):
+        checked.append(hashlib.sha256(schedule_bytes).hexdigest())
+        return check(schedule_bytes)
+
+    monkeypatch.setattr(server_module, "_check_schedule", spy)
+    return checked
+
+
+@pytest.mark.parametrize("cache", ["miss", "off"])
+def test_each_distinct_schedule_is_checked_once(tmp_path, simple_schedule,
+                                                overlap_schedule, monkeypatch,
+                                                cache):
+    checked = _count_checks(monkeypatch)
+    cache_dir = str(tmp_path / "cache") if cache == "miss" else None
+    with serving(cache_dir=cache_dir) as server:
+        client = ServeClient(server.url)
+        # two misses of the same bytes, with different options
+        for width in (320, 330):
+            done = client.render(_request(width=width), schedule=simple_schedule)
+            assert done["status"] == "done" and done["result"]["cache"] == cache
+        assert checked == [schedule_digest(simple_schedule)]
+        client.render(_request(), schedule=overlap_schedule)
+        assert checked == [schedule_digest(simple_schedule),
+                           schedule_digest(overlap_schedule)]
+
+
+def test_checked_schedules_are_kept_up_to_keep_jobs(tmp_path, simple_schedule,
+                                                    overlap_schedule,
+                                                    monkeypatch):
+    checked = _count_checks(monkeypatch)
+    with serving(cache_dir=None, keep_jobs=1) as server:
+        client = ServeClient(server.url)
+        for schedule in (simple_schedule, overlap_schedule, simple_schedule,
+                         simple_schedule):
+            assert client.render(_request(), schedule=schedule)["status"] == "done"
+    assert checked == [schedule_digest(simple_schedule),
+                       schedule_digest(overlap_schedule),
+                       schedule_digest(simple_schedule)]
+
+
+def test_a_bad_schedule_is_refused_every_time_it_is_sent(tmp_path,
+                                                         monkeypatch):
+    checked = _count_checks(monkeypatch)
+    bad = [(body, code, field) for body, _, code, field in _BAD_SUBMISSIONS
+           if isinstance(body, bytes) and b"\n" in body
+           and code in ("bad-json", "bad-schedule")]
+    assert len(bad) == 4
+    with serving(cache_dir=str(tmp_path / "cache")) as server:
+        client = ServeClient(server.url)
+        for body, code, field in bad:
+            for _ in range(3):
+                status, _, reply = client.request("POST", "/render", body)
+                assert status == 400 and reply["error"]["code"] == code, reply
+                assert reply["error"].get("field") == field, reply
+    assert len(checked) == 3 * len(bad)
+
+
 def test_statz_metricz_and_runlog_agree(tmp_path, simple_schedule,
                                         multi_cluster_schedule):
     runlog = tmp_path / "runlog.jsonl"

@@ -166,6 +166,21 @@ class TestEndToEnd:
             assert name in spans, f"no {name} under serve.worker: {sorted(spans)}"
         assert spans["io.load"].attrs["format"] == "json"
 
+    def test_admit_span_says_whether_the_schedule_was_checked(
+            self, tmp_path, simple_schedule):
+        """A first miss checks the schedule, a repeated miss of the same
+        bytes does not, and a hit never does."""
+        with serving(cache_dir=str(tmp_path / "cache"), workers=1) as server:
+            client = ServeClient(server.url, client_id="checks")
+            jobs = [client.render(_request(), schedule=simple_schedule),
+                    client.render(_request(width=330), schedule=simple_schedule),
+                    client.render(_request(), schedule=simple_schedule)]
+            admits = [trace_from_doc(client.job_trace(job["id"]))
+                      .find("serve.admit").attrs for job in jobs]
+        # span attributes travel as strings
+        assert [(a["cache"], a["checked"]) for a in admits] == \
+            [("miss", "True"), ("miss", "False"), ("hit", "False")]
+
     def test_metricz_stage_histograms_sum_to_jobs(
             self, tmp_path, simple_schedule):
         jobs = 3
