@@ -19,10 +19,10 @@ processors 0..7 *of cluster 0*.  Global (flattened) indices are available via
 :meth:`Schedule.global_host_index`.
 
 A :class:`Schedule` keeps its tasks as columns (a :class:`TaskStore`), not
-as objects: tasks enter through :meth:`TaskStore.add` and leave through
-:meth:`TaskStore.walk`, task by task as :meth:`TaskStore.record` reads
-them, and a :class:`Task` is built from a record only when something asks
-for it.
+as objects: tasks enter through :meth:`TaskStore.add` (or its bulk form,
+:meth:`TaskStore.extend`) and leave through :meth:`TaskStore.walk`, task by
+task as :meth:`TaskStore.record` reads them, and a :class:`Task` is built
+from a record only when something asks for it.
 """
 
 from __future__ import annotations
@@ -377,8 +377,9 @@ class TaskStore:
     to its task's meta, a read-only mapping, and holds only tasks that
     have one.
 
-    :meth:`add` is the one way in and :meth:`walk` (:meth:`record` per
-    task) the one way out; :meth:`remove` cuts one task out.  A store
+    :meth:`add` is the one way in, with :meth:`extend` its bulk form for
+    tasks of one host range, and :meth:`walk` (:meth:`record` per task)
+    the one way out; :meth:`gather` copies a selection of tasks.  A store
     needs no platform: the checks of :meth:`Schedule.add_task` are the
     schedule's.
     """
@@ -454,6 +455,36 @@ class TaskStore:
         if meta:
             self.meta[i] = meta if isinstance(meta, MappingProxyType) else MappingProxyType(meta)
 
+    def extend(self, ids: Sequence[str], types: Sequence[str], start: array, end: array,
+               cluster_ids: Sequence[str], row0: array, nb: array) -> bool:
+        """Append tasks of one configuration with one host range each, as
+        :meth:`add` appends them one by one: task ``k`` is ``ids[k]`` of
+        type ``types[k]`` over ``[start[k], end[k]]`` (``array('d')``) on
+        hosts ``row0[k]`` up to ``row0[k] + nb[k]`` (``array('q')``) of
+        cluster ``cluster_ids[k]``.  The checks of :meth:`add` run over
+        the whole columns first: finite times, no end before its start, and
+        spans :func:`host_span` takes (``row0 >= 0``, ``nb >= 1``).  When
+        any task fails one, nothing is appended and the answer is False."""
+        t0, t1 = np.frombuffer(start), np.frombuffer(end)
+        lo, count = np.frombuffer(row0, dtype=np.int64), np.frombuffer(nb, dtype=np.int64)
+        if not (np.isfinite(t0).all() and np.isfinite(t1).all() and (t0 <= t1).all()
+                and (lo >= 0).all() and (count >= 1).all()):
+            return False
+        base, n, rows = len(self.ids), len(ids), len(self.cluster)
+        self.ids += ids
+        known = len(self.index)
+        self.index.update(zip(ids, range(base, base + n)))
+        if len(self.index) < known + n:  # an id seen before keeps its first position
+            self.index = dict(zip(reversed(self.ids), range(base + n - 1, -1, -1)))
+        self.kind.extend(_codes(types, self.types, self.type_index))
+        self.start.extend(start)
+        self.end.extend(end)
+        self.first.frombytes(np.arange(rows, rows + n, dtype=np.int64).tobytes())
+        self.cluster.extend(_codes(cluster_ids, self.clusters, self.cluster_index))
+        self.row0.extend(row0)
+        self.row1.frombytes((lo + count).tobytes())
+        return True
+
     def record(self, i: int) -> Record:
         """The task at position ``i`` as ``(id, type, start, end,
         configurations, meta)``: one ``(cluster id, spans)`` per
@@ -482,29 +513,56 @@ class TaskStore:
         way out."""
         return map(self.record, range(len(self.ids)))
 
-    def remove(self, i: int) -> None:
-        """Cut the task at position ``i`` out: its entry and its rows.  The
-        tasks after it move up one position, and ``types`` stays in
-        first-appearance order over the tasks left."""
-        first, n = self.first, len(self.ids)
-        r0, r1 = first[i], first[i + 1] if i + 1 < n else len(self.cluster)
-        del self.cluster[r0:r1], self.row0[r0:r1], self.row1[r0:r1]
-        del self.ids[i], self.kind[i], self.start[i], self.end[i]
-        shifted = np.array(first, dtype=np.int64)
-        shifted[i + 1:] -= r1 - r0
-        self.first = array(_INT, np.delete(shifted, i).tobytes())
-        # the first position of each id: earlier positions are set last
-        self.index = dict(zip(reversed(self.ids), range(n - 2, -1, -1)))
-        self.meta = {p - (p > i): m for p, m in self.meta.items() if p != i}
-        # the removed task's type may now first appear later, or not at all
-        kinds = np.array(self.kind, dtype=np.int64)
-        present, at = np.unique(kinds, return_index=True)
-        order = present[np.argsort(at)]
-        renumber = np.zeros(len(self.types), dtype=np.int64)
-        renumber[order] = np.arange(order.size)
-        self.kind = array(_INT, renumber[kinds].tobytes())
-        self.types = [self.types[k] for k in order.tolist()]
-        self.type_index = {t: k for k, t in enumerate(self.types)}
+    def gather(self, kept: np.ndarray) -> "TaskStore":
+        """A new store of the tasks at the ascending positions ``kept``:
+        the store :meth:`add` fills from their records in that order,
+        gathered from the columns with no check, since these tasks passed
+        them.  Types and clusters are numbered anew in their order of first
+        appearance, and each meta moves to its task's new position."""
+        out = TaskStore()
+        kept = np.asarray(kept, dtype=np.intp)
+        first = np.array(self.first, dtype=np.intp)
+        counts = np.append(first[1:], len(self.cluster))[kept] - first[kept]
+        offsets = np.cumsum(counts) - counts  # the first row of each kept task
+        rows = np.repeat(first[kept] - offsets, counts) + np.arange(counts.sum())
+        positions = kept.tolist()
+        out.ids = [self.ids[i] for i in positions]
+        out.index = dict(zip(reversed(out.ids), range(len(positions) - 1, -1, -1)))
+        out.kind, out.types, out.type_index = _first_seen(
+            np.array(self.kind, dtype=np.int64)[kept], self.types)
+        out.start = array("d", np.array(self.start)[kept].tobytes())
+        out.end = array("d", np.array(self.end)[kept].tobytes())
+        out.first = array(_INT, offsets.astype(np.int64).tobytes())
+        out.cluster, out.clusters, out.cluster_index = _first_seen(
+            np.array(self.cluster, dtype=np.int64)[rows], self.clusters)
+        out.row0 = array(_INT, np.array(self.row0)[rows].tobytes())
+        out.row1 = array(_INT, np.array(self.row1)[rows].tobytes())
+        if self.meta:
+            moved = dict(zip(positions, range(len(positions))))
+            out.meta = {moved[i]: m for i, m in self.meta.items() if i in moved}
+        return out
+
+
+def _codes(names: Sequence[str], table: list[str], index: dict[str, int]) -> Iterator[int]:
+    """The position of each of ``names`` in ``table``, which ``index``
+    inverts; a name not there yet is appended, in first-appearance order."""
+    for name in dict.fromkeys(names):
+        if name not in index:
+            index[name] = len(table)
+            table.append(name)
+    return map(index.__getitem__, names)
+
+
+def _first_seen(codes: np.ndarray, table: list[str]) -> tuple[array, list[str], dict[str, int]]:
+    """``codes`` into ``table`` numbered anew over the names they use, in
+    their order of first appearance, with that table and its inverse."""
+    present, at = np.unique(codes, return_index=True)
+    order = present[np.argsort(at)]
+    renumber = np.zeros(len(table), dtype=np.int64)
+    renumber[order] = np.arange(order.size)
+    names = [table[k] for k in order.tolist()]
+    return (array(_INT, renumber[codes].tobytes()), names,
+            {name: k for k, name in enumerate(names)})
 
 
 # A Task built from the store skips the checks the store already passed: each
@@ -681,7 +739,7 @@ class Schedule:
         position."""
         removed = self.task(task_id)
         i = self._store.index[removed.id]
-        self._store.remove(i)
+        self._store = self._store.gather(np.delete(np.arange(len(self)), i))
         del self._built[i]
         self._types = ()
         self._changed()
@@ -881,8 +939,9 @@ class Schedule:
 
         The types, clusters and window select over the store's columns;
         ``predicate`` is asked only about the tasks they keep, so only
-        those are built.  The kept tasks are copied record by record, and
-        the ones built already are shared.
+        those are built.  The kept tasks are gathered from the columns
+        (:meth:`TaskStore.gather`) with no check, since every cluster is
+        kept, and the ones built already are shared.
         """
         st = self._store
         keep = np.ones(len(st), dtype=bool)
@@ -899,15 +958,14 @@ class Schedule:
         if time_window is not None:
             t0, t1 = time_window
             keep &= (np.array(st.start) < t1) & (t0 < np.array(st.end))
-        kept = np.flatnonzero(keep).tolist()
+        kept = np.flatnonzero(keep)
         if predicate is not None:
-            kept = [i for i in kept if predicate(self.task_at(i))]
-        store = TaskStore()
-        for i in kept:
-            store.add(*st.record(i))
+            kept = np.array([i for i in kept.tolist() if predicate(self.task_at(i))],
+                            dtype=np.intp)
         out = Schedule(self.clusters, meta=self.meta)
-        out._adopt(store)
-        out._built = [self._built[i] for i in kept]  # tasks are immutable
+        out._store = st.gather(kept)
+        out._built = [self._built[i] for i in kept.tolist()]  # tasks are immutable
+        out._changed()
         return out
 
     def copy(self) -> "Schedule":

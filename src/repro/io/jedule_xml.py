@@ -33,16 +33,34 @@ a communication between clusters), matching the paper's note that "a node
 can have multiple configurations".  Per-task meta entries are stored as
 extra ``<node_property>`` entries with names outside the reserved set.
 
-:func:`loads` reads a document in one :mod:`xml.parsers.expat` pass and keeps
+:func:`loads` reads a document with :mod:`xml.parsers.expat` and keeps
 ElementTree's selection rules: only direct children count, the first
 ``<jedule_meta>``, ``<platform>`` and ``<node_infos>`` win, and everything
-else is ignored.  :func:`dumps` writes through ElementTree.
+else is ignored.  Expat makes two Python calls per element, so a document
+given as bytes is scanned first: one regular expression reads the
+leading run of ``<node_statistics>`` after the first ``<node_infos>`` tag
+as long as each is in the layout :func:`dumps` writes for a task of one
+host range and no meta (the four reserved properties in order, one
+``<configuration>`` with ``cluster_id`` then ``host_nb``, one ``<hosts>``;
+printable ASCII values with no ``&`` or ``<``, and only
+``[ \\t\\r\\n]`` between tags), and appends them to the task store in
+batches of about 1 MB.
+Expat then reads the document with those bytes left out and confirms
+them: they count only if it opens the root's first ``<node_infos>`` at
+the tag the scan started from, in a document with no DOCTYPE and in
+UTF-8 or ASCII.  Otherwise, or on any error, expat reads the whole
+document again, so the schedule or the message is always the one the
+expat pass alone gives.  A 100k-task, 50.8 MB ``.jed`` loads in about
+0.4 s against 2.0 s for expat alone, at about the same peak memory.
+:func:`dumps` writes through ElementTree.
 """
 
 from __future__ import annotations
 
 import io as _io
+import re
 import xml.etree.ElementTree as ET
+from array import array
 from pathlib import Path
 from xml.parsers import expat
 
@@ -67,22 +85,137 @@ _SECTIONS = {"jedule_meta": _META, "platform": _PLATFORM, "node_infos": _INFOS}
 _UNKNOWN_ENCODING = expat.errors.codes[expat.errors.XML_ERROR_UNKNOWN_ENCODING]
 
 
-@_obs.span("parse.jedule_xml")
 def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
     """Parse a Jedule XML document into a :class:`Schedule`.
 
-    One streaming pass: no element tree and no :class:`~repro.core.model.Task`
-    is built; each ``<node_statistics>`` enters the schedule's
-    :class:`~repro.core.model.TaskStore` through its one way in as it
-    closes, with the checks a ``Task`` makes.  ``bytes`` are decoded as the
-    document's XML declaration says (UTF-8 when it says nothing); a ``str``
-    is taken as already decoded.  The checks :meth:`Schedule.add_task`
-    makes (a new id, a known cluster, hosts inside it) run when the
-    document ends, in document order, so ``<platform>`` may come after
-    ``<node_infos>``.
+    No element tree and no :class:`~repro.core.model.Task` is built: each
+    task enters the schedule's :class:`~repro.core.model.TaskStore`, with
+    the checks a ``Task`` makes, as it is read.  ``bytes`` are first
+    scanned for the leading run of tasks in the layout :func:`dumps`
+    writes (:func:`_scan`), which expat then skips and confirms; the
+    result, or the message, is that of the expat pass alone.  ``bytes``
+    are decoded as the document's XML declaration says (UTF-8 when it
+    says nothing); a ``str`` is taken as already decoded and is not
+    scanned.  The checks :meth:`Schedule.add_task` makes (a new id, a
+    known cluster, hosts inside it) run when the document ends, in
+    document order, so ``<platform>`` may come after ``<node_infos>``.
+    The ``parse.jedule_xml`` span says how many tasks the scan read
+    (``scanned``), 0 when expat read them all.
     """
+    with _obs.span("parse.jedule_xml") as span:
+        store = TaskStore()
+        cut = (0, 0) if isinstance(data, str) else _scan(data, store)
+        scanned = len(store)
+        if scanned:
+            try:
+                schedule = _read(data, source, store, cut)
+            except (ParseError, _Unconfirmed):
+                scanned = 0  # the whole document again, for its message or its tasks
+        if not scanned:
+            schedule = _read(data, source, TaskStore())
+        span.set(scanned=scanned)
+    return schedule
+
+
+#: The scanner appends the nodes it reads in batches of about this many bytes.
+_SCAN_CHUNK = 1 << 20
+
+_INFOS_TAG = b"<node_infos>"
+
+#: Only the four XML whitespace characters: expat rejects \v and \f.
+_WS = r"[ \t\r\n]*"
+#: An attribute value expat would give as it stands: printable ASCII with
+#: no quote, ``&`` or ``<``.
+_VALUE = r'([ !#-%\'-;=-~]*)'
+#: A host index or count: at most 18 digits, so their sums fit in int64.
+_COUNT = r"([0-9]{1,18})"
+
+
+def _property(tag: str, name: str, value: str = _VALUE) -> str:
+    return f'{_WS}<{tag} name="{name}" value="{value}" />'
+
+
+#: One ``<node_statistics>`` as :func:`dumps` writes a task of one
+#: configuration with one host range and no meta, whitespace before it.
+_NODE = re.compile((
+    f"{_WS}<node_statistics>"
+    + "".join(_property("node_property", name)
+              for name in ("id", "type", "start_time", "end_time"))
+    + f"{_WS}<configuration>{_property('conf_property', 'cluster_id')}"
+    + f"{_property('conf_property', 'host_nb', _COUNT)}{_WS}<host_lists>"
+    + f'{_WS}<hosts start="{_COUNT}" nb="{_COUNT}" />{_WS}</host_lists>'
+    + f"{_WS}</configuration>{_WS}</node_statistics>").encode("ascii"))
+
+
+def _scan(data: bytes, store: TaskStore) -> tuple[int, int]:
+    """Read into ``store`` the leading run of ``<node_statistics>`` after
+    the first ``<node_infos>`` tag in ``data``, as long as they keep the
+    layout of :data:`_NODE`, and return the bytes ``(start, stop)`` they
+    fill.  The nodes are appended in batches of about
+    :data:`_SCAN_CHUNK` bytes; a batch that fails a check adds no task and
+    ends the scan, as does the first node out of the layout.  Nothing
+    here is XML yet: expat confirms the scan (:func:`_read`)."""
+    start = data.find(_INFOS_TAG)
+    if start < 0:
+        return 0, 0
+    start = stop = start + len(_INFOS_TAG)
+    match = _NODE.match
+    while True:
+        values: list[bytes] = []
+        pos, limit = stop, stop + _SCAN_CHUNK
+        while pos < limit and (node := match(data, pos)) is not None:
+            values += node.groups()
+            pos = node.end()
+        if not values or not _add_nodes(store, values):
+            return start, stop
+        stop = pos
+
+
+def _add_nodes(store: TaskStore, values: list[bytes]) -> bool:
+    """Append the scanned nodes, eight values each, through
+    :meth:`TaskStore.extend`, after the checks the reader makes of them:
+    numeric times, and ``host_nb`` written as ``nb`` is (a count written
+    otherwise is left to expat).  False, with nothing appended, when a
+    node fails one."""
+    if values[5::8] != values[7::8]:
+        return False
+    try:
+        start = array("d", map(float, values[2::8]))
+        end = array("d", map(float, values[3::8]))
+    except ValueError:
+        return False
+    # no value holds a newline
+    ids, types, clusters = (b"\n".join(values[k::8]).decode("ascii").split("\n")
+                            for k in (0, 1, 4))
+    return store.extend(ids, types, start, end, clusters,
+                        array("q", map(int, values[6::8])),
+                        array("q", map(int, values[7::8])))
+
+
+class _Unconfirmed(Exception):
+    """Expat did not confirm what the scanner read."""
+
+
+def _refuse_doctype(*args: object) -> None:
+    # an ATTLIST in it may change the attribute values the scan read
+    raise _Unconfirmed
+
+
+def _refuse_encoding(version: str, encoding: str | None, standalone: int) -> None:
+    if encoding is not None and encoding.lower() not in ("utf-8", "us-ascii"):
+        raise _Unconfirmed
+
+
+def _read(data: str | bytes, source: str, store: TaskStore,
+          cut: tuple[int, int] | None = None) -> Schedule:
+    """One :mod:`xml.parsers.expat` pass over ``data``, each
+    ``<node_statistics>`` into ``store`` through its one way in as it
+    closes.  With ``cut``, expat skips ``data[cut[0]:cut[1]]``, whose
+    tasks the scanner has put in ``store``, and raises
+    :class:`_Unconfirmed` unless they count: the root's first
+    ``<node_infos>`` opens just before them, and the document has no
+    DOCTYPE and is UTF-8 or ASCII."""
     schedule = Schedule()
-    store = TaskStore()
     add = store.add
     stack = [_DOC]
     push, pop = stack.append, stack.pop
@@ -91,6 +224,7 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
     confs: list[tuple[str, list[tuple[int, int]]]] = []  # its configurations
     conf_props: dict[str, str] = {}  # conf_property of the open configuration
     spans: list[tuple[int, int]] = []  # its host spans
+    infos_at = cut[0] - len(_INFOS_TAG) if cut is not None else -1
 
     def start(name: str, attrs: dict[str, str]) -> None:
         nonlocal spans
@@ -136,6 +270,9 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
         elif state == _ROOT:
             section = _SECTIONS.get(name)
             if section is not None and name not in opened:
+                if section == _INFOS and cut is not None \
+                        and parser.CurrentByteIndex != infos_at:
+                    raise _Unconfirmed
                 opened.add(name)
                 push(section)
                 return
@@ -231,7 +368,16 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
     parser.EndElementHandler = end
     parser.SkippedEntityHandler = skipped_entity
     try:
-        parser.Parse(data, True)
+        if cut is not None:
+            parser.XmlDeclHandler = _refuse_encoding
+            parser.StartDoctypeDeclHandler = _refuse_doctype
+            view = memoryview(data)
+            parser.Parse(view[:cut[0]], False)
+            parser.Parse(view[cut[1]:], True)
+            if "node_infos" not in opened:
+                raise _Unconfirmed
+        else:
+            parser.Parse(data, True)
         if "platform" not in opened:
             raise ParseError("missing <platform> (at least one cluster is required)",
                              source=source)
@@ -249,9 +395,10 @@ def loads(data: str | bytes, *, source: str = "<string>") -> Schedule:
             raise
         raise ParseError(f"unsupported encoding: {exc}", source=source) from exc
     finally:
-        # skipped_entity holds the parser: break that cycle so the parser and
-        # its copy of the document are freed on return, not at the next GC
-        parser.SkippedEntityHandler = None
+        # start and skipped_entity hold the parser: break that cycle so the
+        # parser and its copy of the document are freed on return, not at
+        # the next GC
+        parser.StartElementHandler = parser.SkippedEntityHandler = None
     if "node_infos" in opened:
         _obs.add("io.records", len(schedule))
     return schedule

@@ -17,6 +17,7 @@ format instead of a bare ``TypeError``.
 
 from __future__ import annotations
 
+import codecs
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,7 +166,8 @@ def _head_text(head: bytes) -> str:
 
 
 def _sniff_jedule(head: bytes) -> bool:
-    stripped = head.lstrip()
+    # the reader takes a UTF-8 byte order mark, as expat does
+    stripped = head.removeprefix(codecs.BOM_UTF8).lstrip()
     if stripped.startswith(b"<jedule"):
         return True
     return stripped.startswith(b"<?xml") and b"<jedule" in head

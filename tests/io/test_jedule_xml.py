@@ -290,7 +290,8 @@ def test_malformed_xml_reports_what_elementtree_reports(doc):
 def test_parse_memory_stays_near_the_document_size():
     """The reader holds no element tree: its peak traced allocation stays
     below twice the document it reads (an ElementTree build peaks near
-    10x, and expat alone takes about the document's size)."""
+    10x, and expat alone takes about the document's size), from text and
+    from bytes, which the scanner reads in batches."""
     rng = random.Random(7)
     s = Schedule()
     s.new_cluster("c0", 256)
@@ -300,12 +301,59 @@ def test_parse_memory_stays_near_the_document_size():
                    start + rng.uniform(1.0, 100.0), cluster="c0",
                    host_start=rng.randrange(248), host_nb=rng.randint(1, 8))
     doc = jedule_xml.dumps(s)
-    jedule_xml.loads(doc)  # warm up imports and caches outside the trace
-    tracemalloc.start()
-    try:
-        back = jedule_xml.loads(doc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(back) == 2000
-    assert peak < 2 * len(doc.encode("utf-8")), (peak, len(doc))
+    for data in (doc, doc.encode("utf-8")):
+        jedule_xml.loads(data)  # warm up imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            with obs.capture() as trace:
+                back = jedule_xml.loads(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 2000
+        assert trace.find("parse.jedule_xml").attrs["scanned"] == \
+            (2000 if isinstance(data, bytes) else 0)
+        assert peak < 2 * len(doc.encode("utf-8")), (type(data), peak, len(doc))
+
+
+def _scanned(data: str | bytes) -> tuple[int, Schedule]:
+    """How many tasks the scan read, and the schedule read."""
+    with obs.capture() as trace:
+        schedule = jedule_xml.loads(data)
+    return trace.find("parse.jedule_xml").attrs["scanned"], schedule
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 20])
+def test_the_scan_reads_every_task_that_dumps_writes_plainly(monkeypatch, chunk):
+    """Bytes are scanned before expat reads them, a str is not; a task
+    with per-task meta, two configurations or scattered hosts is out of
+    the scanned layout, and so is every task after it."""
+    monkeypatch.setattr(jedule_xml, "_SCAN_CHUNK", chunk)
+    s = Schedule(meta={"algorithm": "demo"})
+    s.new_cluster("a", 8)
+    s.new_cluster("b", 4, name="second")
+    for i in range(6):
+        s.new_task(f"t{i}", ["comp", "xfer"][i % 2], float(i), i + 1.5,
+                   cluster="ab"[i % 2], host_start=i % 3, host_nb=2)
+    for indent in (True, False):
+        doc = jedule_xml.dumps(s, indent=indent)
+        assert _scanned(doc.encode("utf-8"))[0] == 6
+        assert _scanned(doc)[0] == 0
+    for odd in (dict(cluster="a", host_start=0, host_nb=1, meta={"user": "6447"}),
+                dict(configurations=[Configuration("a", [(0, 1)]),
+                                     Configuration("b", [(0, 1)])]),
+                dict(cluster="a", hosts=[0, 2])):
+        t = Schedule(meta=s.meta)
+        for c in s.clusters:
+            t.add_cluster(c)
+        t.new_task("odd", "comp", 0.0, 1.0, **odd)
+        for task in s:
+            t.add_task(task)
+        doc = jedule_xml.dumps(t).encode("utf-8")
+        scanned, back = _scanned(doc)
+        assert scanned == 0 and list(back) == list(t)
+        # the same task last: the scan reads every task before it
+        t.remove_task("odd")
+        t.new_task("odd", "comp", 0.0, 1.0, **odd)
+        scanned, back = _scanned(jedule_xml.dumps(t).encode("utf-8"))
+        assert scanned == 6 and list(back) == list(t)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import codecs
+from pathlib import Path
+
 import pytest
 
 from repro.core.model import Schedule
 from repro.errors import ParseError
+from repro.io.json_fmt import to_dict
 from repro.io.registry import (
     available_formats,
     format_for,
@@ -13,6 +17,8 @@ from repro.io.registry import (
     register_format,
     save_schedule,
 )
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def test_builtin_formats_present():
@@ -92,6 +98,16 @@ def test_sniff_jedule_without_extension(tmp_path, simple_schedule):
     save_schedule(simple_schedule, path, format="jedule")
     assert format_for(path).name == "jedule"
     assert len(load_schedule(path)) == 2
+
+
+def test_sniff_jedule_after_a_byte_order_mark(tmp_path):
+    """An extension-less ``.jed`` that starts with a UTF-8 BOM loads as the
+    same file without one."""
+    original = EXAMPLES / "batch" / "fig01_simple.jed"
+    path = tmp_path / "schedule"
+    path.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+    assert format_for(path).name == "jedule"
+    assert to_dict(load_schedule(path)) == to_dict(load_schedule(original))
 
 
 def test_sniff_csv_under_txt(tmp_path, simple_schedule):

@@ -61,6 +61,25 @@ def rich_schedules(draw) -> Schedule:
     return s
 
 
+@st.composite
+def plain_schedules(draw) -> Schedule:
+    """Schedules whose tasks each bind one host range of one cluster and
+    carry no meta: the ``.jed`` layout the reader scans before expat."""
+    s = Schedule()
+    sizes = draw(st.lists(st.integers(1, 16), min_size=1, max_size=3))
+    for c, size in enumerate(sizes):
+        s.add_cluster(Cluster(str(c), size))
+    for i in range(draw(st.integers(0, 8))):
+        c = draw(st.integers(0, len(sizes) - 1))
+        nb = draw(st.integers(1, sizes[c]))
+        start = draw(st.floats(0, 1e4, allow_nan=False, allow_infinity=False))
+        s.new_task(str(i), draw(st.sampled_from(["comp", "xfer", "io"])), start,
+                   start + draw(st.floats(0, 1e3, allow_nan=False, allow_infinity=False)),
+                   cluster=str(c), host_start=draw(st.integers(0, sizes[c] - nb)),
+                   host_nb=nb)
+    return s
+
+
 _COLUMN_FIELDS = ("task", "type", "cluster", "start", "end", "row0", "row1")
 
 
@@ -152,9 +171,12 @@ def _object_path_error(doc: dict) -> str:
 
 
 def _reader_errors(doc: dict) -> set[str]:
-    """The messages of the ``.jed`` and JSON readers, without the source."""
+    """The messages of the ``.jed`` reader, given text and bytes (which it
+    scans first), and of the JSON reader, without the source."""
     messages = set()
-    for read in (lambda: jedule_xml.loads(_jed_text(doc), source="doc"),
+    text = _jed_text(doc)
+    for read in (lambda: jedule_xml.loads(text, source="doc"),
+                 lambda: jedule_xml.loads(text.encode("utf-8"), source="doc"),
                  lambda: json_fmt.from_dict(doc, source="doc")):
         with pytest.raises(ParseError) as err:
             read()
@@ -196,7 +218,7 @@ _FAULTS = [_unknown_cluster, _host_beyond, _duplicate_id, _end_before_start,
            _nan_time, _two_configurations, _zero_length_range]
 
 
-@given(rich_schedules(), st.sampled_from(_FAULTS), st.data())
+@given(st.one_of(rich_schedules(), plain_schedules()), st.sampled_from(_FAULTS), st.data())
 @settings(max_examples=150, deadline=None)
 def test_one_fault_gets_one_message_on_every_way_in(schedule, fault, data):
     """A document with one fault gets the message building its tasks and
@@ -418,6 +440,137 @@ def test_jedule_xml_reader_selection_rules(schedule, chosen):
     expected = json_fmt.to_dict(jedule_xml.loads(plain))
     assert json_fmt.to_dict(jedule_xml.loads(doc)) == expected
     assert json_fmt.to_dict(jedule_xml.loads(doc.encode("utf-8"))) == expected
+
+
+# Rewrites aimed at the scanner that reads a .jed given as bytes before
+# expat does (jedule_xml._scan): each document must read as the str read,
+# which expat alone makes, gives it, schedule or message.
+def _layout_node(task_id: str, extra: str = "") -> str:
+    """A task in the layout the scanner reads (``extra`` puts it out of
+    that layout), on host 0 of cluster "0", which every schedule has."""
+    return ("<node_statistics>"
+            f'<node_property name="id" value="{task_id}" />'
+            '<node_property name="type" value="decoy" />'
+            '<node_property name="start_time" value="0.0" />'
+            f'<node_property name="end_time" value="1.0" />{extra}'
+            '<configuration><conf_property name="cluster_id" value="0" />'
+            '<conf_property name="host_nb" value="1" />'
+            '<host_lists><hosts start="0" nb="1" /></host_lists>'
+            "</configuration></node_statistics>")
+
+
+_DECOY_INFOS = ("<node_infos>" + _layout_node("decoy") + _layout_node("decoy2")
+                + "</node_infos>")
+_OUTSIDE = _layout_node("outside", '<node_property name="user" value="6447" />')
+
+
+def _after_root(text: str):
+    return lambda doc: doc.replace('<jedule version="1.0">',
+                                   '<jedule version="1.0">' + text, 1)
+
+
+def _node_starts(doc: str) -> list[int]:
+    return [m.start() for m in re.finditer("<node_statistics>", doc)]
+
+
+def _outside_at(where: str):
+    def rewrite(doc: str) -> str:
+        if "<node_infos />" in doc:
+            return doc.replace("<node_infos />", f"<node_infos>{_OUTSIDE}</node_infos>")
+        starts = _node_starts(doc)
+        at = {"first": starts[0], "middle": starts[len(starts) // 2],
+              "last": doc.index("</node_infos>")}[where]
+        return doc[:at] + _OUTSIDE + doc[at:]
+    return rewrite
+
+
+def _between_nodes(text: str):
+    return lambda doc: doc.replace("</node_statistics>", "</node_statistics>" + text, 1)
+
+
+def _in_middle_id(suffix: str):
+    def rewrite(doc: str) -> str:
+        ids = list(re.finditer(r'name="id" value="([^"]*)"', doc))
+        if not ids:
+            return doc
+        m = ids[len(ids) // 2]
+        return doc[:m.end(1)] + suffix + doc[m.end(1):]
+    return rewrite
+
+
+def _without_section(doc: str) -> str:
+    return re.sub(r"<node_infos />|<node_infos>.*</node_infos>", "", doc, count=1,
+                  flags=re.S)
+
+
+def _in_first_host_nb(value: str):
+    def rewrite(doc: str) -> str:
+        m = re.search(r'name="host_nb" value="(\d+)"', doc)
+        if m is None:
+            return doc
+        return doc[:m.start(1)] + value.format(m.group(1)) + doc[m.end(1):]
+    return rewrite
+
+
+def _doctype_attlist(doc: str) -> str:
+    # NMTOKENS values lose their leading spaces, which only a reader that
+    # reads the internal subset knows
+    decl_end = doc.index("?>") + 2
+    doc = (doc[:decl_end] + "\n<!DOCTYPE jedule [<!ATTLIST node_property"
+           " value NMTOKENS #IMPLIED>]>" + doc[decl_end:])
+    return doc.replace('name="type" value="', 'name="type" value="  ')
+
+
+def _latin1_declaration(doc: str) -> str:
+    return doc.replace("encoding='utf-8'", "encoding='ISO-8859-1'", 1)
+
+
+_SCANNER_REWRITES = {
+    "decoy in a comment": _after_root(f"<!-- {_DECOY_INFOS} -->"),
+    "decoy in a PI": _after_root(f"<?decoy {_DECOY_INFOS}?>"),
+    "decoy in an unknown element": _after_root(f"<unknown>{_DECOY_INFOS}</unknown>"),
+    "decoy in CDATA": _after_root(f"<unknown><![CDATA[{_DECOY_INFOS}]]></unknown>"),
+    "decoy in a comment and no section": lambda doc: _after_root(
+        f"<!-- {_DECOY_INFOS} -->")(_without_section(doc)),
+    "outside the layout first": _outside_at("first"),
+    "outside the layout in the middle": _outside_at("middle"),
+    "outside the layout last": _outside_at("last"),
+    "vertical tab between nodes": _between_nodes("\v"),
+    "form feed between nodes": _between_nodes("\f"),
+    "text between nodes": _between_nodes("text"),
+    "comment between nodes": _between_nodes("<!-- between -->"),
+    "&amp; in an id": _in_middle_id("&amp;"),
+    "> in an id": _in_middle_id(">"),
+    "< in an id": _in_middle_id("<"),
+    "non-ASCII in an id": _in_middle_id("\u00e9\u4e2d"),
+    "host_nb one more than listed": _in_first_host_nb("{}1"),
+    "host_nb with a leading zero": _in_first_host_nb("0{}"),
+    "DOCTYPE with an ATTLIST": _doctype_attlist,
+    "ISO-8859-1 declaration": _latin1_declaration,
+}
+
+
+def _outcome(data: str | bytes):
+    """What reading ``data`` gives: its JSON document and canonical bytes,
+    or the message it raises."""
+    try:
+        s = jedule_xml.loads(data, source="doc")
+    except ParseError as exc:
+        return str(exc)
+    return json_fmt.to_dict(s), canonical_schedule_bytes(s)
+
+
+@pytest.mark.parametrize("name", list(_SCANNER_REWRITES))
+@given(plain_schedules(), st.sampled_from([1, 300, 700, 1 << 20]), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_the_scanner_gives_what_expat_alone_gives(name, schedule, chunk, indent):
+    """Every task of a plain schedule is in the scanned layout; chunk sizes
+    of one or two nodes put the scanner's batch edges inside the document."""
+    doc = _SCANNER_REWRITES[name](jedule_xml.dumps(schedule, indent=indent))
+    data = doc.encode("latin-1" if "ISO-8859-1" in doc else "utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jedule_xml, "_SCAN_CHUNK", chunk)
+        assert _outcome(data) == _outcome(doc)
 
 
 def _tiny_doc() -> str:

@@ -9,18 +9,22 @@ it must return what a fresh encode returns.
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import sys
 import threading
+from array import array
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.model import Configuration, Schedule, Task
-from repro.io.json_fmt import to_dict
+from repro.core.model import Configuration, Schedule, Task, TaskStore, host_span
+from repro.errors import ScheduleError
+from repro.io.json_fmt import from_dict, to_dict
 from repro.serve.protocol import canonical_schedule_bytes
 
-from .test_io_properties import _COLUMN_FIELDS, _ID_ALPHABET, rich_schedules
+from .test_io_properties import _COLUMN_FIELDS, _ID_ALPHABET, plain_schedules, rich_schedules
 
 
 def _fresh_bytes(schedule: Schedule) -> bytes:
@@ -94,6 +98,78 @@ def test_copy_and_remove_equal_the_task_by_task_path(schedule, data):
         removed = schedule.remove_task(victim)
         assert removed.id == victim and victim not in schedule
         _assert_same(schedule, want)
+
+
+def _per_record_copy(store: TaskStore, kept: list[int]) -> TaskStore:
+    """``TaskStore.gather`` as it was: each kept record added again."""
+    copy = TaskStore()
+    for i in kept:
+        copy.add(*store.record(i))
+    return copy
+
+
+def _assert_same_store(got: TaskStore, want: TaskStore) -> None:
+    for name in TaskStore.__slots__:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@given(st.one_of(rich_schedules(), plain_schedules()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_filtered_and_remove_gather_what_the_per_record_copy_adds(schedule, data):
+    """``filtered`` (so ``copy``) and ``remove_task`` gather the tasks they
+    keep from the store's columns: the store equals the one that adding
+    each kept record again fills, and each kept position shares its built
+    task, or its lack of one."""
+    s = from_dict(to_dict(schedule))  # no Task built yet
+    if len(s):
+        for i in data.draw(st.sets(st.integers(0, len(s) - 1))):
+            s.task_at(i)
+    t0 = data.draw(_TIMES)
+    out = s.filtered(
+        types=data.draw(st.none() | st.lists(st.sampled_from(["comp", "xfer", "io"]))),
+        clusters=data.draw(st.none() | st.lists(st.sampled_from(["0", "1", "2"]))),
+        time_window=data.draw(st.none() | st.tuples(st.just(t0), _TIMES)))
+    kept = [i for i, record in enumerate(s.records()) if out.has_task(record[0])]
+    _assert_same_store(out._store, _per_record_copy(s._store, kept))
+    assert len(out._built) == len(kept)
+    assert all(out._built[j] is s._built[i] for j, i in enumerate(kept))
+    if len(s):
+        victim = data.draw(st.integers(0, len(s) - 1))
+        left = [i for i in range(len(s)) if i != victim]
+        want, built = _per_record_copy(s._store, left), [s._built[i] for i in left]
+        s.remove_task(s._store.ids[victim])
+        _assert_same_store(s._store, want)
+        assert all(a is b for a, b in zip(s._built, built, strict=True))
+
+
+_ONE_RANGE_TASKS = st.lists(st.tuples(
+    st.sampled_from(["a", "b", "c", "d"]), st.sampled_from(["comp", "xfer"]),
+    st.floats(-5, 5) | st.sampled_from([math.inf, math.nan]), st.floats(-5, 5),
+    st.sampled_from(["0", "1"]), st.integers(-1, 3), st.integers(0, 3)), max_size=6)
+
+
+@given(st.lists(_ONE_RANGE_TASKS, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_extend_appends_what_add_appends_one_by_one(batches):
+    """``TaskStore.extend`` takes a batch of one-range tasks as ``add``
+    takes them one by one, repeated ids keeping their first position, or,
+    when ``add`` refuses one of them, takes none of the batch."""
+    got, want = TaskStore(), TaskStore()
+    for batch in batches:
+        ids, types, start, end, clusters, row0, nb = (list(c) for c in zip(*batch)) \
+            if batch else ([], [], [], [], [], [], [])
+        ok = got.extend(ids, types, array("d", start), array("d", end), clusters,
+                        array("q", row0), array("q", nb))
+        trial = copy.deepcopy(want)
+        try:
+            for task in batch:
+                trial.add(*task[:4], [(task[4], [host_span(task[5], task[6])])], None)
+        except ScheduleError:
+            assert not ok
+        else:
+            assert ok
+            want = trial
+        _assert_same_store(got, want)
 
 
 # one step of a schedule's life: (name, argument drawn for it)
