@@ -2,18 +2,20 @@
 
 The single-core raster pipeline is the last leg of every PNG/BMP/PPM
 render: ``rasterize()`` paints the primitive list into an (h, w) canvas
-of palette indices, ``.pixels`` gathers the (h, w, 3) uint8 RGB image,
-and ``encode_png()`` filters + deflates it (one index byte per pixel when
-the image has at most 256 colours, as these 16-colour fields do; the
-gather is timed with the encode).  This benchmark draws
+of palette indices, and for PNG ``encode_indexed()`` filters + deflates
+that canvas over its palette (one index byte per pixel when at most 256
+colours are present, as in these 16-colour fields), the path
+``render_png`` runs; no RGB image is built.  This benchmark draws
 Gantt-shaped rect fields (dense rows of small task rects, the regime of
 Scully-Allison & Isaacs' 100k-task traces) on a 2000x1200 canvas at three
 scales.
 
-Three invariants are asserted on every run:
+Four invariants are asserted on every run:
 
 * ``decode(encode(img))`` is pixel-identical — the encoder's output must
   keep round-tripping through our own decoder, at every scale;
+* the canvas entry ``encode_indexed(canvas, palette)`` writes the bytes
+  the RGB entry ``encode_png(pixels)`` writes, at every scale;
 * batched rasterization is pixel-identical to the naive per-primitive
   z-order walk (checked here on the 1k drawing against per-item
   ``fill_rect`` calls);
@@ -36,7 +38,7 @@ from conftest import pinned, report
 
 from repro.core.colormap import Color
 from repro.render.geometry import Drawing, Rect
-from repro.render.png_codec import decode_png, encode_png
+from repro.render.png_codec import decode_png, encode_indexed, encode_png
 from repro.render.raster import RasterImage, rasterize
 
 WIDTH, HEIGHT = 2000, 1200
@@ -83,11 +85,14 @@ def test_raster_pipeline(benchmark):
 
     for n, d in drawings.items():
         img = rasterize(d)
-        png = encode_png(img.pixels)
+        png = encode_indexed(img.canvas, img.palette)
         # The encoder's bytes must keep round-tripping through the decoder
-        # pixel-for-pixel — CI fails here if either side drifts.
+        # pixel-for-pixel — CI fails here if either side drifts — and the
+        # two entry points must write the same bytes.
         assert np.array_equal(decode_png(png), img.pixels), \
             f"encode/decode round-trip broke at {n} rects"
+        assert png == encode_png(img.pixels), \
+            f"the canvas and RGB entry points disagree at {n} rects"
 
     # Deterministic quality metrics: the painted geometry must not drift.
     big = drawings[SIZES[-1]]
@@ -100,8 +105,9 @@ def test_raster_pipeline(benchmark):
     # The headline claim of the vectorization PR, with slack for CI noise:
     # >= 3x was measured against the pre-change wall on the dev machine.
     t_100k = (min(timeit.repeat(lambda: rasterize(big), number=1, repeat=3))
-              + min(timeit.repeat(lambda: encode_png(big_img.pixels),
-                                  number=1, repeat=3)))
+              + min(timeit.repeat(
+                  lambda: encode_indexed(big_img.canvas, big_img.palette),
+                  number=1, repeat=3)))
     pre_change = PRE_CHANGE_RE_S[SIZES[-1]]
     report("Raster/PNG hot path (2000x1200)", [
         (f"{SIZES[-1]} rects rasterize+encode",
@@ -110,6 +116,9 @@ def test_raster_pipeline(benchmark):
     assert t_100k < PRE_CHANGE_RE_S[SIZES[-1]] / 2.5, \
         f"100k-rect rasterize+encode took {t_100k:.3f}s"
 
-    result = benchmark.pedantic(
-        lambda: encode_png(rasterize(big).pixels), rounds=3, iterations=1)
+    def render():
+        img = rasterize(big)
+        return encode_indexed(img.canvas, img.palette)
+
+    result = benchmark.pedantic(render, rounds=3, iterations=1)
     assert result[:8] == b"\x89PNG\r\n\x1a\n"

@@ -55,6 +55,9 @@ __all__ = [
 #: Task type assigned to synthesized composite (overlap) tasks.
 COMPOSITE_TYPE = "composite"
 
+#: The largest host index, host count or range end a schedule holds.
+_INT64_MAX = (1 << 63) - 1
+
 
 @dataclass(frozen=True, slots=True)
 class HostRange:
@@ -94,12 +97,19 @@ _NO_META: Mapping[str, str] = MappingProxyType({})
 
 
 def host_span(start: int, nb: int) -> tuple[int, int]:
-    """The host span ``(start, stop)`` of a valid :class:`HostRange`."""
+    """The host span ``(start, stop)`` of a valid :class:`HostRange`.
+
+    ``stop`` must fit in int64, the type of the task store's host columns.
+    """
     if start < 0:
         raise ScheduleError(f"host range start must be >= 0, got {start}")
     if nb <= 0:
         raise ScheduleError(f"host range length must be >= 1, got {nb}")
-    return start, start + nb
+    stop = start + nb
+    if stop > _INT64_MAX:
+        raise ScheduleError(
+            f"host range start={start} nb={nb} ends past int64 ({_INT64_MAX})")
+    return start, stop
 
 
 def _merged(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -337,6 +347,9 @@ class Cluster:
         num_hosts = int(num_hosts)
         if num_hosts <= 0:
             raise ScheduleError(f"cluster {id!r} must have >= 1 host, got {num_hosts}")
+        if num_hosts > _INT64_MAX:
+            raise ScheduleError(
+                f"cluster {id!r} has {num_hosts} hosts, past int64 ({_INT64_MAX})")
         object.__setattr__(self, "id", str(id))
         object.__setattr__(self, "num_hosts", num_hosts)
         object.__setattr__(self, "name", name if name is not None else f"cluster {id}")

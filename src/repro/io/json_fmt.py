@@ -114,7 +114,7 @@ def dump(schedule: Schedule, path: str | Path, **kwargs) -> None:
 def load(path: str | Path) -> Schedule:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}", source=str(path)) from exc
     return loads(text, source=str(path))

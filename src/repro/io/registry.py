@@ -88,14 +88,17 @@ def available_formats() -> tuple[str, ...]:
 def sniff_format(path: str | Path) -> FormatSpec | None:
     """Identify a schedule format from a file's leading bytes.
 
-    Asks each registered sniffer in registration order; returns ``None``
-    when the file cannot be read or nothing matches.
+    Asks each registered sniffer in registration order, on the leading
+    bytes after any UTF-8 byte order mark; returns ``None`` when the file
+    cannot be read or nothing matches.
     """
     try:
         with open(path, "rb") as fh:
             head = fh.read(SNIFF_BYTES)
     except OSError:
         return None
+    # every text reader takes a UTF-8 byte order mark, so no sniffer sees one
+    head = head.removeprefix(codecs.BOM_UTF8)
     if not head:
         return None
     for spec in _REGISTRY.values():
@@ -166,8 +169,7 @@ def _head_text(head: bytes) -> str:
 
 
 def _sniff_jedule(head: bytes) -> bool:
-    # the reader takes a UTF-8 byte order mark, as expat does
-    stripped = head.removeprefix(codecs.BOM_UTF8).lstrip()
+    stripped = head.lstrip()
     if stripped.startswith(b"<jedule"):
         return True
     return stripped.startswith(b"<?xml") and b"<jedule" in head

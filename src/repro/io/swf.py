@@ -204,7 +204,7 @@ def iter_load(path: str | Path, *, header: dict[str, str] | None = None) -> Iter
     data lines, see :func:`load_header`).
     """
     path = Path(path)
-    with path.open(encoding="utf-8", errors="replace") as fh:
+    with path.open(encoding="utf-8-sig", errors="replace") as fh:
         yield from _scan(fh, source=str(path), header=header)
 
 
@@ -215,7 +215,7 @@ def load_header(path: str | Path) -> dict[str, str]:
     """
     path = Path(path)
     header: dict[str, str] = {}
-    with path.open(encoding="utf-8", errors="replace") as fh:
+    with path.open(encoding="utf-8-sig", errors="replace") as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -233,7 +233,7 @@ def load(path: str | Path) -> SWFTrace:
     """Parse an SWF file, streaming its lines rather than slurping the text."""
     path = Path(path)
     trace = SWFTrace()
-    with path.open(encoding="utf-8", errors="replace") as fh:
+    with path.open(encoding="utf-8-sig", errors="replace") as fh:
         trace.jobs.extend(_scan(fh, source=str(path), header=trace.header))
     _obs.add("io.records", len(trace.jobs))
     return trace

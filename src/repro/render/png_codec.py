@@ -2,11 +2,22 @@
 
 Implemented from the PNG specification as numpy array passes on top of
 :mod:`zlib` (stdlib): signature, IHDR/PLTE/IDAT/IEND chunks, CRC32 per
-chunk, and the five scanline filter types.  The encoder first finds the
-image's colours with one exact run-based pass.  With at most 256 it writes
-colour type 3: a ``PLTE`` chunk in ascending RGB order and one index byte
-per pixel.  Otherwise it writes colour type 2, three bytes per pixel.
-Either way it picks per row between None, Sub and Up filters by the
+chunk, and the five scanline filter types.
+
+The encoder has one core and two entry points.  :func:`encode_indexed`
+takes an ``(h, w)`` canvas of palette indices and its ``(n, 3)``
+palette, as :func:`repro.render.raster.rasterize` holds them, and builds
+no RGB image.  :func:`encode_png` takes an ``(h, w, 3)`` RGB image: one
+exact run-based pass (:func:`_palette`) turns it into such a canvas and
+palette.  The core finds the colours present from where runs of equal
+indices start, one compare a pixel, so a palette entry that was assigned
+but never painted, or was painted over, does not count.  With at most
+256 colours present it writes colour type 3: a ``PLTE`` chunk of them in
+ascending RGB order and one index byte per pixel, the canvas remapped
+through a 256-entry table unless its order is already that one.
+Otherwise it gathers the RGB image and writes colour type 2, three bytes
+per pixel.  Both entry points write the same bytes for the same image.
+Each row then takes the cheapest of the None, Sub and Up filters by the
 standard minimum-sum-of-absolute-differences heuristic, Sub taking the
 pixel to the left (1 byte back for indices, 3 for RGB).  The decoder reads
 both colour types at bit depth 8 and supports all five filters, so it can
@@ -29,13 +40,14 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.errors import RenderError
 from repro.obs import core as _obs
 
-__all__ = ["encode_png", "decode_png"]
+__all__ = ["encode_png", "encode_indexed", "decode_png"]
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -55,13 +67,14 @@ def _filter_cost(filtered: np.ndarray) -> np.ndarray:
         axis=1, dtype=np.int64)
 
 
-def _palette(pixels: np.ndarray):
-    """``(plte, indices)`` when the image has at most 256 colours, else None.
+def _palette(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(canvas, palette)`` of an ``(h, w, 3)`` uint8 image.
 
-    ``plte`` is the ``PLTE`` payload, the colours in ascending RGB order,
-    and ``indices`` the ``(h, w)`` uint8 image of positions in it.  The
-    pass is exact but reads colours only at the start of each run of equal
-    pixels in row-major order, then repeats each run's index over it.
+    ``palette`` is the ``(n, 3)`` uint8 array of the image's colours in
+    ascending RGB order, and ``canvas`` the ``(h, w)`` image of positions
+    in it (uint8 up to 256 colours, wider past them).  The pass is exact
+    but reads colours only at the start of each run of equal pixels in
+    row-major order, then repeats each run's index over it.
     """
     h, w, _ = pixels.shape
     n = h * w
@@ -73,13 +86,49 @@ def _palette(pixels: np.ndarray):
     starts = np.concatenate(([0], starts + 1))
     first = flat[starts].astype(np.uint32)
     keys = first[:, 0] << 16 | first[:, 1] << 8 | first[:, 2]
-    colors = np.unique(keys)
+    colors, run_index = np.unique(keys, return_inverse=True)
+    run_index = run_index.astype(np.min_scalar_type(len(colors) - 1))
+    canvas = np.repeat(run_index, np.diff(starts, append=n)).reshape(h, w)
+    palette = np.stack([colors >> 16, colors >> 8, colors], axis=1) & 0xFF
+    return canvas, palette.astype(np.uint8)
+
+
+def _indexed(canvas: np.ndarray, palette: np.ndarray):
+    """``(plte, indices)`` for colour type 3, or None past 256 colours.
+
+    The colours present are the palette entries read where a run of equal
+    indices starts in row-major order, one compare a pixel.  ``plte`` is
+    the ``PLTE`` payload, those colours in ascending RGB order without
+    repeats, and ``indices`` the ``(h, w)`` uint8 canvas of positions in
+    it.
+    """
+    h, w = canvas.shape
+    flat = canvas.reshape(-1)
+    # A run starts at pixel 0 and at every pixel unlike the one before.
+    firsts = np.concatenate(
+        (flat[:1], np.compress(flat[1:] != flat[:-1], flat[1:])))
+    top = int(firsts.max())
+    if top >= len(palette):
+        raise RenderError(f"canvas index {top} is past the {len(palette)}-entry palette")
+    seen = np.zeros(len(palette), bool)
+    seen[firsts] = True
+    present = np.flatnonzero(seen)
+    rgb = palette[present].astype(np.uint32)
+    colors, position = np.unique(rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2],
+                                 return_inverse=True)
     if len(colors) > 256:
         return None
-    run_index = np.searchsorted(colors, keys).astype(np.uint8)
-    indices = np.repeat(run_index, np.diff(starts, append=n))
     plte = np.stack([colors >> 16, colors >> 8, colors], axis=1) & 0xFF
-    return plte.astype(np.uint8).tobytes(), indices.reshape(h, w)
+    plte = plte.astype(np.uint8).tobytes()
+    if (canvas.dtype == np.uint8 and present[-1] == len(present) - 1
+            and (position == np.arange(len(position))).all()):
+        return plte, canvas  # its indices are already the PLTE positions
+    lut = np.zeros(max(len(palette), 256), np.uint8)
+    lut[present] = position
+    if canvas.dtype == np.uint8:
+        remapped = flat.tobytes().translate(lut[:256].tobytes())
+        return plte, np.frombuffer(remapped, np.uint8).reshape(h, w)
+    return plte, lut[canvas]
 
 
 def _filter_rows(flat: np.ndarray, bpp: int) -> np.ndarray:
@@ -110,6 +159,51 @@ def _filter_rows(flat: np.ndarray, bpp: int) -> np.ndarray:
     return out
 
 
+def _encode(h: int, w: int,
+            colours: Callable[[], tuple[np.ndarray, np.ndarray]],
+            compress_level: int) -> bytes:
+    """The encoder core.  ``colours()`` gives the ``(canvas, palette)``
+    to write; it runs with the colour pass and the filters under the
+    ``render.png.filter`` span."""
+    with _obs.span("render.png.filter", rows=h):
+        canvas, palette = colours()
+        indexed = _indexed(canvas, palette)
+        if indexed is None:
+            ctype, plte = 2, b""
+            rgb = np.take(palette, canvas, axis=0)
+            out = _filter_rows(rgb.reshape(h, w * 3), 3)
+        else:
+            ctype, (payload, indices) = 3, indexed
+            plte = _chunk(b"PLTE", payload)
+            out = _filter_rows(indices, 1)
+    with _obs.span("render.png.compress", nbytes=out.nbytes):
+        idat = zlib.compress(out, compress_level)
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, ctype, 0, 0, 0)
+    return (_SIGNATURE + _chunk(b"IHDR", ihdr) + plte
+            + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+
+
+def encode_indexed(canvas: np.ndarray, palette: np.ndarray, *,
+                   compress_level: int = 6) -> bytes:
+    """Encode an ``(h, w)`` uint8 or uint16 canvas of indices into an
+    ``(n, 3)`` uint8 palette as a PNG byte string.
+
+    The bytes are those :func:`encode_png` writes for the RGB image
+    ``palette[canvas]``, which is never built when at most 256 colours
+    are present.
+    """
+    if (canvas.ndim != 2 or canvas.dtype not in (np.uint8, np.uint16)
+            or not canvas.size):
+        raise RenderError(
+            f"expected an (h, w) uint8 or uint16 canvas, got {canvas.shape} {canvas.dtype}")
+    if palette.ndim != 2 or palette.shape[1:] != (3,) or palette.dtype != np.uint8:
+        raise RenderError(
+            f"expected an (n, 3) uint8 palette, got {palette.shape} {palette.dtype}")
+    h, w = canvas.shape
+    return _encode(h, w, lambda: (np.ascontiguousarray(canvas), palette),
+                   compress_level)
+
+
 def encode_png(pixels: np.ndarray, *, compress_level: int = 6) -> bytes:
     """Encode an (h, w, 3) uint8 array as a PNG byte string.
 
@@ -120,21 +214,7 @@ def encode_png(pixels: np.ndarray, *, compress_level: int = 6) -> bytes:
             or not pixels.size):
         raise RenderError(f"expected (h, w, 3) uint8 pixels, got {pixels.shape} {pixels.dtype}")
     h, w, _ = pixels.shape
-
-    with _obs.span("render.png.filter", rows=h):
-        indexed = _palette(pixels)
-        if indexed is None:
-            ctype, plte = 2, b""
-            out = _filter_rows(np.ascontiguousarray(pixels).reshape(h, w * 3), 3)
-        else:
-            ctype, (palette, indices) = 3, indexed
-            plte = _chunk(b"PLTE", palette)
-            out = _filter_rows(indices, 1)
-    with _obs.span("render.png.compress", nbytes=out.nbytes):
-        idat = zlib.compress(out, compress_level)
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, ctype, 0, 0, 0)
-    return (_SIGNATURE + _chunk(b"IHDR", ihdr) + plte
-            + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+    return _encode(h, w, lambda: _palette(pixels), compress_level)
 
 
 def _unfilter_average(data: np.ndarray, prev: np.ndarray, bpp: int) -> list[int]:

@@ -2,19 +2,23 @@
 
 The canvas is an ``(h, w)`` array of palette indices.  Jedule colours
 tasks by type, so a drawing holds few colours: each gets its index the
-first time it is painted, the canvas is uint8 and widens to uint16 past
-256 colours, and :attr:`RasterImage.pixels` gathers the ``(h, w, 3)``
-uint8 RGB image on demand.  Operations are scalar slice assignments of an
-index (rect fills), a Bresenham walk batched through fancy indexing
-(lines), and nearest-neighbour scaling of the 5x7 font (text).  The
-rasterizer implements the drawing-primitive vocabulary of
+first time it is painted, and the canvas is uint8 and widens to uint16
+past 256 colours.  :attr:`RasterImage.palette` is the ``(n, 3)`` uint8
+array of the colours; the PNG backend encodes the canvas over it
+(:func:`repro.render.png_codec.encode_indexed`), and
+:attr:`RasterImage.pixels` gathers the ``(h, w, 3)`` uint8 RGB image on
+demand for PPM, BMP and the tests.  Operations are scalar slice
+assignments of an index (rect fills), a Bresenham walk batched through
+fancy indexing (lines), and nearest-neighbour scaling of the 5x7 font
+(text).  The rasterizer implements the drawing-primitive vocabulary of
 :mod:`repro.render.geometry` and nothing more.
 
 :func:`rasterize` has one painter.  Every axis-aligned primitive joins one
 z-ordered batch of boxes: a fill-only rect, the fill and four edges of a
 stroked rect, and an axis-aligned line.  Snapping and clipping are array
 arithmetic over the whole batch, read with ``np.fromiter``, and the boxes
-are then painted in order, one scalar slice assignment each.  Only
+are then painted in order, one scalar slice assignment each, their
+bounds turned into Python ints a chunk of boxes at a time.  Only
 diagonal lines and text interrupt it: each flushes the boxes before it and
 paints itself, so the output is pixel-identical to dispatching every
 primitive through the :class:`RasterImage` methods one by one in z-order.
@@ -41,6 +45,8 @@ __all__ = ["RasterImage", "rasterize"]
 
 #: pixels per band of the palette gather in :attr:`RasterImage.pixels`
 _GATHER_PIXELS = 1 << 16
+#: boxes converted to Python ints at a time by the painter
+_BOX_CHUNK = 1 << 14
 
 
 def _snap(v: float) -> int:
@@ -109,9 +115,15 @@ class RasterImage:
         return ci
 
     @property
+    def palette(self) -> np.ndarray:
+        """The ``(n, 3)`` uint8 RGB array of :attr:`colors`: row ``i`` is
+        the colour of index ``i``."""
+        return np.array([(c.r, c.g, c.b) for c in self.colors], np.uint8)
+
+    @property
     def pixels(self) -> np.ndarray:
         """The ``(h, w, 3)`` uint8 RGB image, gathered from the palette."""
-        palette = np.array([(c.r, c.g, c.b) for c in self.colors], np.uint8)
+        palette = self.palette
         out = np.empty((self.height, self.width, 3), np.uint8)
         # np.take copies its indices as intp, 8 bytes a pixel; a band of
         # rows at a time keeps that copy small.
@@ -327,9 +339,16 @@ def _boxes(img: RasterImage, rects: list[Rect]):
     x0, y0, x1, y1, visible = _box_bounds(bx, by, bw, bh, img.width, img.height)
     painted = np.concatenate(([0], np.cumsum(visible)))
     keep = np.flatnonzero(visible)
-    boxes = zip(y0[keep].tolist(), y1[keep].tolist(), x0[keep].tolist(),
-                x1[keep].tolist(), bc[keep].tolist())
-    return boxes, painted[np.append(first, total)].tolist()
+    bounds = y0[keep], y1[keep], x0[keep], x1[keep], bc[keep]
+    return _chunked(bounds), painted[np.append(first, total)].tolist()
+
+
+def _chunked(columns):
+    """The rows of equal-length int arrays as tuples of Python ints,
+    converted :data:`_BOX_CHUNK` rows at a time, so the ints of only one
+    chunk are alive at once."""
+    for at in range(0, len(columns[0]), _BOX_CHUNK):
+        yield from zip(*(c[at:at + _BOX_CHUNK].tolist() for c in columns))
 
 
 def rasterize(drawing: Drawing) -> RasterImage:

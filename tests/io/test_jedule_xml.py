@@ -267,6 +267,34 @@ def test_model_violations_name_the_file(tmp_path, old, new, pattern):
     assert ei.value.source == str(path)
 
 
+_HUGE = "99999999999999999999"  # 20 digits: past int64, and past the scan's 18
+
+
+@pytest.mark.parametrize("edits", [
+    [('<hosts start="0" nb="8"/>', f'<hosts start="{_HUGE}" nb="8"/>')],
+    [('<hosts start="0" nb="8"/>', f'<hosts start="0" nb="{_HUGE}"/>'),
+     ('name="host_nb" value="8"', f'name="host_nb" value="{_HUGE}"')],
+    [('<cluster id="0" hosts="8"/>', f'<cluster id="0" hosts="{_HUGE}"/>')],
+], ids=["start", "nb", "cluster-hosts"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_host_index_past_int64_is_a_parse_error(tmp_path, edits, as_bytes):
+    """Expat reads such a value (the scan takes at most 18 digits); the
+    task store's int64 columns cannot hold it, so it is a ParseError that
+    names the file, not a bare OverflowError."""
+    doc = FIGURE1_DOC
+    for old, new in edits:
+        assert old in doc
+        doc = doc.replace(old, new, 1)
+    path = tmp_path / "huge.jed"
+    path.write_text(doc)
+    with pytest.raises(ParseError, match="past int64") as ei:
+        if as_bytes:
+            jedule_xml.load(path)
+        else:
+            jedule_xml.loads(doc, source=str(path))
+    assert ei.value.source == str(path)
+
+
 @pytest.mark.parametrize("doc", [
     "",
     "<jedule>",

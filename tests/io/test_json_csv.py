@@ -67,6 +67,17 @@ class TestJson:
             json_fmt.from_dict(doc, source="s.json")
         assert str(ei.value) == f"missing or malformed field: {message} in s.json"
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["tasks"][0]["configurations"][0].update(ranges=[[2**64, 1]]),
+        lambda d: d["tasks"][0]["configurations"][0].update(ranges=[[0, 2**64]]),
+        lambda d: d["clusters"][0].update(hosts=2**64),
+    ], ids=["start", "nb", "cluster-hosts"])
+    def test_host_index_past_int64_is_a_parse_error(self, simple_schedule, edit):
+        doc = json_fmt.to_dict(simple_schedule)
+        edit(doc)
+        with pytest.raises(ParseError, match=r"past int64.* in s\.json"):
+            json_fmt.from_dict(doc, source="s.json")
+
     def test_semantic_error_becomes_parse_error(self):
         doc = ('{"clusters": [{"id": "0", "hosts": 2}], '
                '"tasks": [{"id": "1", "type": "x", "start": 0, "end": 1, '
@@ -195,6 +206,14 @@ class TestCsvErrorContext:
         text = self.HEADER + "1,computation,0.0,1.0,0,7-0\n"
         with pytest.raises(ParseError, match="bad host spec") as ei:
             csv_fmt.loads(text)
+        assert ei.value.line == 3
+
+    @pytest.mark.parametrize("hosts", ["18446744073709551616",
+                                       "0-18446744073709551616"])
+    def test_host_index_past_int64_reports_line(self, hosts):
+        text = self.HEADER + f"1,computation,0.0,1.0,0,{hosts}\n"
+        with pytest.raises(ParseError, match="bad host spec") as ei:
+            csv_fmt.loads(text, source="s.csv")
         assert ei.value.line == 3
 
     def test_non_numeric_time_reports_line(self):

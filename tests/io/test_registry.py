@@ -17,6 +17,7 @@ from repro.io.registry import (
     register_format,
     save_schedule,
 )
+from repro.serve.protocol import canonical_schedule_bytes
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -108,6 +109,32 @@ def test_sniff_jedule_after_a_byte_order_mark(tmp_path):
     path.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
     assert format_for(path).name == "jedule"
     assert to_dict(load_schedule(path)) == to_dict(load_schedule(original))
+
+
+@pytest.fixture
+def fig05_csv(tmp_path_factory):
+    """``fig05_heft.json`` saved as CSV."""
+    path = tmp_path_factory.mktemp("csv") / "fig05_heft.csv"
+    save_schedule(load_schedule(EXAMPLES / "batch" / "fig05_heft.json"), path)
+    return path
+
+
+@pytest.mark.parametrize("original", ["fig05_heft.json", "fig13_thunder.swf",
+                                      "csv"])
+@pytest.mark.parametrize("suffix", [True, False], ids=["suffix", "no-suffix"])
+def test_a_byte_order_mark_reads_as_the_file_without_one(
+        tmp_path, fig05_csv, original, suffix):
+    """Every text reader, and every sniffer, reads past a leading UTF-8
+    BOM: the copy loads to the canonical bytes of the original."""
+    source = fig05_csv if original == "csv" else EXAMPLES / "batch" / original
+    name = source.name if suffix else source.stem
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain, bom = tmp_path / "plain" / name, tmp_path / "bom" / name
+    plain.write_bytes(source.read_bytes())
+    bom.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+    assert canonical_schedule_bytes(load_schedule(bom)) \
+        == canonical_schedule_bytes(load_schedule(plain))
 
 
 def test_sniff_csv_under_txt(tmp_path, simple_schedule):

@@ -11,7 +11,7 @@ from repro.core.timeframe import ViewMode
 from repro.render.backends.svg import render_svg
 from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
 from repro.render.layout import LayoutOptions, layout_schedule
-from repro.render.png_codec import decode_png, encode_png
+from repro.render.png_codec import decode_png, encode_indexed, encode_png
 from repro.render.backends.png import render_png
 from repro.render.raster import rasterize
 from tests.render.test_raster import reference_rasterize
@@ -171,6 +171,54 @@ def drawings(draw) -> Drawing:
 def test_batched_painter_matches_reference_walk(drawing):
     assert np.array_equal(rasterize(drawing).pixels,
                           reference_rasterize(drawing).pixels)
+
+
+# ---------------------------------------------------------------------------
+# The two PNG entry points: an index canvas and its palette, or the RGB image.
+
+
+def _index_image(h, w, entries, shown, repeats, seed):
+    """An ``(h, w)`` index canvas over a palette of ``entries`` colours, of
+    which ``shown`` (at most ``h * w``) appear.  The rest were assigned and
+    never painted, or painted over.  With ``repeats`` some entries share
+    a colour.  Past 256 entries the canvas is uint16, as the painter's is."""
+    rng = np.random.default_rng(seed)
+    pool = (max(1, entries // 3) if repeats else entries)
+    keys = rng.choice(1 << 24, pool, replace=False)
+    keys = keys if pool == entries else rng.choice(keys, entries)
+    palette = (keys[:, None] >> np.array([16, 8, 0]) & 0xFF).astype(np.uint8)
+    used = rng.choice(entries, min(shown, entries, h * w), replace=False)
+    flat = used[rng.integers(0, len(used), h * w)]
+    flat[:len(used)] = used  # every shown entry appears
+    rng.shuffle(flat)
+    dtype = np.uint8 if entries <= 256 else np.uint16
+    return flat.reshape(h, w).astype(dtype), palette
+
+
+@given(st.integers(1, 24), st.integers(1, 24),
+       st.sampled_from([1, 2, 17, 256, 257, 300, 600]), st.integers(1, 600),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example(1, 1, 1, 1, False, 0)          # a 1x1 image
+@example(1, 1, 300, 1, False, 0)        # ... on a uint16 canvas
+@example(9, 7, 17, 1, False, 1)         # one colour of 17 shown
+@example(20, 20, 300, 250, False, 2)    # uint16, at most 256 shown
+@example(20, 20, 300, 300, False, 3)    # more than 256 shown
+@example(20, 20, 600, 400, True, 4)     # ... with shared colours
+@settings(max_examples=150, deadline=None)
+def test_index_entry_writes_the_rgb_entrys_bytes(h, w, entries, shown,
+                                                 repeats, seed):
+    canvas, palette = _index_image(h, w, entries, shown, repeats, seed)
+    data = encode_indexed(canvas, palette)
+    assert data == encode_png(palette[canvas])
+    assert np.array_equal(decode_png(data), palette[canvas])
+
+
+@given(drawings())
+@settings(max_examples=100, deadline=None)
+def test_index_entry_writes_the_rgb_entrys_bytes_for_drawings(drawing):
+    img = rasterize(drawing)
+    assert render_png(drawing) == encode_indexed(img.canvas, img.palette) \
+        == encode_png(img.pixels)
 
 
 @given(render_schedules())

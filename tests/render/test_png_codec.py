@@ -8,8 +8,12 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.colormap import Color
 from repro.errors import RenderError
-from repro.render.png_codec import decode_png, encode_png
+from repro.render.backends.png import render_png
+from repro.render.geometry import Drawing, Line, Rect, Text
+from repro.render.png_codec import decode_png, encode_indexed, encode_png
+from repro.render.raster import RasterImage, rasterize
 
 
 def _random_image(h, w, seed=0):
@@ -329,3 +333,83 @@ def test_decode_truncated_ihdr_payload():
     data = b"\x89PNG\r\n\x1a\n" + _make_chunk(b"IHDR", short)
     with pytest.raises(RenderError, match="IHDR"):
         decode_png(data)
+
+
+# ------------------------------------------------ the index-canvas entry
+
+
+def _palette_of(*rgb: int) -> np.ndarray:
+    return np.array([(c >> 16, c >> 8 & 0xFF, c & 0xFF) for c in rgb], np.uint8)
+
+
+@pytest.mark.parametrize("canvas, palette, ctype", [
+    pytest.param(np.zeros((1, 1), np.uint8), _palette_of(0x123456), 3,
+                 id="1x1"),
+    pytest.param(np.full((5, 9), 2, np.uint8),
+                 _palette_of(0xFFFFFF, 0x00FF00, 0x102030), 3,
+                 id="one-colour-of-three"),
+    pytest.param(np.array([[3, 3, 1], [1, 3, 3]], np.uint8),
+                 _palette_of(0xFFFFFF, 0x800000, 0x008000, 0x000080), 3,
+                 id="unpainted-entries"),
+    pytest.param(np.array([[0, 1, 2, 3]], np.uint8),
+                 _palette_of(0x0000FF, 0xFF0000, 0x0000FF, 0x00FF00), 3,
+                 id="repeated-colours"),
+    pytest.param(np.array([[0, 299, 150], [299, 0, 7]], np.uint16),
+                 _palette_of(*range(0, 300 * 9, 9)), 3,
+                 id="uint16-three-present"),
+    pytest.param(np.arange(300, dtype=np.uint16).reshape(15, 20),
+                 _palette_of(*range(0, 300 * 9, 9)), 2,
+                 id="uint16-300-present"),
+])
+def test_encode_indexed_writes_what_encode_png_writes(canvas, palette, ctype):
+    """The same bytes as the RGB entry point over ``palette[canvas]``: a
+    colour only counts if a pixel shows it, and one that two entries
+    share counts once."""
+    data = encode_indexed(canvas, palette)
+    assert data == encode_png(palette[canvas])
+    assert _ihdr(data) == (canvas.shape[1], canvas.shape[0], 8, ctype)
+    assert np.array_equal(decode_png(data), palette[canvas])
+
+
+def test_encode_indexed_takes_a_non_contiguous_canvas():
+    canvas = (np.arange(64, dtype=np.uint8).reshape(8, 8) % 5)[::2, 1::3]
+    palette = _palette_of(0xFF0000, 0x00FF00, 0x0000FF, 0x000000, 0xFFFFFF)
+    assert not canvas.flags["C_CONTIGUOUS"]
+    assert encode_indexed(canvas, palette) == encode_png(palette[canvas])
+
+
+@pytest.mark.parametrize("canvas, palette, match", [
+    pytest.param(np.zeros((4, 4, 3), np.uint8), _palette_of(0), "canvas",
+                 id="rgb-canvas"),
+    pytest.param(np.zeros((4, 4), np.int32), _palette_of(0), "canvas",
+                 id="int32-canvas"),
+    pytest.param(np.zeros((0, 4), np.uint8), _palette_of(0), "canvas",
+                 id="empty-canvas"),
+    pytest.param(np.zeros((4, 4), np.uint8), np.zeros((2, 4), np.uint8),
+                 "palette", id="rgba-palette"),
+    pytest.param(np.zeros((4, 4), np.uint8), np.zeros((2, 3), np.int64),
+                 "palette", id="int64-palette"),
+    pytest.param(np.array([[0, 1], [2, 0]], np.uint8), _palette_of(0, 1),
+                 "index 2 is past the 2-entry palette", id="index-past-palette"),
+])
+def test_encode_indexed_rejects_bad_input(canvas, palette, match):
+    with pytest.raises(RenderError, match=match):
+        encode_indexed(canvas, palette)
+
+
+def test_render_png_never_reads_pixels(monkeypatch):
+    """A drawing of at most 256 colours goes from the painter's canvas to
+    PNG bytes without the RGB gather; the bytes are those of the gather
+    encoded.  Red is painted over, so only the other colours show."""
+    d = Drawing(60, 40)
+    d.add(Rect(5, 5, 20, 10, fill=Color(255, 0, 0)))
+    d.add(Rect(0, 0, 30, 20, fill=Color(0, 0, 255), stroke=Color(0, 0, 0)))
+    d.add(Line(0, 39, 59, 0, Color(0, 128, 0), 2))
+    d.add(Text(40, 30, "ok", color=Color(0, 0, 0)))
+    expected = encode_png(rasterize(d).pixels)
+
+    def refuse(self):
+        raise AssertionError("render_png read RasterImage.pixels")
+
+    monkeypatch.setattr(RasterImage, "pixels", property(refuse))
+    assert render_png(d) == expected
