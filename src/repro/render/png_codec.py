@@ -4,19 +4,20 @@ Implemented from the PNG specification as numpy array passes on top of
 :mod:`zlib` (stdlib): signature, IHDR/PLTE/IDAT/IEND chunks, CRC32 per
 chunk, and the five scanline filter types.
 
-The encoder has one core and two entry points.  :func:`encode_indexed`
-takes an ``(h, w)`` canvas of palette indices and its ``(n, 3)``
-palette, as :func:`repro.render.raster.rasterize` holds them, and builds
-no RGB image.  :func:`encode_png` takes an ``(h, w, 3)`` RGB image: one
-exact run-based pass (:func:`_palette`) turns it into such a canvas and
-palette.  The core finds the colours present from where runs of equal
-indices start, one compare a pixel, so a palette entry that was assigned
-but never painted, or was painted over, does not count.  With at most
-256 colours present it writes colour type 3: a ``PLTE`` chunk of them in
-ascending RGB order and one index byte per pixel, the canvas remapped
-through a 256-entry table unless its order is already that one.
-Otherwise it gathers the RGB image and writes colour type 2, three bytes
-per pixel.  Both entry points write the same bytes for the same image.
+The encoder has one core and two entry points, which write the same
+bytes for the same image.  :func:`encode_png` takes an ``(h, w, 3)`` RGB
+image and finds its colours with one exact run-based pass over it.
+:func:`encode_indexed` takes an ``(h, w)`` canvas of palette indices and
+its ``(n, 3)`` palette, as :func:`repro.render.raster.rasterize` holds
+them; its colour pass finds the colours present from where runs of
+equal indices start, one compare a pixel, so a palette entry that was
+assigned but never painted, or was painted over, does not count.  With
+at most 256 colours present the core writes colour type 3: a ``PLTE``
+chunk of them in ascending RGB order and one index byte per pixel (a
+canvas is remapped to those positions through a 256-entry table, and no
+RGB image is built).  Otherwise it writes colour type 2, three bytes per
+pixel: the caller's RGB image, or the canvas gathered through its
+palette a band of rows at a time (:func:`gather`).
 Each row then takes the cheapest of the None, Sub and Up filters by the
 standard minimum-sum-of-absolute-differences heuristic, Sub taking the
 pixel to the left (1 byte back for indices, 3 for RGB).  The decoder reads
@@ -40,16 +41,32 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Callable
 
 import numpy as np
 
 from repro.errors import RenderError
 from repro.obs import core as _obs
 
-__all__ = ["encode_png", "encode_indexed", "decode_png"]
+__all__ = ["encode_png", "encode_indexed", "decode_png", "gather"]
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+#: pixels per band of rows in :func:`gather`
+_GATHER_PIXELS = 1 << 16
+
+
+def gather(table: np.ndarray, canvas: np.ndarray) -> np.ndarray:
+    """``table[canvas]``: the rows of ``table`` that an ``(h, w)`` canvas
+    of indices names, as an ``(h, w) + table.shape[1:]`` array.
+
+    ``np.take`` copies its indices as intp, 8 bytes a pixel; a band of
+    rows at a time keeps that copy small.
+    """
+    h, w = canvas.shape
+    out = np.empty((h, w) + table.shape[1:], table.dtype)
+    rows = max(1, _GATHER_PIXELS // w)
+    for y in range(0, h, rows):
+        np.take(table, canvas[y:y + rows], axis=0, out=out[y:y + rows])
+    return out
 
 
 def _chunk(kind: bytes, payload: bytes) -> bytes:
@@ -67,14 +84,13 @@ def _filter_cost(filtered: np.ndarray) -> np.ndarray:
         axis=1, dtype=np.int64)
 
 
-def _palette(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(canvas, palette)`` of an ``(h, w, 3)`` uint8 image.
+def _palette(pixels: np.ndarray):
+    """``(plte, indices)`` when the image has at most 256 colours, else None.
 
-    ``palette`` is the ``(n, 3)`` uint8 array of the image's colours in
-    ascending RGB order, and ``canvas`` the ``(h, w)`` image of positions
-    in it (uint8 up to 256 colours, wider past them).  The pass is exact
-    but reads colours only at the start of each run of equal pixels in
-    row-major order, then repeats each run's index over it.
+    ``plte`` is the ``PLTE`` payload, the colours in ascending RGB order,
+    and ``indices`` the ``(h, w)`` uint8 image of positions in it.  The
+    pass is exact but reads colours only at the start of each run of equal
+    pixels in row-major order, then repeats each run's index over it.
     """
     h, w, _ = pixels.shape
     n = h * w
@@ -86,21 +102,22 @@ def _palette(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], starts + 1))
     first = flat[starts].astype(np.uint32)
     keys = first[:, 0] << 16 | first[:, 1] << 8 | first[:, 2]
-    colors, run_index = np.unique(keys, return_inverse=True)
-    run_index = run_index.astype(np.min_scalar_type(len(colors) - 1))
-    canvas = np.repeat(run_index, np.diff(starts, append=n)).reshape(h, w)
-    palette = np.stack([colors >> 16, colors >> 8, colors], axis=1) & 0xFF
-    return canvas, palette.astype(np.uint8)
+    colors = np.unique(keys)
+    if len(colors) > 256:
+        return None
+    run_index = np.searchsorted(colors, keys).astype(np.uint8)
+    indices = np.repeat(run_index, np.diff(starts, append=n))
+    plte = np.stack([colors >> 16, colors >> 8, colors], axis=1) & 0xFF
+    return plte.astype(np.uint8).tobytes(), indices.reshape(h, w)
 
 
 def _indexed(canvas: np.ndarray, palette: np.ndarray):
-    """``(plte, indices)`` for colour type 3, or None past 256 colours.
+    """What :func:`_palette` gives for the image ``palette[canvas]``, read
+    from the canvas.
 
     The colours present are the palette entries read where a run of equal
-    indices starts in row-major order, one compare a pixel.  ``plte`` is
-    the ``PLTE`` payload, those colours in ascending RGB order without
-    repeats, and ``indices`` the ``(h, w)`` uint8 canvas of positions in
-    it.
+    indices starts in row-major order, one compare a pixel.  ``indices``
+    is the canvas remapped to their positions in ``plte``.
     """
     h, w = canvas.shape
     flat = canvas.reshape(-1)
@@ -120,15 +137,12 @@ def _indexed(canvas: np.ndarray, palette: np.ndarray):
         return None
     plte = np.stack([colors >> 16, colors >> 8, colors], axis=1) & 0xFF
     plte = plte.astype(np.uint8).tobytes()
-    if (canvas.dtype == np.uint8 and present[-1] == len(present) - 1
-            and (position == np.arange(len(position))).all()):
-        return plte, canvas  # its indices are already the PLTE positions
     lut = np.zeros(max(len(palette), 256), np.uint8)
     lut[present] = position
     if canvas.dtype == np.uint8:
         remapped = flat.tobytes().translate(lut[:256].tobytes())
         return plte, np.frombuffer(remapped, np.uint8).reshape(h, w)
-    return plte, lut[canvas]
+    return plte, gather(lut, canvas)
 
 
 def _filter_rows(flat: np.ndarray, bpp: int) -> np.ndarray:
@@ -159,18 +173,21 @@ def _filter_rows(flat: np.ndarray, bpp: int) -> np.ndarray:
     return out
 
 
-def _encode(h: int, w: int,
-            colours: Callable[[], tuple[np.ndarray, np.ndarray]],
+def _encode(image: np.ndarray, palette: np.ndarray | None,
             compress_level: int) -> bytes:
-    """The encoder core.  ``colours()`` gives the ``(canvas, palette)``
-    to write; it runs with the colour pass and the filters under the
+    """The encoder core: ``image`` is an ``(h, w, 3)`` RGB image when
+    ``palette`` is None, else an ``(h, w)`` canvas of indices into
+    ``palette``.  The colour pass runs with the filters under the
     ``render.png.filter`` span."""
+    h, w = image.shape[:2]
     with _obs.span("render.png.filter", rows=h):
-        canvas, palette = colours()
-        indexed = _indexed(canvas, palette)
+        if palette is None:
+            indexed = _palette(image)
+        else:
+            indexed = _indexed(image, palette)
         if indexed is None:
             ctype, plte = 2, b""
-            rgb = np.take(palette, canvas, axis=0)
+            rgb = image if palette is None else gather(palette, image)
             out = _filter_rows(rgb.reshape(h, w * 3), 3)
         else:
             ctype, (payload, indices) = 3, indexed
@@ -185,23 +202,20 @@ def _encode(h: int, w: int,
 
 def encode_indexed(canvas: np.ndarray, palette: np.ndarray, *,
                    compress_level: int = 6) -> bytes:
-    """Encode an ``(h, w)`` uint8 or uint16 canvas of indices into an
-    ``(n, 3)`` uint8 palette as a PNG byte string.
+    """Encode an ``(h, w)`` canvas of unsigned indices into an ``(n, 3)``
+    uint8 palette as a PNG byte string.
 
     The bytes are those :func:`encode_png` writes for the RGB image
     ``palette[canvas]``, which is never built when at most 256 colours
     are present.
     """
-    if (canvas.ndim != 2 or canvas.dtype not in (np.uint8, np.uint16)
-            or not canvas.size):
+    if canvas.ndim != 2 or canvas.dtype.kind != "u" or not canvas.size:
         raise RenderError(
-            f"expected an (h, w) uint8 or uint16 canvas, got {canvas.shape} {canvas.dtype}")
+            f"expected an (h, w) unsigned integer canvas, got {canvas.shape} {canvas.dtype}")
     if palette.ndim != 2 or palette.shape[1:] != (3,) or palette.dtype != np.uint8:
         raise RenderError(
             f"expected an (n, 3) uint8 palette, got {palette.shape} {palette.dtype}")
-    h, w = canvas.shape
-    return _encode(h, w, lambda: (np.ascontiguousarray(canvas), palette),
-                   compress_level)
+    return _encode(canvas, palette, compress_level)
 
 
 def encode_png(pixels: np.ndarray, *, compress_level: int = 6) -> bytes:
@@ -213,8 +227,7 @@ def encode_png(pixels: np.ndarray, *, compress_level: int = 6) -> bytes:
     if (pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8
             or not pixels.size):
         raise RenderError(f"expected (h, w, 3) uint8 pixels, got {pixels.shape} {pixels.dtype}")
-    h, w, _ = pixels.shape
-    return _encode(h, w, lambda: _palette(pixels), compress_level)
+    return _encode(pixels, None, compress_level)
 
 
 def _unfilter_average(data: np.ndarray, prev: np.ndarray, bpp: int) -> list[int]:

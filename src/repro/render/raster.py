@@ -3,9 +3,9 @@
 The canvas is an ``(h, w)`` array of palette indices.  Jedule colours
 tasks by type, so a drawing holds few colours: each gets its index the
 first time it is painted, and the canvas is uint8 and widens to uint16
-past 256 colours.  :attr:`RasterImage.palette` is the ``(n, 3)`` uint8
-array of the colours; the PNG backend encodes the canvas over it
-(:func:`repro.render.png_codec.encode_indexed`), and
+past 256 colours (uint32 past 65,536).  :attr:`RasterImage.palette` is
+the ``(n, 3)`` uint8 array of the colours; the PNG backend encodes the
+canvas over it (:func:`repro.render.png_codec.encode_indexed`), and
 :attr:`RasterImage.pixels` gathers the ``(h, w, 3)`` uint8 RGB image on
 demand for PPM, BMP and the tests.  Operations are scalar slice
 assignments of an index (rect fills), a Bresenham walk batched through
@@ -40,11 +40,10 @@ from repro.core.colormap import Color
 from repro.obs import core as _obs
 from repro.render import font5x7
 from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
+from repro.render.png_codec import gather
 
 __all__ = ["RasterImage", "rasterize"]
 
-#: pixels per band of the palette gather in :attr:`RasterImage.pixels`
-_GATHER_PIXELS = 1 << 16
 #: boxes converted to Python ints at a time by the painter
 _BOX_CHUNK = 1 << 14
 
@@ -122,16 +121,9 @@ class RasterImage:
 
     @property
     def pixels(self) -> np.ndarray:
-        """The ``(h, w, 3)`` uint8 RGB image, gathered from the palette."""
-        palette = self.palette
-        out = np.empty((self.height, self.width, 3), np.uint8)
-        # np.take copies its indices as intp, 8 bytes a pixel; a band of
-        # rows at a time keeps that copy small.
-        rows = max(1, _GATHER_PIXELS // self.width)
-        for y in range(0, self.height, rows):
-            np.take(palette, self.canvas[y:y + rows], axis=0,
-                    out=out[y:y + rows])
-        return out
+        """The ``(h, w, 3)`` uint8 RGB image, gathered from the palette a
+        band of rows at a time."""
+        return gather(self.palette, self.canvas)
 
     # ----------------------------------------------------------- primitives
     def fill_rect(self, x: float, y: float, w: float, h: float, color: Color) -> None:
@@ -346,7 +338,9 @@ def _boxes(img: RasterImage, rects: list[Rect]):
 def _chunked(columns):
     """The rows of equal-length int arrays as tuples of Python ints,
     converted :data:`_BOX_CHUNK` rows at a time, so the ints of only one
-    chunk are alive at once."""
+    chunk are alive at once.  Nothing is converted before the painter
+    reads the first box, when :func:`_boxes` has returned and its batch
+    arrays are freed."""
     for at in range(0, len(columns[0]), _BOX_CHUNK):
         yield from zip(*(c[at:at + _BOX_CHUNK].tolist() for c in columns))
 

@@ -10,9 +10,10 @@ import pytest
 
 from repro.core.colormap import Color
 from repro.errors import RenderError
+from repro.render import png_codec
 from repro.render.backends.png import render_png
 from repro.render.geometry import Drawing, Line, Rect, Text
-from repro.render.png_codec import decode_png, encode_indexed, encode_png
+from repro.render.png_codec import decode_png, encode_indexed, encode_png, gather
 from repro.render.raster import RasterImage, rasterize
 
 
@@ -360,6 +361,12 @@ def _palette_of(*rgb: int) -> np.ndarray:
     pytest.param(np.arange(300, dtype=np.uint16).reshape(15, 20),
                  _palette_of(*range(0, 300 * 9, 9)), 2,
                  id="uint16-300-present"),
+    pytest.param(np.array([[0, 299, 150], [299, 0, 7]], np.uint32),
+                 _palette_of(*range(0, 300 * 9, 9)), 3,
+                 id="uint32-three-present"),
+    pytest.param(np.arange(300, dtype=np.uint32).reshape(15, 20),
+                 _palette_of(*range(0, 300 * 9, 9)), 2,
+                 id="uint32-300-present"),
 ])
 def test_encode_indexed_writes_what_encode_png_writes(canvas, palette, ctype):
     """The same bytes as the RGB entry point over ``palette[canvas]``: a
@@ -378,11 +385,32 @@ def test_encode_indexed_takes_a_non_contiguous_canvas():
     assert encode_indexed(canvas, palette) == encode_png(palette[canvas])
 
 
+@pytest.mark.parametrize("shown", [200, 300])
+@pytest.mark.parametrize("band", [1, 60, 200, 1 << 16])
+def test_encode_indexed_gathers_in_bands(monkeypatch, shown, band):
+    """A wide canvas is remapped (at most 256 colours shown) or gathered
+    to RGB (more) a band of rows at a time; the band edges lose
+    nothing."""
+    monkeypatch.setattr(png_codec, "_GATHER_PIXELS", band)
+    rng = np.random.default_rng(shown)
+    palette = rng.integers(0, 256, (400, 3), dtype=np.uint8)
+    entries = rng.choice(400, shown, replace=False)
+    flat = np.concatenate([entries, rng.choice(entries, 20 * 25 - shown)])
+    rng.shuffle(flat)
+    canvas = flat.reshape(20, 25).astype(np.uint16)
+    assert np.array_equal(gather(palette, canvas), palette[canvas])
+    data = encode_indexed(canvas, palette)
+    assert data == encode_png(palette[canvas])
+    assert _ihdr(data)[3] == (3 if shown <= 256 else 2)
+
+
 @pytest.mark.parametrize("canvas, palette, match", [
     pytest.param(np.zeros((4, 4, 3), np.uint8), _palette_of(0), "canvas",
                  id="rgb-canvas"),
     pytest.param(np.zeros((4, 4), np.int32), _palette_of(0), "canvas",
                  id="int32-canvas"),
+    pytest.param(np.zeros((4, 4), bool), _palette_of(0), "canvas",
+                 id="bool-canvas"),
     pytest.param(np.zeros((0, 4), np.uint8), _palette_of(0), "canvas",
                  id="empty-canvas"),
     pytest.param(np.zeros((4, 4), np.uint8), np.zeros((2, 4), np.uint8),
@@ -413,3 +441,20 @@ def test_render_png_never_reads_pixels(monkeypatch):
 
     monkeypatch.setattr(RasterImage, "pixels", property(refuse))
     assert render_png(d) == expected
+
+
+def test_render_png_past_65536_colours():
+    """At the 65,537th colour the painter widens its canvas to uint32, and
+    render_png still writes what the RGB entry writes for the gathered
+    image: truecolour while the colours show, indexed once one rect
+    paints them all over."""
+    d = Drawing(256, 256)
+    for i in range(1 << 16):
+        d.add(Rect(i % 256, i // 256, 1, 1, fill=Color(0, i >> 8, i & 0xFF)))
+    for ctype in (2, 3):
+        img = rasterize(d)
+        assert img.canvas.dtype == np.uint32
+        data = render_png(d)
+        assert data == encode_png(img.pixels)
+        assert _ihdr(data)[3] == ctype
+        d.add(Rect(0, 0, 256, 256, fill=Color(1, 2, 3)))
